@@ -1,63 +1,28 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels, one numpy implementation each.
 
-The backend is fixed once at import time from the ``QKML_BACKEND``
-environment variable:
-
-* ``numba`` -- require numba; raise if it cannot be imported.
-* ``numpy`` -- force the pure-numpy implementations.
-* unset / ``auto`` -- use numba when importable, else numpy.
-
-Both paths implement the same algorithms with matching arithmetic order,
-so results agree to the last ulp wherever the fallback is written as the
-element-wise mirror of the jitted loop (gate application, SMO) and to
-~1e-12 where the fallback vectorises a reduction differently (Gram
-assembly via BLAS).
-
-Run ``benchmarks/bench_backends.py`` to compare throughput of the two.
+Gate application, fidelity matrices, the SMO dual solver and the Gini
+split scan.  Element-wise loop versions of the gate and SMO kernels in
+``tests/helpers.py`` are the bitwise oracles they are tested against.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_VAR = "QKML_BACKEND"
-
-_requested = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"{_ENV_VAR} must be 'numba', 'numpy' or unset, got {_requested!r}"
-    )
-
-if _requested == "numpy":
-    _HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAS_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _HAS_NUMBA = False
-
-USE_NUMBA = _HAS_NUMBA
 
 
 def active_backend() -> str:
-    """Name of the backend selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # Reproducible integer stream for SMO's second-index choice.
 #
-# A fixed 31-bit LCG rather than numpy's Generator: the same integer
-# arithmetic runs identically inside and outside numba (products stay
-# below 2^62, no wraparound is ever hit), so both backends consume an
-# identical stream.  Statistical quality is irrelevant here; the stream
-# only breaks ties reproducibly.
+# A fixed 31-bit LCG rather than numpy's Generator.  It pins the SMO
+# partner sequence, so trained alphas, and with them the c03/c04 results
+# and the byte-identical reports, stay what they are.  Replacing the
+# random-partner sweep (and this stream with it) by second-order working
+# set selection is a separate solver change.
 # ---------------------------------------------------------------------------
 
 _LCG_MOD = 2147483648  # 2^31
@@ -80,22 +45,7 @@ def _lcg_next(state):
 # ---------------------------------------------------------------------------
 
 
-def _apply_1q_loops(amps, target, u):
-    n = amps.shape[0]
-    out = np.empty_like(amps)
-    step = 1 << target
-    for base in range(0, n, step << 1):
-        for off in range(step):
-            i0 = base + off
-            i1 = i0 + step
-            a = amps[i0]
-            b = amps[i1]
-            out[i0] = u[0, 0] * a + u[0, 1] * b
-            out[i1] = u[1, 0] * a + u[1, 1] * b
-    return out
-
-
-def _apply_1q_vec(amps, target, u):
+def apply_single_qubit(amps, target, u):
     n = amps.shape[0]
     idx = np.arange(n)
     i0 = idx[(idx >> target) & 1 == 0]
@@ -108,20 +58,7 @@ def _apply_1q_vec(amps, target, u):
     return out
 
 
-def _apply_cnot_loops(amps, control, target):
-    n = amps.shape[0]
-    out = amps.copy()
-    cbit = 1 << control
-    tbit = 1 << target
-    for i in range(n):
-        if i & cbit and not i & tbit:
-            j = i | tbit
-            out[i] = amps[j]
-            out[j] = amps[i]
-    return out
-
-
-def _apply_cnot_vec(amps, control, target):
+def apply_cnot(amps, control, target):
     n = amps.shape[0]
     idx = np.arange(n)
     i = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
@@ -132,18 +69,7 @@ def _apply_cnot_vec(amps, control, target):
     return out
 
 
-def _apply_cz_loops(amps, control, target):
-    n = amps.shape[0]
-    out = amps.copy()
-    cbit = 1 << control
-    tbit = 1 << target
-    for i in range(n):
-        if i & cbit and i & tbit:
-            out[i] = -amps[i]
-    return out
-
-
-def _apply_cz_vec(amps, control, target):
+def apply_cz(amps, control, target):
     idx = np.arange(amps.shape[0])
     out = amps.copy()
     both = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 1)
@@ -153,32 +79,12 @@ def _apply_cz_vec(amps, control, target):
 
 # ---------------------------------------------------------------------------
 # Fidelity matrices.  states is (n, dim) complex128 with unit rows; the
-# result holds |<s_i|s_j>|^2.  The jitted path evaluates each unordered
-# pair exactly once and mirrors it; the numpy path uses one BLAS matmul
-# and then copies the upper triangle onto the lower so the output is
-# exactly symmetric.
+# result holds |<s_i|s_j>|^2 from one BLAS matmul.  The Gram copies its
+# upper triangle onto the lower so the output is exactly symmetric.
 # ---------------------------------------------------------------------------
 
 
-def _gram_loops(states):
-    n, dim = states.shape
-    g = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i, n):
-            re = 0.0
-            im = 0.0
-            for k in range(dim):
-                a = states[i, k]
-                b = states[j, k]
-                re += a.real * b.real + a.imag * b.imag
-                im += a.real * b.imag - a.imag * b.real
-            v = re * re + im * im
-            g[i, j] = v
-            g[j, i] = v
-    return g
-
-
-def _gram_vec(states):
+def fidelity_gram(states):
     inner = states.conj() @ states.T
     g = inner.real**2 + inner.imag**2
     low = np.tril_indices(g.shape[0], -1)
@@ -186,24 +92,7 @@ def _gram_vec(states):
     return g
 
 
-def _cross_loops(a_states, b_states):
-    na, dim = a_states.shape
-    nb = b_states.shape[0]
-    g = np.empty((na, nb), dtype=np.float64)
-    for i in range(na):
-        for j in range(nb):
-            re = 0.0
-            im = 0.0
-            for k in range(dim):
-                a = a_states[i, k]
-                b = b_states[j, k]
-                re += a.real * b.real + a.imag * b.imag
-                im += a.real * b.imag - a.imag * b.real
-            g[i, j] = re * re + im * im
-    return g
-
-
-def _cross_vec(a_states, b_states):
+def fidelity_cross(a_states, b_states):
     inner = a_states.conj() @ b_states.T
     return inner.real**2 + inner.imag**2
 
@@ -217,95 +106,13 @@ def _cross_vec(a_states, b_states):
 # per-sample (c_arr), which makes class weighting a caller-side concern.
 # Terminates after `max_passes` consecutive sweeps without a change, or
 # at the hard sweep cap (safety net; reported back to the caller).
-#
-# Both implementations follow identical control flow and consume the LCG
-# stream identically, so alphas and bias agree bit-for-bit.
 # ---------------------------------------------------------------------------
 
 _SMO_SWEEP_CAP = 20000
 _SMO_MIN_STEP = 1e-7
 
 
-def _smo_loops(kmat, y, c_arr, tol, max_passes, lcg_state):
-    n = kmat.shape[0]
-    alphas = np.zeros(n, dtype=np.float64)
-    f = np.zeros(n, dtype=np.float64)
-    b = 0.0
-    state = lcg_state
-    clean = 0
-    sweeps = 0
-    while clean < max_passes and sweeps < _SMO_SWEEP_CAP:
-        sweeps += 1
-        changed = 0
-        for i in range(n):
-            e_i = f[i] + b - y[i]
-            r_i = y[i] * e_i
-            if not (
-                (r_i < -tol and alphas[i] < c_arr[i])
-                or (r_i > tol and alphas[i] > 0.0)
-            ):
-                continue
-            state = (_LCG_MUL * state + _LCG_INC) % _LCG_MOD
-            j = state % (n - 1)
-            if j >= i:
-                j += 1
-            e_j = f[j] + b - y[j]
-            ai_old = alphas[i]
-            aj_old = alphas[j]
-            c_i = c_arr[i]
-            c_j = c_arr[j]
-            if y[i] != y[j]:
-                lo = max(0.0, aj_old - ai_old)
-                hi = min(c_j, c_i + aj_old - ai_old)
-            else:
-                lo = max(0.0, ai_old + aj_old - c_i)
-                hi = min(c_j, ai_old + aj_old)
-            if lo >= hi:
-                continue
-            eta = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
-            if eta <= 0.0:
-                continue
-            aj_new = aj_old + y[j] * (e_i - e_j) / eta
-            if aj_new < lo:
-                aj_new = lo
-            elif aj_new > hi:
-                aj_new = hi
-            if abs(aj_new - aj_old) < _SMO_MIN_STEP:
-                continue
-            ai_new = ai_old + y[i] * y[j] * (aj_old - aj_new)
-            b1 = (
-                b
-                - e_i
-                - y[i] * (ai_new - ai_old) * kmat[i, i]
-                - y[j] * (aj_new - aj_old) * kmat[i, j]
-            )
-            b2 = (
-                b
-                - e_j
-                - y[i] * (ai_new - ai_old) * kmat[i, j]
-                - y[j] * (aj_new - aj_old) * kmat[j, j]
-            )
-            if 0.0 < ai_new < c_i:
-                b = b1
-            elif 0.0 < aj_new < c_j:
-                b = b2
-            else:
-                b = (b1 + b2) / 2.0
-            di = y[i] * (ai_new - ai_old)
-            dj = y[j] * (aj_new - aj_old)
-            for k in range(n):
-                f[k] = f[k] + (di * kmat[i, k] + dj * kmat[j, k])
-            alphas[i] = ai_new
-            alphas[j] = aj_new
-            changed += 1
-        if changed == 0:
-            clean += 1
-        else:
-            clean = 0
-    return alphas, b, sweeps
-
-
-def _smo_vec(kmat, y, c_arr, tol, max_passes, lcg_state):
+def smo_solve(kmat, y, c_arr, tol, max_passes, lcg_state):
     n = kmat.shape[0]
     alphas = np.zeros(n, dtype=np.float64)
     f = np.zeros(n, dtype=np.float64)
@@ -391,45 +198,11 @@ def _smo_vec(kmat, y, c_arr, tol, max_passes, lcg_state):
 # left.  The first strictly-best position wins, so equal scores resolve
 # to the lowest threshold.  Returns (score, threshold, found) where score
 # is the weighted child impurity; found is 0 when no admissible split
-# exists.  Class counts stay integral, so both paths compute bit-equal
-# scores from identical expressions.
+# exists.
 # ---------------------------------------------------------------------------
 
 
-def _scan_split_loops(values, labels, min_leaf):
-    n = values.shape[0]
-    total_one = 0
-    for i in range(n):
-        total_one += labels[i]
-    nf = float(n)
-    best_score = np.inf
-    best_thr = 0.0
-    found = 0
-    left_one = 0
-    for p in range(1, n):
-        left_one += labels[p - 1]
-        if values[p] <= values[p - 1]:
-            continue
-        if p < min_leaf or n - p < min_leaf:
-            continue
-        lo = float(left_one)
-        lz = float(p - left_one)
-        ro = float(total_one - left_one)
-        rz = float((n - p) - (total_one - left_one))
-        pl = float(p)
-        pr = float(n - p)
-        score = (
-            pl * (1.0 - (lz * lz + lo * lo) / (pl * pl))
-            + pr * (1.0 - (rz * rz + ro * ro) / (pr * pr))
-        ) / nf
-        if score < best_score:
-            best_score = score
-            best_thr = (values[p - 1] + values[p]) / 2.0
-            found = 1
-    return best_score, best_thr, found
-
-
-def _scan_split_vec(values, labels, min_leaf):
+def scan_best_split(values, labels, min_leaf):
     n = values.shape[0]
     if n < 2:
         return np.inf, 0.0, 0
@@ -456,28 +229,3 @@ def _scan_split_vec(values, labels, min_leaf):
     best = int(np.argmin(score))
     thr = (values[best] + values[best + 1]) / 2.0
     return float(score[best]), float(thr), 1
-
-
-# ---------------------------------------------------------------------------
-# Backend selection.
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    # nogil lets the thread-pool paths (embedding rows, forest trees)
-    # actually run concurrently; all kernels are pure array code.
-    _jit = njit(cache=True, nogil=True)
-    apply_single_qubit = _jit(_apply_1q_loops)
-    apply_cnot = _jit(_apply_cnot_loops)
-    apply_cz = _jit(_apply_cz_loops)
-    fidelity_gram = _jit(_gram_loops)
-    fidelity_cross = _jit(_cross_loops)
-    smo_solve = _jit(_smo_loops)
-    scan_best_split = _jit(_scan_split_loops)
-else:
-    apply_single_qubit = _apply_1q_vec
-    apply_cnot = _apply_cnot_vec
-    apply_cz = _apply_cz_vec
-    fidelity_gram = _gram_vec
-    fidelity_cross = _cross_vec
-    smo_solve = _smo_vec
-    scan_best_split = _scan_split_vec

@@ -14,6 +14,7 @@ Subcommands:
 All artifacts are written atomically and deterministically: rerunning a
 command with the same config, seed and inputs reproduces every byte
 (the hybrid manifest's wall_time field is the one documented exception).
+``--threads`` is accepted for compatibility and has no effect.
 ``QKML_LOG`` sets the log level; logs go to stderr so stdout stays
 scriptable.
 """
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, accel, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
+from . import __version__, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
 from .artifacts import write_json_atomic, write_text_atomic
 from .config import ConfigError, load_config, resolve_config
 from .feature_maps import FeatureMapSpec
@@ -164,7 +165,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _train_and_predict(model_cfg: dict, train, test, seed: int, threads: int):
+def _train_and_predict(model_cfg: dict, train, test, seed: int):
     """Returns (test predictions, train predictions, model info dict)."""
     name = model_cfg["name"]
     if name == "dt":
@@ -191,7 +192,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int, threads: int):
             bootstrap=bool(model_cfg["bootstrap"]),
             seed=seed,
         )
-        forest = trees.train_forest(train.features, train.labels, tcfg, fcfg, threads)
+        forest = trees.train_forest(train.features, train.labels, tcfg, fcfg)
         return (
             trees.predict_forest_batch(forest, test.features),
             trees.predict_forest_batch(forest, train.features),
@@ -218,7 +219,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int, threads: int):
         )
     if name == "qsvm":
         spec = _feature_map_spec(model_cfg, train.features.shape[1])
-        gram = qkernel.gram_matrix(spec, train.features, threads=threads)
+        gram = qkernel.gram_matrix(spec, train.features)
         cw = model_cfg["class_weight"]
         cfg = svmmod.SvmConfig(
             c=float(model_cfg["c"]),
@@ -228,7 +229,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int, threads: int):
             class_weight=None if cw is None else tuple(cw),
         )
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
-        cross = qkernel.cross_kernel(spec, test.features, train.features, threads=threads)
+        cross = qkernel.cross_kernel(spec, test.features, train.features)
         return (
             svmmod.predict(model, cross),
             svmmod.predict(model, gram.entries),
@@ -256,7 +257,7 @@ def cmd_benchmark(args) -> int:
     train, test, info = _prepare_splits(ds, resolved["dataset"])
     seed = int(resolved["dataset"]["seed"])
     preds, train_preds, model_info = _train_and_predict(
-        resolved["model"], train, test, seed, args.threads
+        resolved["model"], train, test, seed
     )
     cm = metrics.confusion_matrix(test.labels, preds)
     report = metrics.report_from_confusion(cm)
@@ -294,7 +295,7 @@ def cmd_kernel(args) -> int:
     ds = _obtain_dataset(resolved, out)
     train, _, _ = _prepare_splits(ds, resolved["dataset"])
     spec = _feature_map_spec(resolved.get("model"), train.features.shape[1])
-    gram = qkernel.gram_matrix(spec, train.features, threads=args.threads)
+    gram = qkernel.gram_matrix(spec, train.features)
     export = Path(args.export) if args.export else out / "gram.qkgm"
     sidecar = qkernel.save_gram(
         export, gram, spec, input_sha256=qkernel.matrix_sha256(train.features)
@@ -332,9 +333,7 @@ def cmd_hybrid(args) -> int:
         seed=int(resolved["dataset"]["seed"]),
     )
     started = time.monotonic()
-    arms = hmod.compare_hybrid(
-        train, test, quanv, hcfg["hidden"], tcfg, threads=args.threads
-    )
+    arms = hmod.compare_hybrid(train, test, quanv, hcfg["hidden"], tcfg)
     wall = time.monotonic() - started
     write_text_atomic(out / "curves.csv", hmod.curves_csv(arms))
     manifest = {
@@ -383,7 +382,7 @@ def _add_common(sub):
     sub.add_argument("--out", default="qkml_out", help="artifact directory")
     sub.add_argument("--seed", type=int, default=None, help="override dataset seed")
     sub.add_argument(
-        "--threads", type=int, default=1, help="worker threads (results identical)"
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
     )
     sub.add_argument(
         "--synthetic",
@@ -443,7 +442,6 @@ def main(argv=None) -> int:
         args.config is None and args.synthetic is None
     ):
         parser.error(f"{args.command} needs --config or --synthetic")
-    log.debug("backend: %s", accel.active_backend())
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

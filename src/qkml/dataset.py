@@ -400,8 +400,9 @@ def train_test_split(
             k = max(1, math.floor(perm.size * test_fraction))
             test_idx.append(perm[:k])
             train_idx.append(perm[k:])
-        test = np.concatenate(test_idx)
-        train = np.concatenate(train_idx)
+        # Interleave the classes, so a prefix of either block is a sample.
+        test = rng.permutation(np.concatenate(test_idx))
+        train = rng.permutation(np.concatenate(train_idx))
     else:
         perm = rng.permutation(n)
         k = max(1, math.floor(n * test_fraction))

@@ -17,7 +17,6 @@ come from seeded generators.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -95,8 +94,8 @@ def _transform_one(spec: QuanvSpec, mix: Circuit, vec: np.ndarray) -> np.ndarray
     return np.asarray(out, dtype=np.float64)
 
 
-def quanv_transform_batch(spec: QuanvSpec, features, threads: int = 1) -> np.ndarray:
-    """Transform every row; thread count never changes the output."""
+def quanv_transform_batch(spec: QuanvSpec, features) -> np.ndarray:
+    """Transform every row."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {x.shape}")
@@ -104,22 +103,8 @@ def quanv_transform_batch(spec: QuanvSpec, features, threads: int = 1) -> np.nda
     n = x.shape[0]
     width = quanv_output_width(spec, x.shape[1])
     out = np.empty((n, width), dtype=np.float64)
-    threads = max(1, int(threads))
-    if threads == 1 or n < 2:
-        for i in range(n):
-            out[i] = _transform_one(spec, mix, x[i])
-        return out
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            out[i] = _transform_one(spec, mix, x[i])
-
-    step = (n + threads - 1) // threads
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for f in [
-            pool.submit(fill, lo, min(lo + step, n)) for lo in range(0, n, step)
-        ]:
-            f.result()
+    for i in range(n):
+        out[i] = _transform_one(spec, mix, x[i])
     return out
 
 
@@ -302,7 +287,6 @@ def compare_hybrid(
     quanv: QuanvSpec,
     hidden=(16,),
     config: TrainConfig = TrainConfig(),
-    threads: int = 1,
 ) -> dict:
     """Train the same dense architecture on raw features (classical arm)
     and on quanvolved features (hybrid arm) with identical seeds.
@@ -324,8 +308,8 @@ def compare_hybrid(
     )
     arms["classical"] = {"net": net_c, "history": hist_c}
 
-    xq_train = quanv_transform_batch(quanv, train_ds.features, threads=threads)
-    xq_val = quanv_transform_batch(quanv, val_ds.features, threads=threads)
+    xq_train = quanv_transform_batch(quanv, train_ds.features)
+    xq_val = quanv_transform_batch(quanv, val_ds.features)
     q_sizes = (xq_train.shape[1],) + hidden + (2,)
     net_q = init_dense(q_sizes, seed=config.seed)
     net_q, hist_q = train_dense(

@@ -1,10 +1,9 @@
 """Fidelity kernel: k(x, x') = |<phi(x')|phi(x)>|^2 over feature-map states.
 
-Embeddings are computed once per data row (optionally across a thread
-pool; rows are written into preallocated slots so the result does not
-depend on thread count), then all pairwise overlaps are evaluated in one
-backend call.  Entries are clamped to [0, 1]; drift beyond CLAMP_TOL
-outside that interval indicates a broken embedding and raises.
+Embeddings are computed once per data row, then all pairwise overlaps
+are evaluated in one BLAS matmul.  Entries are clamped to [0, 1]; drift
+beyond CLAMP_TOL outside that interval indicates a broken embedding and
+raises.
 
 Gram matrices can be exported to a small binary container (magic
 ``QKGM``) with a JSON sidecar carrying the feature-map description and
@@ -16,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -73,14 +71,8 @@ def _clamp_unit(values: np.ndarray) -> np.ndarray:
     return np.clip(values, 0.0, 1.0)
 
 
-def embedding_matrix(
-    spec: FeatureMapSpec, rows: np.ndarray, threads: int = 1
-) -> np.ndarray:
-    """Embed every row once; returns an (n, 2**q) complex matrix.
-
-    With threads > 1 rows are chunked over a thread pool; each worker
-    writes its own slice, so output is identical for any thread count.
-    """
+def embedding_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> np.ndarray:
+    """Embed every row once; returns an (n, 2**q) complex matrix."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-d row matrix, got shape {rows.shape}")
@@ -88,46 +80,26 @@ def embedding_matrix(
     if n == 0:
         raise ValueError("no rows to embed")
     out = np.empty((n, 1 << spec.num_qubits), dtype=np.complex128)
-    threads = max(1, int(threads))
-    if threads == 1 or n < 2:
-        for i in range(n):
-            out[i] = embed(spec, rows[i]).amplitudes
-        return out
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = embed(spec, rows[i]).amplitudes
-
-    step = (n + threads - 1) // threads
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(fill, lo, min(lo + step, n)) for lo in range(0, n, step)
-        ]
-        for f in futures:
-            f.result()
+    for i in range(n):
+        out[i] = embed(spec, rows[i]).amplitudes
     return out
 
 
-def gram_matrix(
-    spec: FeatureMapSpec, rows: np.ndarray, threads: int = 1
-) -> GramMatrix:
+def gram_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> GramMatrix:
     """All pairwise fidelities for one row set."""
-    states = embedding_matrix(spec, rows, threads=threads)
+    states = embedding_matrix(spec, rows)
     entries = _clamp_unit(accel.fidelity_gram(states))
-    # Self-fidelity is exactly 1; drop the float noise the backends leave.
+    # Self-fidelity is exactly 1; drop the float noise of the matmul.
     np.fill_diagonal(entries, 1.0)
     return GramMatrix(entries)
 
 
 def cross_kernel(
-    spec: FeatureMapSpec,
-    rows_test: np.ndarray,
-    rows_train: np.ndarray,
-    threads: int = 1,
+    spec: FeatureMapSpec, rows_test: np.ndarray, rows_train: np.ndarray
 ) -> np.ndarray:
     """Fidelities of every test row against every train row."""
-    a = embedding_matrix(spec, np.asarray(rows_test), threads=threads)
-    b = embedding_matrix(spec, np.asarray(rows_train), threads=threads)
+    a = embedding_matrix(spec, np.asarray(rows_test))
+    b = embedding_matrix(spec, np.asarray(rows_train))
     if a.shape[1] != b.shape[1]:
         raise ValueError("test and train rows use different register widths")
     return _clamp_unit(accel.fidelity_cross(a, b))

@@ -8,8 +8,8 @@ becomes a leaf when it is pure, too small, at max depth, or when no
 split strictly decreases impurity.
 
 The forest draws one RNG per tree, seeded ``seed + tree_index`` (the
-bootstrap sample is drawn first, then per-split feature subsets), so
-serial and threaded training produce identical forests.  Prediction is
+bootstrap sample is drawn first, then per-split feature subsets), so a
+forest is a pure function of its inputs too.  Prediction is
 a majority vote; exact vote ties return class 0, as do count ties inside
 a leaf.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -233,7 +232,6 @@ def train_forest(
     labels,
     tree_config: TreeConfig = TreeConfig(),
     forest_config: ForestConfig = ForestConfig(),
-    threads: int = 1,
 ) -> ForestModel:
     """Bag ``n_trees`` trees over bootstrap samples."""
     x, y = _check_xy(features, labels)
@@ -243,25 +241,15 @@ def train_forest(
         mtry = int(math.ceil(math.sqrt(d)))
     mtry = min(mtry, d)
 
-    trees = [None] * forest_config.n_trees
-
-    def grow(t: int) -> None:
+    trees = []
+    for t in range(forest_config.n_trees):
         rng = np.random.default_rng(forest_config.seed + t)
         if forest_config.bootstrap:
             idx = rng.integers(0, n, size=n)
             xt, yt = x[idx], y[idx]
         else:
             xt, yt = x, y
-        trees[t] = _build(xt, yt, 0, tree_config, rng, mtry if mtry < d else None)
-
-    threads = max(1, int(threads))
-    if threads == 1:
-        for t in range(forest_config.n_trees):
-            grow(t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f in [pool.submit(grow, t) for t in range(forest_config.n_trees)]:
-                f.result()
+        trees.append(_build(xt, yt, 0, tree_config, rng, mtry if mtry < d else None))
     return ForestModel(tuple(trees), tree_config, forest_config)
 
 

@@ -2,13 +2,15 @@
 
 Everything here is an independent re-derivation used to cross-check the
 package: full-matrix circuit simulation via Kronecker products, the
-closed-form product kernel for per-qubit RY embeddings, and an
-exhaustive feasible-grid search of the SVM dual.
+closed-form product kernel for per-qubit RY embeddings, an
+exhaustive feasible-grid search of the SVM dual, and element-wise loop
+versions of the gate kernels and the SMO solver in ``qkml.accel``.
 """
 
 import numpy as np
 
 from qkml import statevector as sv
+from qkml.accel import _LCG_INC, _LCG_MOD, _LCG_MUL, _SMO_MIN_STEP, _SMO_SWEEP_CAP
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -161,3 +163,126 @@ def grid_oracle_best(kmat, y_signed, c: float, step: float = 0.01) -> float:
         )
         best = max(best, float(obj.max()))
     return best
+
+
+# -- element-wise loop oracles for qkml.accel ---------------------------------
+# Same arithmetic, same order, one amplitude or one row at a time: the
+# numpy kernels must match them bit for bit.
+
+
+def _apply_1q_loops(amps, target, u):
+    n = amps.shape[0]
+    out = np.empty_like(amps)
+    step = 1 << target
+    for base in range(0, n, step << 1):
+        for off in range(step):
+            i0 = base + off
+            i1 = i0 + step
+            a = amps[i0]
+            b = amps[i1]
+            out[i0] = u[0, 0] * a + u[0, 1] * b
+            out[i1] = u[1, 0] * a + u[1, 1] * b
+    return out
+
+
+def _apply_cnot_loops(amps, control, target):
+    n = amps.shape[0]
+    out = amps.copy()
+    cbit = 1 << control
+    tbit = 1 << target
+    for i in range(n):
+        if i & cbit and not i & tbit:
+            j = i | tbit
+            out[i] = amps[j]
+            out[j] = amps[i]
+    return out
+
+
+def _apply_cz_loops(amps, control, target):
+    n = amps.shape[0]
+    out = amps.copy()
+    cbit = 1 << control
+    tbit = 1 << target
+    for i in range(n):
+        if i & cbit and i & tbit:
+            out[i] = -amps[i]
+    return out
+
+
+def _smo_loops(kmat, y, c_arr, tol, max_passes, lcg_state):
+    n = kmat.shape[0]
+    alphas = np.zeros(n, dtype=np.float64)
+    f = np.zeros(n, dtype=np.float64)
+    b = 0.0
+    state = lcg_state
+    clean = 0
+    sweeps = 0
+    while clean < max_passes and sweeps < _SMO_SWEEP_CAP:
+        sweeps += 1
+        changed = 0
+        for i in range(n):
+            e_i = f[i] + b - y[i]
+            r_i = y[i] * e_i
+            if not (
+                (r_i < -tol and alphas[i] < c_arr[i])
+                or (r_i > tol and alphas[i] > 0.0)
+            ):
+                continue
+            state = (_LCG_MUL * state + _LCG_INC) % _LCG_MOD
+            j = state % (n - 1)
+            if j >= i:
+                j += 1
+            e_j = f[j] + b - y[j]
+            ai_old = alphas[i]
+            aj_old = alphas[j]
+            c_i = c_arr[i]
+            c_j = c_arr[j]
+            if y[i] != y[j]:
+                lo = max(0.0, aj_old - ai_old)
+                hi = min(c_j, c_i + aj_old - ai_old)
+            else:
+                lo = max(0.0, ai_old + aj_old - c_i)
+                hi = min(c_j, ai_old + aj_old)
+            if lo >= hi:
+                continue
+            eta = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
+            if eta <= 0.0:
+                continue
+            aj_new = aj_old + y[j] * (e_i - e_j) / eta
+            if aj_new < lo:
+                aj_new = lo
+            elif aj_new > hi:
+                aj_new = hi
+            if abs(aj_new - aj_old) < _SMO_MIN_STEP:
+                continue
+            ai_new = ai_old + y[i] * y[j] * (aj_old - aj_new)
+            b1 = (
+                b
+                - e_i
+                - y[i] * (ai_new - ai_old) * kmat[i, i]
+                - y[j] * (aj_new - aj_old) * kmat[i, j]
+            )
+            b2 = (
+                b
+                - e_j
+                - y[i] * (ai_new - ai_old) * kmat[i, j]
+                - y[j] * (aj_new - aj_old) * kmat[j, j]
+            )
+            if 0.0 < ai_new < c_i:
+                b = b1
+            elif 0.0 < aj_new < c_j:
+                b = b2
+            else:
+                b = (b1 + b2) / 2.0
+            di = y[i] * (ai_new - ai_old)
+            dj = y[j] * (aj_new - aj_old)
+            for k in range(n):
+                f[k] = f[k] + (di * kmat[i, k] + dj * kmat[j, k])
+            alphas[i] = ai_new
+            alphas[j] = aj_new
+            changed += 1
+        if changed == 0:
+            clean += 1
+        else:
+            clean = 0
+    return alphas, b, sweeps

@@ -1,13 +1,18 @@
-"""Backend equivalence: jitted loop kernels vs the numpy fallback.
+"""The numpy kernels in ``qkml.accel`` paired with independent oracles.
 
-The private ``_loops``/``_vec`` pairs must agree bitwise (except the
-Gram/cross pair, which reorders a reduction through BLAS and is held to
-1e-12), and the active public bindings must agree with the fallback.
+Gates and SMO must match the element-wise loops in ``tests/helpers.py``
+bitwise, the split scan must match the exhaustive root-split search
+bitwise, and the Gram/cross matrices (a BLAS reduction) must match a
+per-pair ``np.vdot`` to 1e-12.
 """
 
-import numpy as np
-import pytest
+import os
+import subprocess
+import sys
 
+import numpy as np
+
+import helpers
 from qkml import accel
 
 
@@ -22,8 +27,30 @@ def _random_unitary(rng):
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
+def _vdot_fidelities(a_states, b_states):
+    return np.array(
+        [[abs(np.vdot(b, a)) ** 2 for b in b_states] for a in a_states]
+    )
+
+
 def test_active_backend_is_known():
-    assert accel.active_backend() in ("numba", "numpy")
+    assert accel.active_backend() == "numpy"
+
+
+def test_backend_env_var_is_ignored():
+    env = dict(os.environ, QKML_BACKEND="numba")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", "import qkml; print(qkml.active_backend())"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "numpy"
 
 
 def test_single_qubit_pair_bitwise_equal():
@@ -33,10 +60,10 @@ def test_single_qubit_pair_bitwise_equal():
         amps = _random_state(rng, n)
         target = int(rng.integers(n))
         u = _random_unitary(rng)
-        a = accel._apply_1q_loops(amps, target, u)
-        b = accel._apply_1q_vec(amps, target, u)
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(accel.apply_single_qubit(amps, target, u), b)
+        np.testing.assert_array_equal(
+            accel.apply_single_qubit(amps, target, u),
+            helpers._apply_1q_loops(amps, target, u),
+        )
 
 
 def test_two_qubit_pairs_bitwise_equal():
@@ -47,24 +74,19 @@ def test_two_qubit_pairs_bitwise_equal():
         c, t = rng.choice(n, size=2, replace=False)
         c, t = int(c), int(t)
         np.testing.assert_array_equal(
-            accel._apply_cnot_loops(amps, c, t), accel._apply_cnot_vec(amps, c, t)
+            accel.apply_cnot(amps, c, t), helpers._apply_cnot_loops(amps, c, t)
         )
         np.testing.assert_array_equal(
-            accel._apply_cz_loops(amps, c, t), accel._apply_cz_vec(amps, c, t)
-        )
-        np.testing.assert_array_equal(
-            accel.apply_cnot(amps, c, t), accel._apply_cnot_vec(amps, c, t)
+            accel.apply_cz(amps, c, t), helpers._apply_cz_loops(amps, c, t)
         )
 
 
 def test_gram_pair_close_and_symmetric():
     rng = np.random.default_rng(2)
     states = np.vstack([_random_state(rng, 3) for _ in range(12)])
-    a = accel._gram_loops(states)
-    b = accel._gram_vec(states)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-    np.testing.assert_array_equal(b, b.T)
-    np.testing.assert_array_equal(a, a.T)
+    g = accel.fidelity_gram(states)
+    np.testing.assert_allclose(g, _vdot_fidelities(states, states), atol=1e-12)
+    np.testing.assert_array_equal(g, g.T)
 
 
 def test_cross_pair_close():
@@ -72,8 +94,8 @@ def test_cross_pair_close():
     a_states = np.vstack([_random_state(rng, 3) for _ in range(5)])
     b_states = np.vstack([_random_state(rng, 3) for _ in range(7)])
     np.testing.assert_allclose(
-        accel._cross_loops(a_states, b_states),
-        accel._cross_vec(a_states, b_states),
+        accel.fidelity_cross(a_states, b_states),
+        _vdot_fidelities(a_states, b_states),
         atol=1e-12,
     )
 
@@ -94,14 +116,11 @@ def test_smo_pair_bitwise_equal():
         kmat, y = _random_smo_problem(rng, n)
         c_arr = np.full(n, 1.0 if trial % 2 == 0 else 0.3)
         state = accel.seed_to_state(trial)
-        a_alpha, a_b, a_sweeps = accel._smo_loops(kmat, y, c_arr, 1e-3, 5, state)
-        b_alpha, b_b, b_sweeps = accel._smo_vec(kmat, y, c_arr, 1e-3, 5, state)
+        a_alpha, a_b, a_sweeps = helpers._smo_loops(kmat, y, c_arr, 1e-3, 5, state)
+        b_alpha, b_b, b_sweeps = accel.smo_solve(kmat, y, c_arr, 1e-3, 5, state)
         np.testing.assert_array_equal(a_alpha, b_alpha)
         assert a_b == b_b
         assert a_sweeps == b_sweeps
-        c_alpha, c_b, c_sweeps = accel.smo_solve(kmat, y, c_arr, 1e-3, 5, state)
-        np.testing.assert_array_equal(c_alpha, b_alpha)
-        assert c_b == b_b
 
 
 def test_smo_respects_per_sample_box():
@@ -120,10 +139,13 @@ def test_scan_split_pair_bitwise_equal():
         values = np.sort(rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=n))
         labels = rng.integers(0, 2, size=n).astype(np.int64)
         min_leaf = int(rng.integers(1, 4))
-        a = accel._scan_split_loops(values, labels, min_leaf)
-        b = accel._scan_split_vec(values, labels, min_leaf)
-        assert a == b
-        assert accel.scan_best_split(values, labels, min_leaf) == b
+        score, thr, found = accel.scan_best_split(values, labels, min_leaf)
+        best = helpers.best_root_split(values[:, None], labels, min_leaf)
+        if best is None:
+            assert found == 0
+        else:
+            assert found == 1
+            assert (score, thr) == (best[0], best[2])
 
 
 def test_lcg_stream_is_fixed():
@@ -139,17 +161,3 @@ def test_lcg_stream_is_fixed():
         (1103515245 * seen[2] + 12345) % 2**31,
         (1103515245 * seen[3] + 12345) % 2**31,
     ]
-
-
-def test_backend_env_rejected_when_invalid(monkeypatch):
-    # Re-importing under a bad env value must fail loudly.
-    import importlib
-    import sys
-
-    monkeypatch.setenv("QKML_BACKEND", "cuda")
-    saved = sys.modules.pop("qkml.accel")
-    try:
-        with pytest.raises(ValueError):
-            importlib.import_module("qkml.accel")
-    finally:
-        sys.modules["qkml.accel"] = saved

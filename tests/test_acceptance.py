@@ -225,7 +225,7 @@ def test_c05_full_csv_pipeline_band_checks_are_report_only():
     accs["dt"] = metrics.accuracy(
         test.labels, trees.predict_tree_batch(tree, test.features)
     )
-    forest = trees.train_forest(train.features, train.labels, threads=4)
+    forest = trees.train_forest(train.features, train.labels)
     accs["rf"] = metrics.accuracy(
         test.labels, trees.predict_forest_batch(forest, test.features)
     )
@@ -244,9 +244,9 @@ def test_c05_full_csv_pipeline_band_checks_are_report_only():
         qtrain.features[:500], qtrain.labels[:500], qtrain.feature_names
     )
     spec = FeatureMapSpec(ANGLE_Y, 4)
-    gram = qkernel.gram_matrix(spec, sub.features, threads=4)
+    gram = qkernel.gram_matrix(spec, sub.features)
     qmodel = svm.train_svm(gram, sub.labels, svm.SvmConfig(), seed=0)
-    cross = qkernel.cross_kernel(spec, qtest.features, sub.features, threads=4)
+    cross = qkernel.cross_kernel(spec, qtest.features, sub.features)
     accs["qsvm"] = metrics.accuracy(qtest.labels, svm.predict(qmodel, cross))
 
     for name, acc in accs.items():
@@ -313,7 +313,7 @@ _HID = (48,)
 _TRAIN = dict(epochs=100, learning_rate=0.03, batch_size=8, seed=10)
 
 
-def _rings_arms(threads=1):
+def _rings_arms():
     ds = synth.make_rings(200, seed=3)
     train, test = dsmod.train_test_split(ds, 0.2, 3)
     scaler = dsmod.fit_scaler(train, "minmax_pi")
@@ -325,7 +325,6 @@ def _rings_arms(threads=1):
         hmod.QuanvSpec(**_QUANV),
         hidden=_HID,
         config=hmod.TrainConfig(**_TRAIN),
-        threads=threads,
     )
 
 
@@ -404,8 +403,7 @@ def test_c07_gradients_match_finite_differences():
 def test_c07_identical_seeds_give_identical_curves():
     first = hmod.curves_csv(_cached_arms())
     again = hmod.curves_csv(_rings_arms())
-    threaded = hmod.curves_csv(_rings_arms(threads=3))
-    assert first == again == threaded
+    assert first == again
 
 
 # -- criterion 8: simulator against explicit matrix construction ------------------

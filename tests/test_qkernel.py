@@ -71,15 +71,6 @@ def test_gram_rejects_empty_input():
         qkernel.gram_matrix(FeatureMapSpec(ANGLE_Y, 1), np.empty((0, 1)))
 
 
-def test_parallel_gram_bitwise_equals_sequential():
-    rng = np.random.default_rng(5)
-    x = rng.uniform(0, np.pi, size=(15, 3))
-    spec = FeatureMapSpec(ZZ, 3)
-    seq = qkernel.gram_matrix(spec, x, threads=1)
-    par = qkernel.gram_matrix(spec, x, threads=4)
-    np.testing.assert_array_equal(seq.entries, par.entries)
-
-
 def test_cross_kernel_equals_gram_on_same_rows():
     rng = np.random.default_rng(6)
     x = rng.uniform(0, np.pi, size=(5, 2))

@@ -268,15 +268,6 @@ def test_forest_seed_determinism():
     assert forest_to_text(c) != forest_to_text(a)
 
 
-def test_forest_threads_do_not_change_result():
-    rng = np.random.default_rng(17)
-    x, y = _random_xy(rng, 40, 3)
-    fc = ForestConfig(n_trees=9, seed=3)
-    serial = train_forest(x, y, forest_config=fc, threads=1)
-    parallel = train_forest(x, y, forest_config=fc, threads=4)
-    assert forest_to_text(serial) == forest_to_text(parallel)
-
-
 def test_forest_pure_labels_all_leaves():
     x = np.random.default_rng(19).uniform(size=(12, 2))
     forest = train_forest(x, np.ones(12, dtype=int), forest_config=ForestConfig(n_trees=99))
