@@ -7,6 +7,8 @@ split scan.  Element-wise loop versions of the gate and SMO kernels in
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
@@ -75,6 +77,68 @@ def apply_cz(amps, control, target):
     both = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 1)
     out[both] = -amps[both]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Row-block gate kernels.  states is a C-contiguous (rows, 2^n) complex128
+# block holding one register per row and is updated in place.  Each kernel
+# does, per amplitude, the floating-point operations of its single-vector
+# counterpart above in the same operand order (scalar first), so every row
+# comes out bit for bit equal to running that row on its own.  The one
+# exception: a diagonal phase skips the zero off-diagonal terms of the dense
+# 2x2 form, so an amplitude that is exactly zero can differ in its sign.
+# ---------------------------------------------------------------------------
+
+
+def _bits_view(states, fixed):
+    """View of the amplitudes whose basis index has bit q == b for every
+    (q, b) in `fixed`; axis 0 stays the row axis."""
+    rows, dim = states.shape
+    n = dim.bit_length() - 1
+    index = [slice(None)] * (n + 1)
+    for q, b in fixed.items():
+        index[n - q] = b
+    return states.reshape((rows,) + (2,) * n)[tuple(index)]
+
+
+def _per_row(values, view):
+    """A (rows,) or (1,) array shaped to broadcast against `view`."""
+    return values.reshape((-1,) + (1,) * (view.ndim - 1))
+
+
+def apply_single_qubit_rows(states, target, u):
+    """u is one (2, 2) unitary for every row or a (rows, 2, 2) stack."""
+    u = u.reshape(-1, 2, 2)
+    a = _bits_view(states, {target: 0})
+    b = _bits_view(states, {target: 1})
+    u00, u01, u10, u11 = (_per_row(u[:, i, j], a) for i in (0, 1) for j in (0, 1))
+    top = u00 * a
+    top += u01 * b
+    np.multiply(u11, b, out=b)
+    b += u10 * a
+    a[...] = top
+
+
+def apply_cnot_rows(states, control, target):
+    lo = _bits_view(states, {control: 1, target: 0})
+    hi = _bits_view(states, {control: 1, target: 1})
+    swap = lo.copy()
+    lo[...] = hi
+    hi[...] = swap
+
+
+def apply_cz_rows(states, control, target):
+    both = _bits_view(states, {control: 1, target: 1})
+    np.negative(both, out=both)
+
+
+def apply_parity_phase_rows(states, qubits, phases):
+    """Multiply each amplitude by phases[:, p], p the parity of its bits
+    at `qubits`; phases is (rows, 2).  One qubit gives RZ; a pair (i, j)
+    gives CNOT(i, j) RZ_j CNOT(i, j), whose CNOTs only permute."""
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        view = _bits_view(states, dict(zip(qubits, bits)))
+        np.multiply(_per_row(phases[:, sum(bits) % 2], view), view, out=view)
 
 
 # ---------------------------------------------------------------------------

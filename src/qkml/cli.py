@@ -146,6 +146,20 @@ def _feature_map_spec(model_cfg: dict, num_qubits: int) -> FeatureMapSpec:
     )
 
 
+def _check_kernel_fits(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> None:
+    """Refuse a kernel run whose states and matrices exceed physical memory,
+    before anything is embedded."""
+    need = qkernel.kernel_bytes(spec, n_train, n_test)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(
+            f"the quantum kernel needs about {need / 2**30:.1f} GiB for "
+            f"{n_train + n_test} rows on {spec.num_qubits} qubits, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory; lower dataset.feature_k "
+            "(fewer qubits) or dataset.subsample (fewer train rows)"
+        )
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -219,7 +233,10 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         )
     if name == "qsvm":
         spec = _feature_map_spec(model_cfg, train.features.shape[1])
-        gram = qkernel.gram_matrix(spec, train.features)
+        _check_kernel_fits(spec, train.n_rows, test.n_rows)
+        # Train rows are embedded once, for the Gram and the cross kernel.
+        train_states = qkernel.embedding_matrix(spec, train.features)
+        gram = qkernel.gram_from_states(train_states)
         cw = model_cfg["class_weight"]
         cfg = svmmod.SvmConfig(
             c=float(model_cfg["c"]),
@@ -229,7 +246,9 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
             class_weight=None if cw is None else tuple(cw),
         )
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
-        cross = qkernel.cross_kernel(spec, test.features, train.features)
+        cross = qkernel.cross_from_states(
+            qkernel.embedding_matrix(spec, test.features), train_states
+        )
         return (
             svmmod.predict(model, cross),
             svmmod.predict(model, gram.entries),
@@ -295,6 +314,7 @@ def cmd_kernel(args) -> int:
     ds = _obtain_dataset(resolved, out)
     train, _, _ = _prepare_splits(ds, resolved["dataset"])
     spec = _feature_map_spec(resolved.get("model"), train.features.shape[1])
+    _check_kernel_fits(spec, train.n_rows)
     gram = qkernel.gram_matrix(spec, train.features)
     export = Path(args.export) if args.export else out / "gram.qkgm"
     sidecar = qkernel.save_gram(

@@ -12,6 +12,14 @@ Entanglement patterns: ``linear`` pairs (i, i+1); ``ring`` additionally
 closes (n-1, 0) when n >= 3 (for n <= 2 the closing pair would duplicate
 the only linear pair).  Inputs are expected pre-scaled to [0, pi] by the
 dataset pipeline, but any finite angles are accepted.
+
+``build_feature_circuit`` spells the map out gate by gate for
+``run_circuit``.  ``embed_rows`` simulates a whole row matrix at once with
+the same arithmetic, and is what ``embed`` and the kernels use.  It relies
+on the identity CNOT(i, j) RZ_j(phi) CNOT(i, j) = diag(e^{-i phi/2},
+e^{+i phi/2}) on the parity bit_i XOR bit_j: the CNOTs only permute
+amplitudes, so each pair term is one diagonal phase, as is each RZ, and
+only the H layers mix amplitudes.
 """
 
 from __future__ import annotations
@@ -22,7 +30,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .statevector import Circuit, StateVector, cnot, h, run_circuit, ry, rz
+from . import accel
+from .statevector import (
+    MAX_QUBITS,
+    Circuit,
+    StateVector,
+    cnot,
+    h,
+    run_circuit,  # not called here; tracing tools patch it by module and name
+    ry,
+    ry_layer_rows,
+    rz,
+    rz_phases,
+    single_qubit_matrix,
+    zero_rows,
+)
 
 ANGLE_Y = "angle_y"
 ZZ = "zz"
@@ -52,8 +74,8 @@ class FeatureMapSpec:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
         n = int(self.num_qubits)
-        if n < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {n}")
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
         object.__setattr__(self, "num_qubits", n)
         reps = self.repetitions
         if reps is None:
@@ -86,6 +108,19 @@ def _check_features(spec: FeatureMapSpec, x: Sequence) -> np.ndarray:
     return vec
 
 
+def check_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
+    """The rows as a float64 (n, num_qubits) matrix of finite values."""
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.num_qubits:
+        raise ValueError(
+            f"feature rows must be a 2-d matrix with {spec.num_qubits} "
+            f"columns, got shape {x.shape}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("feature rows contain non-finite values")
+    return x
+
+
 def build_feature_circuit(spec: FeatureMapSpec, x: Sequence) -> Circuit:
     """Encoding circuit for one feature vector."""
     vec = _check_features(spec, x)
@@ -108,6 +143,33 @@ def build_feature_circuit(spec: FeatureMapSpec, x: Sequence) -> Circuit:
     return Circuit(spec.num_qubits, tuple(gates))
 
 
+def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
+    """States of every row of an (n, num_qubits) matrix as an (n, 2**q)
+    block.  Row r equals ``run_circuit(build_feature_circuit(spec, rows[r]))``
+    bit for bit, except that an amplitude part that is exactly zero (a
+    feature exactly 0 or pi can cause one) may carry the other sign."""
+    x = check_rows(spec, rows)
+    states = zero_rows(x.shape[0], spec.num_qubits)
+    if spec.kind == ANGLE_Y:
+        for _ in range(spec.repetitions):
+            ry_layer_rows(states, x)
+        return states
+    hadamard = single_qubit_matrix(h(0))
+    qubit_phases = rz_phases(x)
+    pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    pair_phases = rz_phases((math.pi - x[:, i]) * (math.pi - x[:, j]))
+    for _ in range(spec.repetitions):
+        for q in range(spec.num_qubits):
+            accel.apply_single_qubit_rows(states, q, hadamard)
+        for q in range(spec.num_qubits):
+            accel.apply_parity_phase_rows(states, (q,), qubit_phases[:, q])
+        for p, pair in enumerate(pairs):
+            accel.apply_parity_phase_rows(states, pair, pair_phases[:, p])
+    return states
+
+
 def embed(spec: FeatureMapSpec, x: Sequence) -> StateVector:
-    """Run the encoding circuit on |0...0>."""
-    return run_circuit(build_feature_circuit(spec, x))
+    """The encoded state of one feature vector."""
+    vec = _check_features(spec, x)
+    return StateVector(spec.num_qubits, embed_rows(spec, vec[None])[0])

@@ -6,7 +6,9 @@ a frozen random circuit (seeded RY layer + CNOT chain, repeated
 ``layers`` times) mixes them, and the per-qubit Z expectations are the
 window's outputs, so each vector maps to num_windows * w values in
 [-1, 1].  The circuit parameters are drawn once from ``circuit_seed``
-and are never trained.
+and are never trained.  ``quanv_transform_batch`` simulates the
+registers of all (row, window) pairs together as row blocks; each output
+equals that window's circuit run on its own with ``run_circuit``.
 
 The classifier is a fully connected ReLU network with a 2-way softmax
 head, trained by mini-batch SGD on cross-entropy.  Training is a pure
@@ -21,9 +23,20 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dataset import Dataset
-from .statevector import Circuit, cnot, init_zero, run_circuit, ry, z_expectation
+from .statevector import (
+    Circuit,
+    block_rows,
+    cnot,
+    run_circuit,  # not called here; tracing tools patch it by module and name
+    run_circuit_rows,
+    ry,
+    ry_layer_rows,
+    z_expectation_rows,
+    zero_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -76,36 +89,28 @@ def quanv_transform(spec: QuanvSpec, x) -> np.ndarray:
     vec = np.asarray(x, dtype=np.float64)
     if vec.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {vec.shape}")
-    mix = build_quanv_circuit(spec)
-    return _transform_one(spec, mix, vec)
-
-
-def _transform_one(spec: QuanvSpec, mix: Circuit, vec: np.ndarray) -> np.ndarray:
-    w = spec.window
-    if vec.shape[0] < w:
-        raise ValueError(f"need at least window={w} features, got {vec.shape[0]}")
-    out = []
-    for pos in range(0, vec.shape[0] - w + 1, spec.stride):
-        encode = tuple(ry(float(vec[pos + q]), q) for q in range(w))
-        state = run_circuit(
-            Circuit(w, encode + mix.gates), init_zero(w)
-        )
-        out.extend(z_expectation(state, q) for q in range(w))
-    return np.asarray(out, dtype=np.float64)
+    return quanv_transform_batch(spec, vec[None])[0]
 
 
 def quanv_transform_batch(spec: QuanvSpec, features) -> np.ndarray:
-    """Transform every row."""
+    """Transform every row; the (row, window) registers are simulated
+    together, a block at a time."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {x.shape}")
-    mix = build_quanv_circuit(spec)
-    n = x.shape[0]
     width = quanv_output_width(spec, x.shape[1])
-    out = np.empty((n, width), dtype=np.float64)
-    for i in range(n):
-        out[i] = _transform_one(spec, mix, x[i])
-    return out
+    w = spec.window
+    mix = build_quanv_circuit(spec)
+    windows = sliding_window_view(x, w, axis=1)[:, :: spec.stride].reshape(-1, w)
+    out = np.empty((windows.shape[0], w), dtype=np.float64)
+    step = block_rows(w)
+    for lo in range(0, windows.shape[0], step):
+        block = windows[lo : lo + step]
+        states = zero_rows(block.shape[0], w)
+        ry_layer_rows(states, block)
+        run_circuit_rows(mix, states)
+        out[lo : lo + step] = z_expectation_rows(states)
+    return out.reshape(x.shape[0], width)
 
 
 # -- dense network ------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Fidelity kernel: k(x, x') = |<phi(x')|phi(x)>|^2 over feature-map states.
 
-Embeddings are computed once per data row, then all pairwise overlaps
-are evaluated in one BLAS matmul.  Entries are clamped to [0, 1]; drift
-beyond CLAMP_TOL outside that interval indicates a broken embedding and
-raises.
+``embedding_matrix`` simulates the feature map for a whole row matrix, a
+block of rows at a time (``statevector.block_rows``); all pairwise
+overlaps of the states are then evaluated in one BLAS matmul.
+``gram_from_states`` and ``cross_from_states`` work on states already
+embedded, so one embedding of a train set feeds both its Gram matrix and
+a test-by-train cross kernel; ``gram_matrix`` and ``cross_kernel`` embed
+their rows themselves.  Entries are clamped to [0, 1]; drift beyond
+CLAMP_TOL outside that interval indicates a broken embedding and raises.
 
 Gram matrices can be exported to a small binary container (magic
 ``QKGM``) with a JSON sidecar carrying the feature-map description and
@@ -23,7 +27,8 @@ import numpy as np
 
 from . import accel
 from .artifacts import write_bytes_atomic, write_text_atomic
-from .feature_maps import FeatureMapSpec, embed
+from .feature_maps import FeatureMapSpec, check_rows, embed, embed_rows
+from .statevector import block_rows
 
 CLAMP_TOL = 1e-9
 PSD_TOL = -1e-8
@@ -73,36 +78,52 @@ def _clamp_unit(values: np.ndarray) -> np.ndarray:
 
 def embedding_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> np.ndarray:
     """Embed every row once; returns an (n, 2**q) complex matrix."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValueError(f"expected a 2-d row matrix, got shape {rows.shape}")
+    rows = check_rows(spec, rows)
     n = rows.shape[0]
     if n == 0:
         raise ValueError("no rows to embed")
     out = np.empty((n, 1 << spec.num_qubits), dtype=np.complex128)
-    for i in range(n):
-        out[i] = embed(spec, rows[i]).amplitudes
+    step = block_rows(spec.num_qubits)
+    for lo in range(0, n, step):
+        out[lo : lo + step] = embed_rows(spec, rows[lo : lo + step])
     return out
 
 
-def gram_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> GramMatrix:
-    """All pairwise fidelities for one row set."""
-    states = embedding_matrix(spec, rows)
+def gram_from_states(states: np.ndarray) -> GramMatrix:
+    """All pairwise fidelities of one (n, 2**q) state matrix."""
     entries = _clamp_unit(accel.fidelity_gram(states))
     # Self-fidelity is exactly 1; drop the float noise of the matmul.
     np.fill_diagonal(entries, 1.0)
     return GramMatrix(entries)
 
 
+def cross_from_states(test_states: np.ndarray, train_states: np.ndarray) -> np.ndarray:
+    """Fidelities of every test state against every train state."""
+    if test_states.shape[1] != train_states.shape[1]:
+        raise ValueError("test and train rows use different register widths")
+    return _clamp_unit(accel.fidelity_cross(test_states, train_states))
+
+
+def gram_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> GramMatrix:
+    """All pairwise fidelities for one row set."""
+    return gram_from_states(embedding_matrix(spec, rows))
+
+
 def cross_kernel(
     spec: FeatureMapSpec, rows_test: np.ndarray, rows_train: np.ndarray
 ) -> np.ndarray:
     """Fidelities of every test row against every train row."""
-    a = embedding_matrix(spec, np.asarray(rows_test))
-    b = embedding_matrix(spec, np.asarray(rows_train))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("test and train rows use different register widths")
-    return _clamp_unit(accel.fidelity_cross(a, b))
+    return cross_from_states(
+        embedding_matrix(spec, rows_test), embedding_matrix(spec, rows_train)
+    )
+
+
+def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
+    """Bytes held by the embedded train and test states, the train Gram
+    matrix and the test-by-train cross kernel."""
+    return (16 << spec.num_qubits) * (n_train + n_test) + 8 * n_train * (
+        n_train + n_test
+    )
 
 
 def check_psd(gram: GramMatrix) -> float:

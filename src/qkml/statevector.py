@@ -4,13 +4,16 @@ Basis convention: computational basis state ``|b_{n-1} ... b_1 b_0>`` is
 stored at amplitude index ``sum_q b_q * 2**q``, i.e. qubit 0 is the least
 significant bit of the index.  Gates act by unitary application on a
 complex128 amplitude vector; every operation returns a new state.
+``run_circuit`` is the gate-level reference.  The row-block functions at
+the end simulate many registers of one width at once, in place, with the
+same per-amplitude arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -222,12 +225,86 @@ def z_expectation(state: StateVector, qubit: int) -> float:
     return float(np.dot(signs, probs))
 
 
-def statevector_matrix(states: Iterable[StateVector]) -> np.ndarray:
-    """Stack states into an (n, 2**q) complex matrix (for kernel assembly)."""
-    rows = [s.amplitudes for s in states]
-    if not rows:
-        raise ValueError("no states given")
-    widths = {r.shape[0] for r in rows}
-    if len(widths) != 1:
-        raise ValueError("states have mixed register widths")
-    return np.vstack(rows)
+# -- row blocks ---------------------------------------------------------------
+#
+# Many registers of one width at once: an (rows, 2**n) complex128 block with
+# one state per row, updated in place by the row kernels in ``accel``.  A
+# row ends up bit for bit equal to the same gates run by ``run_circuit``
+# (``accel`` notes the one exception, the sign of an exact zero).
+# Callers simulate long row sets in blocks of ``block_rows`` rows.
+
+# Amplitudes per block: 256 KiB of complex128 whatever the register width,
+# which bounds the temporaries of the gate kernels.
+BLOCK_AMPLITUDES = 1 << 14
+
+
+def block_rows(num_qubits: int) -> int:
+    """Rows per block for registers of this width (at least one)."""
+    return max(1, BLOCK_AMPLITUDES >> num_qubits)
+
+
+def zero_rows(rows: int, num_qubits: int) -> np.ndarray:
+    """A block of ``rows`` copies of |0...0>."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+    states = np.zeros((rows, 1 << num_qubits), dtype=np.complex128)
+    states[:, 0] = 1.0
+    return states
+
+
+def ry_matrices(angles) -> np.ndarray:
+    """RY unitaries, shape ``angles.shape + (2, 2)``, entry for entry as
+    ``single_qubit_matrix`` builds one."""
+    half = np.asarray(angles, dtype=np.float64) / 2.0
+    c = np.cos(half)
+    s = np.sin(half)
+    u = np.stack([c, -s, s, c], axis=-1).astype(np.complex128)
+    return u.reshape(half.shape + (2, 2))
+
+
+def rz_phases(angles) -> np.ndarray:
+    """Diagonals of RZ unitaries, shape ``angles.shape + (2,)``: the phase
+    on bit value 0, then on bit value 1."""
+    half = np.asarray(angles, dtype=np.float64) / 2.0
+    c = np.cos(half)
+    s = np.sin(half)
+    phases = np.empty(half.shape + (2,), dtype=np.complex128)
+    phases.real = c[..., None]
+    phases.imag[..., 0] = -s
+    phases.imag[..., 1] = s
+    return phases
+
+
+def ry_layer_rows(states: np.ndarray, angles: np.ndarray) -> None:
+    """RY(angles[r, q]) on qubit q of row r, for every qubit, in place."""
+    for q in range(angles.shape[1]):
+        accel.apply_single_qubit_rows(states, q, ry_matrices(angles[:, q]))
+
+
+def run_circuit_rows(circuit: Circuit, states: np.ndarray) -> None:
+    """Apply every gate of the circuit to each row of the block, in place."""
+    if states.ndim != 2 or states.shape[1] != 1 << circuit.num_qubits:
+        raise ValueError(
+            f"expected a (rows, {1 << circuit.num_qubits}) block, got shape "
+            f"{states.shape}"
+        )
+    for gate in circuit.gates:
+        if gate.kind == CNOT:
+            accel.apply_cnot_rows(states, *gate.targets)
+        elif gate.kind == CZ:
+            accel.apply_cz_rows(states, *gate.targets)
+        else:
+            accel.apply_single_qubit_rows(
+                states, gate.targets[0], single_qubit_matrix(gate)
+            )
+
+
+def z_expectation_rows(states: np.ndarray) -> np.ndarray:
+    """(rows, n) matrix of <Z_q> for every row and qubit, each entry equal
+    to ``z_expectation`` of that row's state."""
+    dim = states.shape[1]
+    idx = np.arange(dim)
+    qubits = np.arange(dim.bit_length() - 1)
+    signs = 1.0 - 2.0 * ((idx >> qubits[:, None]) & 1)
+    probs = np.abs(states) ** 2
+    return np.vecdot(probs[:, None, :], signs)

@@ -1,7 +1,8 @@
 """The numpy kernels in ``qkml.accel`` paired with independent oracles.
 
 Gates and SMO must match the element-wise loops in ``tests/helpers.py``
-bitwise, the split scan must match the exhaustive root-split search
+bitwise, the row-block gate kernels must match the single-vector gate
+kernels row by row, byte for byte, the split scan must match the exhaustive root-split search
 bitwise, and the Gram/cross matrices (a BLAS reduction) must match a
 per-pair ``np.vdot`` to 1e-12.
 """
@@ -79,6 +80,68 @@ def test_two_qubit_pairs_bitwise_equal():
         np.testing.assert_array_equal(
             accel.apply_cz(amps, c, t), helpers._apply_cz_loops(amps, c, t)
         )
+
+
+def _random_block(rng, rows, n_qubits):
+    return np.stack([_random_state(rng, n_qubits) for _ in range(rows)])
+
+
+def _random_complex_unitary(rng):
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
+    return phase[:, None] * _random_unitary(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+
+
+# The row kernels are held to the single-vector kernels above (which the
+# loop oracles pin), row by row and byte for byte, with complex entries.
+
+
+def test_single_qubit_rows_bytes_equal_per_row_kernel():
+    rng = np.random.default_rng(2)
+    for _ in range(25):
+        n = int(rng.integers(1, 7))
+        rows = int(rng.integers(1, 6))
+        block = _random_block(rng, rows, n)
+        target = int(rng.integers(n))
+        per_row = np.stack([_random_complex_unitary(rng) for _ in range(rows)])
+        shared = _random_complex_unitary(rng)
+        want = [
+            accel.apply_single_qubit(accel.apply_single_qubit(amps, target, u), target, shared)
+            for amps, u in zip(block, per_row)
+        ]
+        accel.apply_single_qubit_rows(block, target, per_row)
+        accel.apply_single_qubit_rows(block, target, shared)
+        assert block.tobytes() == np.stack(want).tobytes()
+
+
+def test_two_qubit_rows_bytes_equal_per_row_kernel():
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        block = _random_block(rng, 3, n)
+        c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
+        want = [accel.apply_cz(accel.apply_cnot(amps, c, t), t, c) for amps in block]
+        accel.apply_cnot_rows(block, c, t)
+        accel.apply_cz_rows(block, t, c)
+        assert block.tobytes() == np.stack(want).tobytes()
+
+
+def test_parity_phase_rows_bytes_equal_rz_and_cnot_rz_cnot():
+    rng = np.random.default_rng(4)
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        block = _random_block(rng, 3, n)
+        i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
+        half = rng.uniform(-np.pi, np.pi, size=(3, 2))
+        phases = np.exp(1j * np.stack([-half, half], axis=2))
+        want = []
+        for amps, ph in zip(block, phases):
+            out = accel.apply_single_qubit(amps, i, np.diag(ph[0]))
+            out = accel.apply_cnot(out, i, j)
+            out = accel.apply_single_qubit(out, j, np.diag(ph[1]))
+            want.append(accel.apply_cnot(out, i, j))
+        accel.apply_parity_phase_rows(block, (i,), phases[:, 0])
+        accel.apply_parity_phase_rows(block, (i, j), phases[:, 1])
+        assert block.tobytes() == np.stack(want).tobytes()
 
 
 def test_gram_pair_close_and_symmetric():

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkml import __version__, qkernel
+from qkml import __version__, cli, qkernel
 from qkml.cli import main
+from qkml.config import ConfigError
+from qkml.dataset import Dataset
 
 DATA = Path(__file__).parent / "data"
 FIXTURE_CSV = DATA / "startups_12.csv"
@@ -364,3 +366,66 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert f"qkml {__version__}" in capsys.readouterr().out
+
+
+# -- quantum-kernel embedding reuse and the memory pre-flight --------------------
+
+
+def _qsvm_zz_config(tmp_path):
+    return _write_config(
+        tmp_path,
+        {
+            "dataset": {"synthetic": {"name": "moons", "n": 60}, "seed": 4},
+            "model": {"name": "qsvm", "feature_map": {"kind": "zz"}},
+        },
+    )
+
+
+def test_benchmark_qsvm_embeds_each_row_once(tmp_path, monkeypatch):
+    embedded = []
+    real = qkernel.embedding_matrix
+
+    def counting(spec, rows):
+        embedded.append(len(rows))
+        return real(spec, rows)
+
+    monkeypatch.setattr(qkernel, "embedding_matrix", counting)
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", _qsvm_zz_config(tmp_path), "--out", str(out)]) == 0
+    split = json.loads((out / "report.json").read_text())["split"]
+    assert sum(embedded) == split["train_rows"] + split["test_rows"]
+
+
+def _no_embedding(monkeypatch):
+    def refuse(spec, rows):
+        raise AssertionError("embedding started")
+
+    monkeypatch.setattr(qkernel, "embedding_matrix", refuse)
+
+
+def _physical_memory(monkeypatch, nbytes):
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": nbytes // 4096}
+    monkeypatch.setattr(cli.os, "sysconf", lambda name: pages[name])
+
+
+def test_qsvm_beyond_physical_memory_fails_before_embedding(monkeypatch):
+    _no_embedding(monkeypatch)
+    _physical_memory(monkeypatch, 8 << 30)
+    names = tuple(f"f{i}" for i in range(20))
+    train = Dataset(np.zeros((5000, 20)), np.arange(5000) % 2, names)
+    test = Dataset(np.zeros((1000, 20)), np.arange(1000) % 2, names)
+    model = {"name": "qsvm", "c": 1.0, "tolerance": 1e-3, "max_passes": 5,
+             "class_weight": None, "feature_map": {"kind": "zz"}}
+    with pytest.raises(ConfigError, match="feature_k.*subsample"):
+        cli._train_and_predict(model, train, test, 0)
+
+
+@pytest.mark.parametrize("command", ["kernel", "benchmark"])
+def test_cli_exits_two_when_kernel_cannot_fit(tmp_path, monkeypatch, capsys, command):
+    _no_embedding(monkeypatch)
+    _physical_memory(monkeypatch, 4096)
+    out = tmp_path / "out"
+    assert main([command, "--config", _qsvm_zz_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dataset.feature_k" in err
+    assert not (out / "gram.qkgm").exists() and not (out / "report.json").exists()

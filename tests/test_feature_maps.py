@@ -143,3 +143,19 @@ def test_zz_embedding_matches_matrix_oracle():
         np.testing.assert_allclose(
             fm.embed(spec, x).amplitudes, helpers.brute_run(circuit), atol=1e-10
         )
+
+
+def test_spec_rejects_registers_wider_than_the_simulator():
+    assert fm.FeatureMapSpec(fm.ZZ, sv.MAX_QUBITS).num_qubits == sv.MAX_QUBITS
+    with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 20\], got 21"):
+        fm.FeatureMapSpec(fm.ZZ, sv.MAX_QUBITS + 1)
+
+
+def test_embed_is_one_row_of_embed_rows():
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0, np.pi, size=(3, 4))
+    for kind in (fm.ANGLE_Y, fm.ZZ):
+        spec = fm.FeatureMapSpec(kind, 4)
+        block = fm.embed_rows(spec, x)
+        for r in range(3):
+            assert fm.embed(spec, x[r]).amplitudes.tobytes() == block[r].tobytes()

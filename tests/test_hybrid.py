@@ -118,6 +118,40 @@ def test_batch_matches_rowwise_and_threads_agree():
         quanv_transform_batch(spec, np.zeros(4))
 
 
+def _per_window_path(spec, x):
+    """Each window run as its own gate-level circuit (the reference)."""
+    from qkml import statevector as sv
+
+    mix = build_quanv_circuit(spec)
+    w = spec.window
+    out = []
+    for row in x:
+        vals = []
+        for pos in range(0, x.shape[1] - w + 1, spec.stride):
+            encode = tuple(sv.ry(float(row[pos + q]), q) for q in range(w))
+            state = sv.run_circuit(sv.Circuit(w, encode + mix.gates))
+            vals.extend(sv.z_expectation(state, q) for q in range(w))
+        out.append(vals)
+    return np.array(out, dtype=np.float64)
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6])
+def test_batch_bytes_equal_per_window_path(monkeypatch, window, stride, layers):
+    from qkml import statevector as sv
+
+    # Five windows per block, so blocks end inside rows.
+    monkeypatch.setattr(sv, "BLOCK_AMPLITUDES", 5 << window)
+    rng = np.random.default_rng(window * 9 + stride * 3 + layers)
+    x = rng.uniform(0, math.pi, size=(4, window + 5))
+    x[0, :2] = 0.0
+    x[1, -2:] = math.pi
+    spec = QuanvSpec(window=window, stride=stride, layers=layers, circuit_seed=window)
+    got = quanv_transform_batch(spec, x)
+    assert got.tobytes() == _per_window_path(spec, x).tobytes()
+
+
 # -- dense network ------------------------------------------------------------
 
 

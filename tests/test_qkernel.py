@@ -186,3 +186,81 @@ def test_matrix_sha256_distinguishes_shape():
     assert qkernel.matrix_sha256(flat.reshape(2, 2)) != qkernel.matrix_sha256(
         flat.reshape(1, 4)
     )
+
+
+# -- row-block embedding against the gate-level simulator -----------------------
+
+
+def _gate_path(spec, rows):
+    from qkml import feature_maps as fm
+    from qkml.statevector import run_circuit
+
+    return np.stack(
+        [run_circuit(fm.build_feature_circuit(spec, r)).amplitudes for r in rows]
+    )
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3])
+@pytest.mark.parametrize("entanglement", ["linear", "ring"])
+@pytest.mark.parametrize("q", [1, 2, 3, 6, 10])
+@pytest.mark.parametrize("kind", [ANGLE_Y, ZZ])
+def test_embedding_matrix_bytes_equal_gate_path(kind, q, entanglement, reps):
+    rng = np.random.default_rng(q * 10 + reps)
+    x = np.vstack(
+        [rng.uniform(0, np.pi, size=(4, q)), rng.uniform(-7.0, 7.0, size=(2, q))]
+    )
+    spec = FeatureMapSpec(kind, q, repetitions=reps, entanglement=entanglement)
+    got = qkernel.embedding_matrix(spec, x)
+    assert got.tobytes() == _gate_path(spec, x).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_embedding_matrix_bytes_equal_across_block_edges(monkeypatch, n):
+    from qkml import statevector as sv
+
+    monkeypatch.setattr(sv, "BLOCK_AMPLITUDES", 64 << 3)
+    assert sv.block_rows(3) == 64
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0, np.pi, size=(n, 3))
+    spec = FeatureMapSpec(ZZ, 3, repetitions=2, entanglement="ring")
+    assert qkernel.embedding_matrix(spec, x).tobytes() == _gate_path(spec, x).tobytes()
+
+
+def test_embedding_matrix_on_boundary_angles_equals_gate_path():
+    # Scaled features sit exactly at 0 and pi at the column extremes.  There
+    # the phase form and the dense 2x2 form can give zeros of opposite
+    # sign, which are equal values; every kernel entry is unaffected.
+    rng = np.random.default_rng(21)
+    x = rng.choice([0.0, np.pi / 2, np.pi, 1.0], size=(40, 4))
+    spec = FeatureMapSpec(ZZ, 4, repetitions=2)
+    got = qkernel.embedding_matrix(spec, x)
+    want = _gate_path(spec, x)
+    np.testing.assert_array_equal(got, want)
+    gram = qkernel.gram_from_states(want)
+    assert qkernel.gram_from_states(got).entries.tobytes() == gram.entries.tobytes()
+
+
+def test_embedding_matrix_rejects_bad_rows():
+    spec = FeatureMapSpec(ZZ, 2)
+    with pytest.raises(ValueError):
+        qkernel.embedding_matrix(spec, np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        qkernel.embedding_matrix(spec, np.array([[0.1, np.inf]]))
+
+
+def test_state_based_kernels_equal_row_based_wrappers():
+    rng = np.random.default_rng(22)
+    spec = FeatureMapSpec(ZZ, 3)
+    train = rng.uniform(0, np.pi, size=(7, 3))
+    test = rng.uniform(0, np.pi, size=(4, 3))
+    states = qkernel.embedding_matrix(spec, train)
+    gram = qkernel.gram_from_states(states)
+    assert gram.entries.tobytes() == qkernel.gram_matrix(spec, train).entries.tobytes()
+    cross = qkernel.cross_from_states(qkernel.embedding_matrix(spec, test), states)
+    assert cross.tobytes() == qkernel.cross_kernel(spec, test, train).tobytes()
+
+
+def test_kernel_bytes_counts_states_gram_and_cross():
+    spec = FeatureMapSpec(ZZ, 3)
+    assert qkernel.kernel_bytes(spec, 10) == 10 * 8 * 16 + 8 * 10 * 10
+    assert qkernel.kernel_bytes(spec, 10, 5) == 15 * 8 * 16 + 8 * 10 * 15

@@ -175,3 +175,50 @@ def test_statevector_amplitudes_read_only():
     state = sv.init_zero(2)
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+# -- row blocks ------------------------------------------------------------------
+
+
+def test_zero_rows_and_block_rows():
+    block = sv.zero_rows(3, 2)
+    assert block.tobytes() == np.stack([sv.init_zero(2).amplitudes] * 3).tobytes()
+    with pytest.raises(ValueError):
+        sv.zero_rows(1, sv.MAX_QUBITS + 1)
+    assert sv.block_rows(1) * 2 == sv.BLOCK_AMPLITUDES
+    assert sv.block_rows(sv.MAX_QUBITS) == 1
+
+
+def test_run_circuit_rows_bytes_equal_run_circuit():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(1, 6))
+        circuit = helpers.random_circuit(rng, n, int(rng.integers(1, 15)))
+        starts = [helpers.random_circuit(rng, n, 6) for _ in range(4)]
+        block = np.stack([sv.run_circuit(c).amplitudes for c in starts])
+        sv.run_circuit_rows(circuit, block)
+        want = [sv.run_circuit(circuit, sv.run_circuit(c)).amplitudes for c in starts]
+        assert block.tobytes() == np.stack(want).tobytes()
+
+
+def test_run_circuit_rows_rejects_width_mismatch():
+    with pytest.raises(ValueError):
+        sv.run_circuit_rows(sv.Circuit(2, (sv.h(0),)), sv.zero_rows(2, 3))
+
+
+def test_rotation_rows_match_single_qubit_matrix():
+    angles = np.array([0.0, 0.3, -2.0, np.pi, 7.5])
+    ry = sv.ry_matrices(angles)
+    rz = sv.rz_phases(angles)
+    for k, a in enumerate(angles):
+        assert ry[k].tobytes() == sv.single_qubit_matrix(sv.ry(a, 0)).tobytes()
+        assert rz[k].tobytes() == np.diag(sv.single_qubit_matrix(sv.rz(a, 0))).tobytes()
+
+
+def test_z_expectation_rows_bytes_equal_z_expectation():
+    rng = np.random.default_rng(24)
+    for n in range(1, 7):
+        states = [sv.run_circuit(helpers.random_circuit(rng, n, 10)) for _ in range(5)]
+        got = sv.z_expectation_rows(np.stack([s.amplitudes for s in states]))
+        want = [[sv.z_expectation(s, q) for q in range(n)] for s in states]
+        assert got.tobytes() == np.array(want).tobytes()
