@@ -1,8 +1,9 @@
 """Hot numeric kernels, one numpy implementation each.
 
 Gate application, fidelity matrices, the SMO dual solver and the Gini
-split scan.  Element-wise loop versions of the gate and SMO kernels in
-``tests/helpers.py`` are the bitwise oracles they are tested against.
+split scan.  Element-wise loop versions of the gate and SMO kernels and a
+one-feature-at-a-time split scan in ``tests/helpers.py`` are the oracles
+they are tested against.
 """
 
 from __future__ import annotations
@@ -255,41 +256,44 @@ def smo_solve(kmat, y, c_arr, tol, max_passes, lcg_state):
 
 
 # ---------------------------------------------------------------------------
-# Best Gini split over one feature column, already sorted ascending.
+# Best Gini split over k candidate feature columns, each sorted ascending.
 #
 # Split positions sit at boundaries between distinct consecutive values;
 # the threshold is their midpoint, samples with value <= threshold go
-# left.  The first strictly-best position wins, so equal scores resolve
-# to the lowest threshold.  Returns (score, threshold, found) where score
-# is the weighted child impurity; found is 0 when no admissible split
-# exists.
+# left.  Every admissible position of every row is scored in one pass and
+# the first strict minimum in feature-major order wins, so equal scores
+# resolve to the lowest row, then the lowest threshold.  Returns (score, threshold,
+# row) where score is the weighted child impurity; row is -1 when no
+# admissible split exists.
 # ---------------------------------------------------------------------------
 
 
 def scan_best_split(values, labels, min_leaf):
-    n = values.shape[0]
-    if n < 2:
-        return np.inf, 0.0, 0
-    ones = np.cumsum(labels)
-    total_one = int(ones[-1])
-    p = np.arange(1, n)
-    boundary = values[1:] > values[:-1]
-    admissible = boundary & (p >= min_leaf) & (n - p >= min_leaf)
-    if not admissible.any():
-        return np.inf, 0.0, 0
-    lo = ones[:-1].astype(np.float64)
-    lz = p.astype(np.float64) - lo
-    ro = float(total_one) - lo
-    rz = (n - p).astype(np.float64) - ro
-    pl = p.astype(np.float64)
-    pr = (n - p).astype(np.float64)
-    nf = float(n)
-    with np.errstate(invalid="ignore"):
-        score = (
-            pl * (1.0 - (lz * lz + lo * lo) / (pl * pl))
-            + pr * (1.0 - (rz * rz + ro * ro) / (pr * pr))
-        ) / nf
-    score = np.where(admissible, score, np.inf)
-    best = int(np.argmin(score))
-    thr = (values[best] + values[best + 1]) / 2.0
-    return float(score[best]), float(thr), 1
+    """Scan a sorted ``(k, n)`` value block and its row-aligned 0/1 labels.
+
+    A 1-d column and its labels are the ``k = 1`` case.
+    """
+    values = np.atleast_2d(values)
+    labels = np.atleast_2d(labels)
+    n = values.shape[1]
+    # Position p puts the first p rows left; only p in [first, last]
+    # leaves min_leaf rows on each side.
+    first, last = min_leaf, n - min_leaf
+    boundary = values[:, first:last + 1] > values[:, first - 1:last]
+    if not boundary.any():
+        return np.inf, 0.0, -1
+    ones = labels.cumsum(axis=1)
+    lo = ones[:, first - 1:last].astype(np.float64)
+    pl = np.arange(first, last + 1, dtype=np.float64)
+    pr = n - pl
+    lz = pl - lo
+    ro = ones[:, -1:] - lo
+    rz = pr - ro
+    score = (
+        pl * (1.0 - (lz * lz + lo * lo) / (pl * pl))
+        + pr * (1.0 - (rz * rz + ro * ro) / (pr * pr))
+    ) / n
+    row, pos = divmod(int(np.where(boundary, score, np.inf).argmin()), last - first + 1)
+    p = first + pos
+    thr = (values[row, p - 1] + values[row, p]) / 2.0
+    return float(score[row, pos]), float(thr), row

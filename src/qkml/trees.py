@@ -7,11 +7,18 @@ threshold, so a training run is a pure function of its inputs.  A node
 becomes a leaf when it is pure, too small, at max depth, or when no
 split strictly decreases impurity.
 
+Training grows each tree depth first.  At every node the candidate
+feature columns are sorted as one block and scored in one pass
+(``accel.scan_best_split``).
+
 The forest draws one RNG per tree, seeded ``seed + tree_index`` (the
-bootstrap sample is drawn first, then per-split feature subsets), so a
-forest is a pure function of its inputs too.  Prediction is
-a majority vote; exact vote ties return class 0, as do count ties inside
-a leaf.
+bootstrap sample is drawn first, then per-split feature subsets in node
+pre-order), so a forest is a pure function of its inputs too.
+
+Prediction flattens each ``TreeNode`` tree into a node table (parallel
+feature, threshold, child and class arrays) and moves all rows down it
+together, one array step per level.  The forest is a majority vote;
+exact vote ties return class 0, as do count ties inside a leaf.
 """
 
 from __future__ import annotations
@@ -137,7 +144,8 @@ def _node_impurity(zeros: int, ones: int) -> float:
     return 1.0 - (zeros * zeros + ones * ones) / (n * n)
 
 
-def _build(x, y, depth, config, rng, mtry):
+def _build(cols, y, depth, config, rng, mtry):
+    """Grow a subtree from ``cols``, the node's rows as a (features, rows) block."""
     n = y.shape[0]
     ones = int(y.sum())
     zeros = n - ones
@@ -149,40 +157,29 @@ def _build(x, y, depth, config, rng, mtry):
     ):
         return _leaf(ones, zeros)
 
-    d = x.shape[1]
+    d = cols.shape[0]
     if mtry is not None and mtry < d:
         # Sorted so the lowest-index tie rule survives subsetting.
         feats = np.sort(rng.choice(d, size=mtry, replace=False))
     else:
         feats = np.arange(d)
 
-    best_score = math.inf
-    best_feat = -1
-    best_thr = 0.0
-    for fidx in feats:
-        col = x[:, fidx]
-        order = np.argsort(col, kind="stable")
-        score, thr, found = accel.scan_best_split(
-            np.ascontiguousarray(col[order]),
-            np.ascontiguousarray(y[order]),
-            config.min_samples_leaf,
-        )
-        if found and score < best_score:
-            best_score = score
-            best_feat = int(fidx)
-            best_thr = float(thr)
-
-    if best_feat < 0 or not best_score < _node_impurity(zeros, ones):
+    order = np.argsort(cols[feats], axis=1, kind="stable")
+    score, thr, row = accel.scan_best_split(
+        cols[feats[:, None], order], y[order], config.min_samples_leaf
+    )
+    if row < 0 or not score < _node_impurity(zeros, ones):
         return _leaf(ones, zeros)
 
-    mask = x[:, best_feat] <= best_thr
-    left = _build(x[mask], y[mask], depth + 1, config, rng, mtry)
-    right = _build(x[~mask], y[~mask], depth + 1, config, rng, mtry)
+    feat = int(feats[row])
+    mask = cols[feat] <= thr
+    left = _build(cols[:, mask], y[mask], depth + 1, config, rng, mtry)
+    right = _build(cols[:, ~mask], y[~mask], depth + 1, config, rng, mtry)
     return TreeNode(
         class_counts=(zeros, ones),
         predicted_class=1 if ones > zeros else 0,
-        feature_index=best_feat,
-        threshold=best_thr,
+        feature_index=feat,
+        threshold=thr,
         left=left,
         right=right,
     )
@@ -204,21 +201,66 @@ def train_tree(
         rng = np.random.default_rng(
             0 if feature_subset_seed is None else feature_subset_seed
         )
-    return _build(x, y, 0, config, rng, mtry)
+    return _build(np.ascontiguousarray(x.T), y, 0, config, rng, mtry)
+
+
+def _node_table(tree: TreeNode):
+    """Breadth-first parallel arrays of ``tree``.
+
+    Returns (feature, threshold, left, right, class).  A leaf's children
+    are the leaf itself, so rows that reach a leaf early stay there while
+    deeper rows finish.
+    """
+    nodes = [tree]
+    feature, threshold, left, right = [], [], [], []
+    i = 0
+    while i < len(nodes):
+        node = nodes[i]
+        if node.is_leaf:
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+        else:
+            feature.append(node.feature_index)
+            threshold.append(node.threshold)
+            left.append(len(nodes))
+            right.append(len(nodes) + 1)
+            nodes += (node.left, node.right)
+        i += 1
+    return (
+        np.array(feature, dtype=np.intp),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp),
+        np.array([node.predicted_class for node in nodes], dtype=np.int64),
+    )
+
+
+def _route(tree: TreeNode, x: np.ndarray) -> np.ndarray:
+    """Predicted class of every row of the 2-d matrix ``x``."""
+    feature, threshold, left, right, cls = _node_table(tree)
+    rows = np.arange(x.shape[0])
+    at = np.zeros(x.shape[0], dtype=np.intp)
+    for _ in range(tree_depth(tree)):
+        at = np.where(x[rows, feature[at]] <= threshold[at], left[at], right[at])
+    return cls[at]
+
+
+def _rows(features) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    # An empty sequence is a matrix of zero rows.
+    return x.reshape(0, 0) if x.shape == (0,) else x
+
+
+def predict_tree_batch(tree: TreeNode, features) -> np.ndarray:
+    """Predicted class of every row of ``features`` as int64."""
+    return _route(tree, _rows(features))
 
 
 def predict_tree(tree: TreeNode, row) -> int:
     """Route one row to a leaf."""
-    vec = np.asarray(row, dtype=np.float64)
-    node = tree
-    while not node.is_leaf:
-        node = node.left if vec[node.feature_index] <= node.threshold else node.right
-    return node.predicted_class
-
-
-def predict_tree_batch(tree: TreeNode, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    return np.array([predict_tree(tree, row) for row in x], dtype=np.int64)
+    return int(predict_tree_batch(tree, [row])[0])
 
 
 def tree_depth(tree: TreeNode) -> int:
@@ -241,27 +283,31 @@ def train_forest(
         mtry = int(math.ceil(math.sqrt(d)))
     mtry = min(mtry, d)
 
+    cols = np.ascontiguousarray(x.T)
     trees = []
     for t in range(forest_config.n_trees):
         rng = np.random.default_rng(forest_config.seed + t)
         if forest_config.bootstrap:
             idx = rng.integers(0, n, size=n)
-            xt, yt = x[idx], y[idx]
+            ct, yt = cols[:, idx], y[idx]
         else:
-            xt, yt = x, y
-        trees.append(_build(xt, yt, 0, tree_config, rng, mtry if mtry < d else None))
+            ct, yt = cols, y
+        trees.append(_build(ct, yt, 0, tree_config, rng, mtry if mtry < d else None))
     return ForestModel(tuple(trees), tree_config, forest_config)
 
 
-def predict_forest(model: ForestModel, row) -> int:
-    votes = sum(predict_tree(t, row) for t in model.trees)
-    # Strict majority for class 1; ties fall to class 0.
-    return 1 if 2 * votes > len(model.trees) else 0
-
-
 def predict_forest_batch(model: ForestModel, features) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    return np.array([predict_forest(model, row) for row in x], dtype=np.int64)
+    """Majority vote of the trees for every row of ``features``, as int64."""
+    x = _rows(features)
+    votes = np.zeros(x.shape[0], dtype=np.int64)
+    for tree in model.trees:
+        votes += _route(tree, x)
+    # Strict majority for class 1; ties fall to class 0.
+    return (2 * votes > len(model.trees)).astype(np.int64)
+
+
+def predict_forest(model: ForestModel, row) -> int:
+    return int(predict_forest_batch(model, [row])[0])
 
 
 # -- serialization ----------------------------------------------------------

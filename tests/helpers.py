@@ -3,13 +3,18 @@
 Everything here is an independent re-derivation used to cross-check the
 package: full-matrix circuit simulation via Kronecker products, the
 closed-form product kernel for per-qubit RY embeddings, an
-exhaustive feasible-grid search of the SVM dual, and element-wise loop
-versions of the gate kernels and the SMO solver in ``qkml.accel``.
+exhaustive feasible-grid search of the SVM dual, element-wise loop
+versions of the gate kernels and the SMO solver in ``qkml.accel``, and
+the one-feature-at-a-time tree builder and per-row tree walk that
+``qkml.trees`` must match node for node.
 """
+
+import math
 
 import numpy as np
 
 from qkml import statevector as sv
+from qkml import trees
 from qkml.accel import _LCG_INC, _LCG_MOD, _LCG_MUL, _SMO_MIN_STEP, _SMO_SWEEP_CAP
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -171,6 +176,12 @@ def grid_oracle_best(kmat, y_signed, c: float, step: float = 0.01) -> float:
 
 
 def _apply_1q_loops(amps, target, u):
+    """Bitwise equal to ``accel.apply_single_qubit`` for real 2x2 ``u`` only.
+
+    With complex entries (RX, RZ) the scalar complex products here and the
+    ufunc products there can differ in the last bits; compare those to a
+    tolerance.
+    """
     n = amps.shape[0]
     out = np.empty_like(amps)
     step = 1 << target
@@ -286,3 +297,132 @@ def _smo_loops(kmat, y, c_arr, tol, max_passes, lcg_state):
         else:
             clean = 0
     return alphas, b, sweeps
+
+
+# -- tree oracles for qkml.trees ------------------------------------------------
+# One argsort and one split scan per feature per node, and one row walked
+# down one tree at a time: the array builder and router must reproduce
+# these node for node and row for row.
+
+
+def _scan_split_loops(values, labels, min_leaf):
+    n = values.shape[0]
+    if n < 2:
+        return np.inf, 0.0, 0
+    ones = np.cumsum(labels)
+    total_one = int(ones[-1])
+    p = np.arange(1, n)
+    boundary = values[1:] > values[:-1]
+    admissible = boundary & (p >= min_leaf) & (n - p >= min_leaf)
+    if not admissible.any():
+        return np.inf, 0.0, 0
+    lo = ones[:-1].astype(np.float64)
+    lz = p.astype(np.float64) - lo
+    ro = float(total_one) - lo
+    rz = (n - p).astype(np.float64) - ro
+    pl = p.astype(np.float64)
+    pr = (n - p).astype(np.float64)
+    nf = float(n)
+    with np.errstate(invalid="ignore"):
+        score = (
+            pl * (1.0 - (lz * lz + lo * lo) / (pl * pl))
+            + pr * (1.0 - (rz * rz + ro * ro) / (pr * pr))
+        ) / nf
+    score = np.where(admissible, score, np.inf)
+    best = int(np.argmin(score))
+    thr = (values[best] + values[best + 1]) / 2.0
+    return float(score[best]), float(thr), 1
+
+
+def _build_loops(x, y, depth, config, rng, mtry):
+    n = y.shape[0]
+    ones = int(y.sum())
+    zeros = n - ones
+    if (
+        ones == 0
+        or zeros == 0
+        or depth >= config.max_depth
+        or n < config.min_samples_split
+    ):
+        return trees._leaf(ones, zeros)
+
+    d = x.shape[1]
+    if mtry is not None and mtry < d:
+        feats = np.sort(rng.choice(d, size=mtry, replace=False))
+    else:
+        feats = np.arange(d)
+
+    best_score = math.inf
+    best_feat = -1
+    best_thr = 0.0
+    for fidx in feats:
+        col = x[:, fidx]
+        order = np.argsort(col, kind="stable")
+        score, thr, found = _scan_split_loops(
+            np.ascontiguousarray(col[order]),
+            np.ascontiguousarray(y[order]),
+            config.min_samples_leaf,
+        )
+        if found and score < best_score:
+            best_score = score
+            best_feat = int(fidx)
+            best_thr = float(thr)
+
+    if best_feat < 0 or not best_score < trees._node_impurity(zeros, ones):
+        return trees._leaf(ones, zeros)
+
+    mask = x[:, best_feat] <= best_thr
+    left = _build_loops(x[mask], y[mask], depth + 1, config, rng, mtry)
+    right = _build_loops(x[~mask], y[~mask], depth + 1, config, rng, mtry)
+    return trees.TreeNode(
+        class_counts=(zeros, ones),
+        predicted_class=1 if ones > zeros else 0,
+        feature_index=best_feat,
+        threshold=best_thr,
+        left=left,
+        right=right,
+    )
+
+
+def train_tree_loops(features, labels, config=trees.TreeConfig(),
+                     feature_subset_seed=None, mtry=None):
+    x, y = trees._check_xy(features, labels)
+    rng = None
+    if mtry is not None and mtry < x.shape[1]:
+        rng = np.random.default_rng(
+            0 if feature_subset_seed is None else feature_subset_seed
+        )
+    return _build_loops(x, y, 0, config, rng, mtry)
+
+
+def train_forest_loops(features, labels, tree_config=trees.TreeConfig(),
+                       forest_config=trees.ForestConfig()):
+    x, y = trees._check_xy(features, labels)
+    n, d = x.shape
+    mtry = forest_config.mtry
+    if mtry is None:
+        mtry = int(math.ceil(math.sqrt(d)))
+    mtry = min(mtry, d)
+    out = []
+    for t in range(forest_config.n_trees):
+        rng = np.random.default_rng(forest_config.seed + t)
+        if forest_config.bootstrap:
+            idx = rng.integers(0, n, size=n)
+            xt, yt = x[idx], y[idx]
+        else:
+            xt, yt = x, y
+        out.append(_build_loops(xt, yt, 0, tree_config, rng, mtry if mtry < d else None))
+    return trees.ForestModel(tuple(out), tree_config, forest_config)
+
+
+def predict_tree_walk(tree, row) -> int:
+    vec = np.asarray(row, dtype=np.float64)
+    node = tree
+    while not node.is_leaf:
+        node = node.left if vec[node.feature_index] <= node.threshold else node.right
+    return node.predicted_class
+
+
+def predict_forest_walk(model, row) -> int:
+    votes = sum(predict_tree_walk(t, row) for t in model.trees)
+    return 1 if 2 * votes > len(model.trees) else 0

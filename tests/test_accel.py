@@ -1,10 +1,12 @@
 """The numpy kernels in ``qkml.accel`` paired with independent oracles.
 
 Gates and SMO must match the element-wise loops in ``tests/helpers.py``
-bitwise, the row-block gate kernels must match the single-vector gate
-kernels row by row, byte for byte, the split scan must match the exhaustive root-split search
-bitwise, and the Gram/cross matrices (a BLAS reduction) must match a
-per-pair ``np.vdot`` to 1e-12.
+bitwise (single-qubit gates for real matrices; complex ones to 1e-12),
+the row-block gate kernels must match the single-vector gate kernels row
+by row, byte for byte, the split scan, on one column or on a block of
+candidate columns, must match the exhaustive root-split search bitwise,
+and the Gram/cross matrices (a BLAS reduction) must match a per-pair
+``np.vdot`` to 1e-12.
 """
 
 import os
@@ -64,6 +66,24 @@ def test_single_qubit_pair_bitwise_equal():
         np.testing.assert_array_equal(
             accel.apply_single_qubit(amps, target, u),
             helpers._apply_1q_loops(amps, target, u),
+        )
+
+
+def test_single_qubit_pair_close_for_complex_matrices():
+    # The loop oracle is bitwise only for real matrices (see its docstring).
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        amps = _random_state(rng, n)
+        target = int(rng.integers(n))
+        theta = float(rng.uniform(0, 2 * np.pi))
+        u = (helpers._rot("rx", theta), helpers._rot("rz", theta),
+             _random_complex_unitary(rng))[trial % 3]
+        np.testing.assert_allclose(
+            accel.apply_single_qubit(amps, target, u),
+            helpers._apply_1q_loops(amps, target, u),
+            rtol=0,
+            atol=1e-12,
         )
 
 
@@ -202,13 +222,36 @@ def test_scan_split_pair_bitwise_equal():
         values = np.sort(rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=n))
         labels = rng.integers(0, 2, size=n).astype(np.int64)
         min_leaf = int(rng.integers(1, 4))
-        score, thr, found = accel.scan_best_split(values, labels, min_leaf)
+        score, thr, row = accel.scan_best_split(values, labels, min_leaf)
         best = helpers.best_root_split(values[:, None], labels, min_leaf)
         if best is None:
-            assert found == 0
+            assert row == -1
         else:
-            assert found == 1
+            assert row == 0
             assert (score, thr) == (best[0], best[2])
+
+
+def test_scan_split_block_bitwise_equal_and_ties_go_to_lowest_row():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 6))
+        x = rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=(n, k))
+        if trial % 3 == 0:
+            x[:, -1] = x[:, 0]  # a duplicate column ties with feature 0
+        elif trial % 3 == 1:
+            x[:, 0] = rng.uniform(-1.0, 1.0, size=n)
+        y = rng.integers(0, 2, size=n).astype(np.int64)
+        min_leaf = int(rng.integers(1, 5))
+        order = np.argsort(x.T, axis=1, kind="stable")
+        score, thr, row = accel.scan_best_split(
+            np.take_along_axis(x.T, order, axis=1), y[order], min_leaf
+        )
+        best = helpers.best_root_split(x, y, min_leaf)
+        if best is None:
+            assert row == -1
+        else:
+            assert (score, row, thr) == best
 
 
 def test_lcg_stream_is_fixed():

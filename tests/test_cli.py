@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkml import __version__, cli, qkernel
+from qkml import __version__, cli, qkernel, trees
 from qkml.cli import main
 from qkml.config import ConfigError
 from qkml.dataset import Dataset
@@ -160,6 +160,20 @@ def test_synthetic_flag_overrides_csv_source(tmp_path):
     assert rc == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["split"]["features"] == ["x0", "x1"]
+
+
+@pytest.mark.parametrize("model", [{"name": "rf", "n_trees": 5}, {"name": "dt"}],
+                         ids=["rf", "dt"])
+def test_tree_benchmark_never_routes_one_row_at_a_time(tmp_path, monkeypatch, model):
+    def refuse(*args):
+        raise AssertionError("per-row tree route")
+
+    monkeypatch.setattr(trees, "predict_tree", refuse)
+    monkeypatch.setattr(trees, "predict_forest", refuse)
+    cfg = _write_config(tmp_path, {"model": model})
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", cfg, "--out", str(out), "--synthetic", "moons"]) == 0
+    assert (out / "report.json").exists()
 
 
 def test_seed_flag_changes_split(tmp_path):

@@ -22,6 +22,7 @@ from qkml.trees import (
     tree_from_text,
     tree_to_text,
 )
+import helpers
 from helpers import best_root_split
 
 
@@ -120,7 +121,7 @@ def test_predict_batch_matches_scalar():
     tree = train_tree(x, y)
     probe = rng.uniform(-2, 2, size=(20, 2))
     batch = predict_tree_batch(tree, probe)
-    assert batch.tolist() == [predict_tree(tree, row) for row in probe]
+    assert batch.tolist() == [helpers.predict_tree_walk(tree, row) for row in probe]
 
 
 def _walk(node):
@@ -323,7 +324,7 @@ def test_forest_batch_matches_scalar():
     forest = train_forest(x, y, forest_config=ForestConfig(n_trees=5))
     probe = rng.uniform(-2, 2, size=(15, 2))
     batch = predict_forest_batch(forest, probe)
-    assert batch.tolist() == [predict_forest(forest, row) for row in probe]
+    assert batch.tolist() == [helpers.predict_forest_walk(forest, row) for row in probe]
 
 
 def test_forest_config_validation():
@@ -331,6 +332,123 @@ def test_forest_config_validation():
         ForestConfig(n_trees=0)
     with pytest.raises(ValueError):
         ForestConfig(mtry=0)
+
+
+# -- array builder and router against the per-feature / per-row oracles -----
+
+
+def _tied_xy(rng, n, d):
+    """Continuous columns interleaved with integer columns full of ties."""
+    x = rng.uniform(-2.0, 2.0, size=(n, d))
+    x[:, ::2] = rng.integers(0, 4, size=(n, (d + 1) // 2))
+    y = (rng.random(n) < 0.2 + 0.15 * x[:, 0]).astype(np.int64)
+    return x, y
+
+
+def _assert_same_tree(a, b):
+    assert a.is_leaf == b.is_leaf
+    assert a.class_counts == b.class_counts
+    assert a.predicted_class == b.predicted_class
+    if not a.is_leaf:
+        assert a.feature_index == b.feature_index
+        assert a.threshold == b.threshold
+        _assert_same_tree(a.left, b.left)
+        _assert_same_tree(a.right, b.right)
+
+
+_GRID = [
+    (leaf, depth, mtry)
+    for leaf in (1, 3)
+    for depth in (1, 3, 10)
+    for mtry in (None, 1, "d")
+]
+
+
+@pytest.mark.parametrize("min_leaf,max_depth,mtry", _GRID)
+def test_train_tree_matches_oracle_node_for_node(min_leaf, max_depth, mtry):
+    rng = np.random.default_rng(100 + min_leaf + 7 * max_depth)
+    cfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+    for trial in range(4):
+        x, y = _tied_xy(rng, int(rng.integers(10, 120)), int(rng.integers(1, 6)))
+        m = x.shape[1] if mtry == "d" else mtry
+        _assert_same_tree(
+            train_tree(x, y, cfg, feature_subset_seed=trial, mtry=m),
+            helpers.train_tree_loops(x, y, cfg, feature_subset_seed=trial, mtry=m),
+        )
+
+
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("min_leaf,max_depth,mtry", _GRID)
+def test_train_forest_matches_oracle_node_for_node(min_leaf, max_depth, mtry, bootstrap):
+    rng = np.random.default_rng(200 + min_leaf + 7 * max_depth)
+    tcfg = TreeConfig(max_depth=max_depth, min_samples_leaf=min_leaf)
+    x, y = _tied_xy(rng, 90, 5)
+    fcfg = ForestConfig(n_trees=4, mtry=5 if mtry == "d" else mtry,
+                        bootstrap=bootstrap, seed=max_depth)
+    forest = train_forest(x, y, tcfg, fcfg)
+    oracle = helpers.train_forest_loops(x, y, tcfg, fcfg)
+    assert len(forest.trees) == len(oracle.trees)
+    for a, b in zip(forest.trees, oracle.trees):
+        _assert_same_tree(a, b)
+
+
+def test_forest_predictions_on_thresholds_match_oracle_walk():
+    rng = np.random.default_rng(53)
+    x, y = _tied_xy(rng, 150, 4)
+    forest = train_forest(x, y, TreeConfig(max_depth=6), ForestConfig(n_trees=9, seed=3))
+    splits = [(n.feature_index, n.threshold)
+              for t in forest.trees for n in _walk(t) if not n.is_leaf]
+    assert splits
+    probe = rng.uniform(-2.0, 2.0, size=(4 * len(splits), 4))
+    for i, (f, thr) in enumerate(splits):
+        probe[4 * i: 4 * i + 4, f] = thr  # exactly on a threshold routes left
+        probe[4 * i + 1, f] = np.nextafter(thr, np.inf)
+    probe = np.vstack([probe, x])
+    assert predict_forest_batch(forest, probe).tolist() == [
+        helpers.predict_forest_walk(forest, row) for row in probe
+    ]
+    for tree in forest.trees:
+        assert predict_tree_batch(tree, probe).tolist() == [
+            helpers.predict_tree_walk(tree, row) for row in probe
+        ]
+
+
+def test_batch_predict_of_zero_rows_is_empty_int64():
+    x, y = _random_xy(np.random.default_rng(59), 30, 2)
+    tree = train_tree(x, y)
+    forest = train_forest(x, y, forest_config=ForestConfig(n_trees=3))
+    for out in (
+        predict_tree_batch(tree, np.zeros((0, 2))),
+        predict_tree_batch(tree, []),
+        predict_forest_batch(forest, np.zeros((0, 2))),
+        predict_forest_batch(forest, []),
+    ):
+        assert out.shape == (0,)
+        assert out.dtype == np.int64
+
+
+def test_batch_predict_of_leaf_trees():
+    probe = np.random.default_rng(61).uniform(-5, 5, size=(7, 3))
+    for cls in (0, 1):
+        assert predict_tree_batch(_leaf_tree(cls), probe).tolist() == [cls] * 7
+        model = ForestModel(
+            trees=tuple(_leaf_tree(cls) for _ in range(4)),
+            tree_config=TreeConfig(),
+            forest_config=ForestConfig(n_trees=4),
+        )
+        assert predict_forest_batch(model, probe).tolist() == [cls] * 7
+
+
+def test_batch_forest_vote_tie_falls_to_class_zero():
+    stump = train_tree(np.array([[1.0], [2.0]]), [0, 1])
+    model = ForestModel(
+        trees=(_leaf_tree(1), _leaf_tree(0), stump, _leaf_tree(1)),
+        tree_config=TreeConfig(),
+        forest_config=ForestConfig(n_trees=4),
+    )
+    # Rows left of the stump's 1.5 threshold tie 2-2; right ones win 3-1.
+    out = predict_forest_batch(model, np.array([[0.0], [1.5], [1.6], [9.0]]))
+    assert out.tolist() == [0, 0, 1, 1]
 
 
 # -- serialization -----------------------------------------------------------
