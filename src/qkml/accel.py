@@ -43,51 +43,14 @@ def _lcg_next(state):
 
 
 # ---------------------------------------------------------------------------
-# Statevector gate kernels.  Amplitudes are a dense complex128 vector of
-# length 2^n; qubit q corresponds to bit q of the basis index.
-# ---------------------------------------------------------------------------
-
-
-def apply_single_qubit(amps, target, u):
-    n = amps.shape[0]
-    idx = np.arange(n)
-    i0 = idx[(idx >> target) & 1 == 0]
-    i1 = i0 + (1 << target)
-    a = amps[i0]
-    b = amps[i1]
-    out = np.empty_like(amps)
-    out[i0] = u[0, 0] * a + u[0, 1] * b
-    out[i1] = u[1, 0] * a + u[1, 1] * b
-    return out
-
-
-def apply_cnot(amps, control, target):
-    n = amps.shape[0]
-    idx = np.arange(n)
-    i = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
-    j = i | (1 << target)
-    out = amps.copy()
-    out[i] = amps[j]
-    out[j] = amps[i]
-    return out
-
-
-def apply_cz(amps, control, target):
-    idx = np.arange(amps.shape[0])
-    out = amps.copy()
-    both = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 1)
-    out[both] = -amps[both]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Row-block gate kernels.  states is a C-contiguous (rows, 2^n) complex128
-# block holding one register per row and is updated in place.  Each kernel
-# does, per amplitude, the floating-point operations of its single-vector
-# counterpart above in the same operand order (scalar first), so every row
-# comes out bit for bit equal to running that row on its own.  The one
-# exception: a diagonal phase skips the zero off-diagonal terms of the dense
-# 2x2 form, so an amplitude that is exactly zero can differ in its sign.
+# Gate kernels.  states is a C-contiguous (rows, 2^n) complex128 block
+# holding one register per row (qubit q is bit q of the basis index) and
+# is updated in place; a single register is the 1-row block.  Every
+# amplitude gets the same floating-point operations in the same operand
+# order (scalar first) whatever the row count, so each row comes out bit
+# for bit equal to running that row on its own.  A diagonal phase skips
+# the zero off-diagonal terms of the dense 2x2 form, so an amplitude that
+# is exactly zero can differ from that form in its sign.
 # ---------------------------------------------------------------------------
 
 
@@ -115,9 +78,12 @@ def apply_single_qubit_rows(states, target, u):
     u00, u01, u10, u11 = (_per_row(u[:, i, j], a) for i in (0, 1) for j in (0, 1))
     top = u00 * a
     top += u01 * b
-    np.multiply(u11, b, out=b)
-    b += u10 * a
+    # A fresh product, not np.multiply(..., out=b): numpy may pick another
+    # loop for the aliased output and round differently on small views.
+    bottom = u11 * b
+    bottom += u10 * a
     a[...] = top
+    b[...] = bottom
 
 
 def apply_cnot_rows(states, control, target):
@@ -139,7 +105,7 @@ def apply_parity_phase_rows(states, qubits, phases):
     gives CNOT(i, j) RZ_j CNOT(i, j), whose CNOTs only permute."""
     for bits in itertools.product((0, 1), repeat=len(qubits)):
         view = _bits_view(states, dict(zip(qubits, bits)))
-        np.multiply(_per_row(phases[:, sum(bits) % 2], view), view, out=view)
+        view[...] = _per_row(phases[:, sum(bits) % 2], view) * view
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +116,7 @@ def apply_parity_phase_rows(states, qubits, phases):
 
 
 def fidelity_gram(states):
-    inner = states.conj() @ states.T
-    g = inner.real**2 + inner.imag**2
+    g = fidelity_cross(states, states)
     low = np.tril_indices(g.shape[0], -1)
     g[low] = g.T[low]
     return g

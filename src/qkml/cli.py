@@ -189,11 +189,8 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
             min_samples_leaf=int(model_cfg["min_samples_leaf"]),
         )
         tree = trees.train_tree(train.features, train.labels, cfg)
-        return (
-            trees.predict_tree_batch(tree, test.features),
-            trees.predict_tree_batch(tree, train.features),
-            {"depth": trees.tree_depth(tree)},
-        )
+        pred = trees.predict_tree_batch(tree, np.vstack([test.features, train.features]))
+        return pred[: test.n_rows], pred[test.n_rows :], {"depth": trees.tree_depth(tree)}
     if name == "rf":
         tcfg = trees.TreeConfig(
             max_depth=int(model_cfg["max_depth"]),
@@ -207,11 +204,8 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
             seed=seed,
         )
         forest = trees.train_forest(train.features, train.labels, tcfg, fcfg)
-        return (
-            trees.predict_forest_batch(forest, test.features),
-            trees.predict_forest_batch(forest, train.features),
-            {"n_trees": fcfg.n_trees},
-        )
+        pred = trees.predict_forest_batch(forest, np.vstack([test.features, train.features]))
+        return pred[: test.n_rows], pred[test.n_rows :], {"n_trees": fcfg.n_trees}
     if name == "svm":
         cw = model_cfg["class_weight"]
         cfg = svmmod.SvmConfig(

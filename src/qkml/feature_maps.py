@@ -14,8 +14,10 @@ the only linear pair).  Inputs are expected pre-scaled to [0, pi] by the
 dataset pipeline, but any finite angles are accepted.
 
 ``build_feature_circuit`` spells the map out gate by gate for
-``run_circuit``.  ``embed_rows`` simulates a whole row matrix at once with
-the same arithmetic, and is what ``embed`` and the kernels use.  It relies
+``run_circuit``, which applies each gate in its dense 2x2 form and is the
+reference.  ``embed_rows`` simulates a whole row matrix at once with the
+same arithmetic, and is what ``embed`` (its 1-row call) and the kernels
+use.  It relies
 on the identity CNOT(i, j) RZ_j(phi) CNOT(i, j) = diag(e^{-i phi/2},
 e^{+i phi/2}) on the parity bit_i XOR bit_j: the CNOTs only permute
 amplitudes, so each pair term is one diagonal phase, as is each RZ, and

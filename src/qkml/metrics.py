@@ -23,8 +23,7 @@ import numpy as np
 
 def round_half_up(x: float, ndigits: int = 2) -> float:
     """Decimal round-half-up on the shortest repr of ``x``."""
-    quantum = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(float(x))).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(format_rate(x, ndigits))
 
 
 def format_rate(x: float, ndigits: int = 2) -> str:

@@ -58,10 +58,9 @@ class GramMatrix:
 
 def kernel_entry(spec: FeatureMapSpec, x: Sequence, x_prime: Sequence) -> float:
     """Single fidelity value between two feature vectors."""
-    a = embed(spec, x).amplitudes
-    b = embed(spec, x_prime).amplitudes
-    overlap = np.vdot(b, a)
-    return float(_clamp_unit(np.array([[abs(overlap) ** 2]]))[0, 0])
+    a = embed(spec, x).amplitudes[None]
+    b = embed(spec, x_prime).amplitudes[None]
+    return float(cross_from_states(a, b)[0, 0])
 
 
 def _clamp_unit(values: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Basis convention: computational basis state ``|b_{n-1} ... b_1 b_0>`` is
 stored at amplitude index ``sum_q b_q * 2**q``, i.e. qubit 0 is the least
-significant bit of the index.  Gates act by unitary application on a
-complex128 amplitude vector; every operation returns a new state.
-``run_circuit`` is the gate-level reference.  The row-block functions at
-the end simulate many registers of one width at once, in place, with the
-same per-amplitude arithmetic.
+significant bit of the index.  Gates act by unitary application on
+complex128 amplitudes.  ``StateVector`` is immutable: ``apply_gate`` and
+``run_circuit`` return a new state.  The row-block functions at the end
+simulate many registers of one width at once, in place; ``run_circuit``
+is their 1-row case, applying each gate in its dense form, and serves as
+the gate-level reference for the embedding shortcuts built on them.
 """
 
 from __future__ import annotations
@@ -145,11 +146,7 @@ class StateVector:
 
 def init_zero(num_qubits: int) -> StateVector:
     """Prepare |0...0>."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector(num_qubits, zero_rows(1, num_qubits)[0])
 
 
 def single_qubit_matrix(gate: Gate) -> np.ndarray:
@@ -172,38 +169,25 @@ def single_qubit_matrix(gate: Gate) -> np.ndarray:
     raise ValueError(f"{gate.kind} has no single-qubit matrix")
 
 
-def _apply_gate_raw(amps: np.ndarray, gate: Gate) -> np.ndarray:
-    if gate.kind == CNOT:
-        return accel.apply_cnot(amps, gate.targets[0], gate.targets[1])
-    if gate.kind == CZ:
-        return accel.apply_cz(amps, gate.targets[0], gate.targets[1])
-    return accel.apply_single_qubit(amps, gate.targets[0], single_qubit_matrix(gate))
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate, returning the new state."""
-    if max(gate.targets) >= state.num_qubits:
-        raise ValueError(
-            f"gate {gate.kind} targets {gate.targets} out of range for "
-            f"{state.num_qubits} qubit(s)"
-        )
-    return StateVector(state.num_qubits, _apply_gate_raw(state.amplitudes, gate))
+    return run_circuit(Circuit(state.num_qubits, (gate,)), state)
 
 
 def run_circuit(circuit: Circuit, state: Optional[StateVector] = None) -> StateVector:
     """Apply every gate of the circuit in order, starting from |0...0>
     when no initial state is given."""
     if state is None:
-        state = init_zero(circuit.num_qubits)
+        states = zero_rows(1, circuit.num_qubits)
     elif state.num_qubits != circuit.num_qubits:
         raise ValueError(
             f"circuit acts on {circuit.num_qubits} qubit(s) but state has "
             f"{state.num_qubits}"
         )
-    amps = state.amplitudes
-    for gate in circuit.gates:
-        amps = _apply_gate_raw(amps, gate)
-    return StateVector(circuit.num_qubits, amps)
+    else:
+        states = state.amplitudes[None].copy()
+    run_circuit_rows(circuit, states)
+    return StateVector(circuit.num_qubits, states[0])
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -219,19 +203,17 @@ def z_expectation(state: StateVector, qubit: int) -> float:
     """<Z_qubit>: +1 weight on basis states with the bit clear, -1 set."""
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits}")
-    idx = np.arange(state.amplitudes.shape[0])
-    probs = np.abs(state.amplitudes) ** 2
-    signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
-    return float(np.dot(signs, probs))
+    return float(z_expectation_rows(state.amplitudes[None])[0, qubit])
 
 
 # -- row blocks ---------------------------------------------------------------
 #
 # Many registers of one width at once: an (rows, 2**n) complex128 block with
-# one state per row, updated in place by the row kernels in ``accel``.  A
-# row ends up bit for bit equal to the same gates run by ``run_circuit``
-# (``accel`` notes the one exception, the sign of an exact zero).
-# Callers simulate long row sets in blocks of ``block_rows`` rows.
+# one state per row, updated in place by the gate kernels in ``accel``.  A
+# row ends up bit for bit equal to the same gates run by ``run_circuit`` on
+# that row alone (``accel`` notes the one exception for phase shortcuts,
+# the sign of an exact zero).  Callers simulate long row sets in blocks of
+# ``block_rows`` rows.
 
 # Amplitudes per block: 256 KiB of complex128 whatever the register width,
 # which bounds the temporaries of the gate kernels.
@@ -300,8 +282,8 @@ def run_circuit_rows(circuit: Circuit, states: np.ndarray) -> None:
 
 
 def z_expectation_rows(states: np.ndarray) -> np.ndarray:
-    """(rows, n) matrix of <Z_q> for every row and qubit, each entry equal
-    to ``z_expectation`` of that row's state."""
+    """(rows, n) matrix of <Z_q> for every row and qubit: the sum of the
+    basis probabilities, +1 weighted where bit q is clear and -1 where set."""
     dim = states.shape[1]
     idx = np.arange(dim)
     qubits = np.arange(dim.bit_length() - 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -186,14 +186,7 @@ def train_svm_features(
     elif config.kernel == RBF:
         gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
         kmat = rbf_kernel(x, x, gamma)
-        config = SvmConfig(
-            c=config.c,
-            tolerance=config.tolerance,
-            max_passes=config.max_passes,
-            kernel=RBF,
-            gamma=gamma,
-            class_weight=config.class_weight,
-        )
+        config = replace(config, gamma=gamma)
     else:
         raise ValueError(
             "train_svm_features needs a linear or rbf kernel config"

@@ -4,7 +4,8 @@ Everything here is an independent re-derivation used to cross-check the
 package: full-matrix circuit simulation via Kronecker products, the
 closed-form product kernel for per-qubit RY embeddings, an
 exhaustive feasible-grid search of the SVM dual, element-wise loop
-versions of the gate kernels and the SMO solver in ``qkml.accel``, and
+versions of the gate kernels and the SMO solver in ``qkml.accel``, a
+dot-product Z expectation, and
 the one-feature-at-a-time tree builder and per-row tree walk that
 ``qkml.trees`` must match node for node.
 """
@@ -176,7 +177,8 @@ def grid_oracle_best(kmat, y_signed, c: float, step: float = 0.01) -> float:
 
 
 def _apply_1q_loops(amps, target, u):
-    """Bitwise equal to ``accel.apply_single_qubit`` for real 2x2 ``u`` only.
+    """Bitwise equal to ``accel.apply_single_qubit_rows`` on a 1-row block
+    for real 2x2 ``u`` only.
 
     With complex entries (RX, RZ) the scalar complex products here and the
     ufunc products there can differ in the last bits; compare those to a
@@ -218,6 +220,14 @@ def _apply_cz_loops(amps, control, target):
         if i & cbit and i & tbit:
             out[i] = -amps[i]
     return out
+
+
+def z_expectation_dot(amps, qubit):
+    """<Z_qubit> as one dot product of +-1 signs with the probabilities."""
+    idx = np.arange(amps.shape[0])
+    probs = np.abs(amps) ** 2
+    signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
+    return float(np.dot(signs, probs))
 
 
 def _smo_loops(kmat, y, c_arr, tol, max_passes, lcg_state):

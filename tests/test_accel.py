@@ -2,8 +2,9 @@
 
 Gates and SMO must match the element-wise loops in ``tests/helpers.py``
 bitwise (single-qubit gates for real matrices; complex ones to 1e-12),
-the row-block gate kernels must match the single-vector gate kernels row
-by row, byte for byte, the split scan, on one column or on a block of
+every row of a multi-row gate block must be byte-equal to that row run
+alone as a 1-row block, the parity phase must be byte-equal to its dense
+diagonal-plus-CNOT form, the split scan, on one column or on a block of
 candidate columns, must match the exhaustive root-split search bitwise,
 and the Gram/cross matrices (a BLAS reduction) must match a per-pair
 ``np.vdot`` to 1e-12.
@@ -56,6 +57,13 @@ def test_backend_env_var_is_ignored():
     assert out.stdout.strip() == "numpy"
 
 
+def _one_row(kernel, amps, *args):
+    """Run a row kernel on ``amps`` as a 1-row block; returns the new row."""
+    block = amps[None].copy()
+    kernel(block, *args)
+    return block[0]
+
+
 def test_single_qubit_pair_bitwise_equal():
     rng = np.random.default_rng(0)
     for _ in range(25):
@@ -64,7 +72,7 @@ def test_single_qubit_pair_bitwise_equal():
         target = int(rng.integers(n))
         u = _random_unitary(rng)
         np.testing.assert_array_equal(
-            accel.apply_single_qubit(amps, target, u),
+            _one_row(accel.apply_single_qubit_rows, amps, target, u),
             helpers._apply_1q_loops(amps, target, u),
         )
 
@@ -80,7 +88,7 @@ def test_single_qubit_pair_close_for_complex_matrices():
         u = (helpers._rot("rx", theta), helpers._rot("rz", theta),
              _random_complex_unitary(rng))[trial % 3]
         np.testing.assert_allclose(
-            accel.apply_single_qubit(amps, target, u),
+            _one_row(accel.apply_single_qubit_rows, amps, target, u),
             helpers._apply_1q_loops(amps, target, u),
             rtol=0,
             atol=1e-12,
@@ -95,10 +103,12 @@ def test_two_qubit_pairs_bitwise_equal():
         c, t = rng.choice(n, size=2, replace=False)
         c, t = int(c), int(t)
         np.testing.assert_array_equal(
-            accel.apply_cnot(amps, c, t), helpers._apply_cnot_loops(amps, c, t)
+            _one_row(accel.apply_cnot_rows, amps, c, t),
+            helpers._apply_cnot_loops(amps, c, t),
         )
         np.testing.assert_array_equal(
-            accel.apply_cz(amps, c, t), helpers._apply_cz_loops(amps, c, t)
+            _one_row(accel.apply_cz_rows, amps, c, t),
+            helpers._apply_cz_loops(amps, c, t),
         )
 
 
@@ -111,21 +121,28 @@ def _random_complex_unitary(rng):
     return phase[:, None] * _random_unitary(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
 
-# The row kernels are held to the single-vector kernels above (which the
-# loop oracles pin), row by row and byte for byte, with complex entries.
+# A multi-row block is held to its rows run one at a time as 1-row blocks
+# (which the loop oracles above pin), byte for byte, with complex entries.
 
 
 def test_single_qubit_rows_bytes_equal_per_row_kernel():
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        n = int(rng.integers(1, 7))
-        rows = int(rng.integers(1, 6))
+    for trial in range(36):
+        n = 1 + trial % 6
+        rows = int(rng.integers(2, 6))
         block = _random_block(rng, rows, n)
         target = int(rng.integers(n))
         per_row = np.stack([_random_complex_unitary(rng) for _ in range(rows)])
-        shared = _random_complex_unitary(rng)
+        theta = float(rng.uniform(0, 2 * np.pi))
+        shared = (helpers._rot("rz", theta), helpers._rot("rx", theta),
+                  _random_complex_unitary(rng))[trial // 6 % 3]
         want = [
-            accel.apply_single_qubit(accel.apply_single_qubit(amps, target, u), target, shared)
+            _one_row(
+                accel.apply_single_qubit_rows,
+                _one_row(accel.apply_single_qubit_rows, amps, target, u),
+                target,
+                shared,
+            )
             for amps, u in zip(block, per_row)
         ]
         accel.apply_single_qubit_rows(block, target, per_row)
@@ -139,7 +156,10 @@ def test_two_qubit_rows_bytes_equal_per_row_kernel():
         n = int(rng.integers(2, 7))
         block = _random_block(rng, 3, n)
         c, t = (int(q) for q in rng.choice(n, size=2, replace=False))
-        want = [accel.apply_cz(accel.apply_cnot(amps, c, t), t, c) for amps in block]
+        want = [
+            _one_row(accel.apply_cz_rows, _one_row(accel.apply_cnot_rows, amps, c, t), t, c)
+            for amps in block
+        ]
         accel.apply_cnot_rows(block, c, t)
         accel.apply_cz_rows(block, t, c)
         assert block.tobytes() == np.stack(want).tobytes()
@@ -153,15 +173,14 @@ def test_parity_phase_rows_bytes_equal_rz_and_cnot_rz_cnot():
         i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
         half = rng.uniform(-np.pi, np.pi, size=(3, 2))
         phases = np.exp(1j * np.stack([-half, half], axis=2))
-        want = []
-        for amps, ph in zip(block, phases):
-            out = accel.apply_single_qubit(amps, i, np.diag(ph[0]))
-            out = accel.apply_cnot(out, i, j)
-            out = accel.apply_single_qubit(out, j, np.diag(ph[1]))
-            want.append(accel.apply_cnot(out, i, j))
+        dense = block.copy()
+        accel.apply_single_qubit_rows(dense, i, np.stack([np.diag(ph) for ph in phases[:, 0]]))
+        accel.apply_cnot_rows(dense, i, j)
+        accel.apply_single_qubit_rows(dense, j, np.stack([np.diag(ph) for ph in phases[:, 1]]))
+        accel.apply_cnot_rows(dense, i, j)
         accel.apply_parity_phase_rows(block, (i,), phases[:, 0])
         accel.apply_parity_phase_rows(block, (i, j), phases[:, 1])
-        assert block.tobytes() == np.stack(want).tobytes()
+        assert block.tobytes() == dense.tobytes()
 
 
 def test_gram_pair_close_and_symmetric():

@@ -220,5 +220,7 @@ def test_z_expectation_rows_bytes_equal_z_expectation():
     for n in range(1, 7):
         states = [sv.run_circuit(helpers.random_circuit(rng, n, 10)) for _ in range(5)]
         got = sv.z_expectation_rows(np.stack([s.amplitudes for s in states]))
-        want = [[sv.z_expectation(s, q) for q in range(n)] for s in states]
+        want = [[helpers.z_expectation_dot(s.amplitudes, q) for q in range(n)] for s in states]
         assert got.tobytes() == np.array(want).tobytes()
+        single = [[sv.z_expectation(s, q) for q in range(n)] for s in states]
+        assert np.array(single).tobytes() == got.tobytes()
