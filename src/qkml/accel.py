@@ -1,9 +1,10 @@
 """Hot numeric kernels, one numpy implementation each.
 
 Gate application, fidelity matrices, the SMO dual solver and the Gini
-split scan.  Element-wise loop versions of the gate and SMO kernels and a
+split scan.  Element-wise loop versions of the gate kernels and a
 one-feature-at-a-time split scan in ``tests/helpers.py`` are the oracles
-they are tested against.
+they are tested against; the SMO solver is checked against the dual
+reached by the random-partner loop solver kept there.
 """
 
 from __future__ import annotations
@@ -16,30 +17,6 @@ import numpy as np
 def active_backend() -> str:
     """Name of the kernel implementation; numpy is the only one."""
     return "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Reproducible integer stream for SMO's second-index choice.
-#
-# A fixed 31-bit LCG rather than numpy's Generator.  It pins the SMO
-# partner sequence, so trained alphas, and with them the c03/c04 results
-# and the byte-identical reports, stay what they are.  Replacing the
-# random-partner sweep (and this stream with it) by second-order working
-# set selection is a separate solver change.
-# ---------------------------------------------------------------------------
-
-_LCG_MOD = 2147483648  # 2^31
-_LCG_MUL = 1103515245
-_LCG_INC = 12345
-
-
-def seed_to_state(seed: int) -> int:
-    """Fold an arbitrary Python int seed into the LCG state range."""
-    return (int(seed) ^ 0x5DEECE66D) % _LCG_MOD
-
-
-def _lcg_next(state):
-    return (_LCG_MUL * state + _LCG_INC) % _LCG_MOD
 
 
 # ---------------------------------------------------------------------------
@@ -130,94 +107,121 @@ def fidelity_cross(a_states, b_states):
 # ---------------------------------------------------------------------------
 # SMO dual solver over a precomputed kernel matrix.
 #
-# Simplified two-multiplier SMO: sweep all rows, analytically update a
-# violating pair (the partner drawn from the LCG stream), keep the cached
-# margin vector f = K @ (alpha * y) incremental.  The box constraint is
-# per-sample (c_arr), which makes class weighting a caller-side concern.
-# Terminates after `max_passes` consecutive sweeps without a change, or
-# at the hard sweep cap (safety net; reported back to the caller).
+# LIBSVM's SMO with second-order working-set selection (WSS2; Fan, Chen &
+# Lin, JMLR 6:1889, 2005) on the dual min 1/2 a'Qa - e'a, Q_ij =
+# y_i y_j K_ij, 0 <= a_i <= c_arr[i], y'a = 0.  The gradient G = Qa - e
+# is cached and updated from two kernel rows per step.  With v = -y G,
+# the pair is taken from I_up = {a_t < C_t, y_t = +1 or a_t > 0, y_t = -1}
+# and I_low (the same with the signs of y swapped); the solve stops when
+# max(v | I_up) - min(v | I_low) < tol.
+#
+# Selection is label-symmetric: the WSS2 pair anchored at the I_up
+# maximiser and the mirror pair anchored at the I_low minimiser are both
+# scored, the larger gain wins (exact ties: the lower (min, max) index
+# pair) and the pair is updated in ascending index order.  Flipping every
+# label swaps the two candidates, so it yields bitwise-equal alphas and
+# an exactly negated bias whenever the box is the same for both classes.
+# The box is per-sample (c_arr), which makes class weighting a caller-side
+# concern.
 # ---------------------------------------------------------------------------
 
-_SMO_SWEEP_CAP = 20000
-_SMO_MIN_STEP = 1e-7
+_TAU = 1e-12
 
 
-def smo_solve(kmat, y, c_arr, tol, max_passes, lcg_state):
+def smo_iteration_bound(n):
+    """LIBSVM's cap on SMO steps for an n-row problem."""
+    return max(10**7, 100 * n)
+
+
+def _wss2_partner(anchor, cand, gap, kdiag, kmat):
+    """Best second index for `anchor` over the `cand` mask, scored by the
+    second-order gain -gap^2 / a; returns (index, gain)."""
+    a = kdiag[anchor] + kdiag - 2.0 * kmat[anchor]
+    a[a <= 0.0] = _TAU
+    score = np.where(cand, -(gap * gap) / a, np.inf)
+    t = int(score.argmin())
+    return t, score[t]
+
+
+def smo_solve(kmat, y, c_arr, tol):
+    """Returns (alphas, bias, iterations); iterations equals
+    smo_iteration_bound(n) when the solve stopped at the bound."""
     n = kmat.shape[0]
+    kdiag = kmat.diagonal()
     alphas = np.zeros(n, dtype=np.float64)
-    f = np.zeros(n, dtype=np.float64)
-    b = 0.0
-    state = lcg_state
-    clean = 0
-    sweeps = 0
-    while clean < max_passes and sweeps < _SMO_SWEEP_CAP:
-        sweeps += 1
-        changed = 0
-        for i in range(n):
-            e_i = f[i] + b - y[i]
-            r_i = y[i] * e_i
-            if not (
-                (r_i < -tol and alphas[i] < c_arr[i])
-                or (r_i > tol and alphas[i] > 0.0)
-            ):
-                continue
-            state = (_LCG_MUL * state + _LCG_INC) % _LCG_MOD
-            j = state % (n - 1)
-            if j >= i:
-                j += 1
-            e_j = f[j] + b - y[j]
-            ai_old = alphas[i]
-            aj_old = alphas[j]
-            c_i = c_arr[i]
-            c_j = c_arr[j]
-            if y[i] != y[j]:
-                lo = max(0.0, aj_old - ai_old)
-                hi = min(c_j, c_i + aj_old - ai_old)
-            else:
-                lo = max(0.0, ai_old + aj_old - c_i)
-                hi = min(c_j, ai_old + aj_old)
-            if lo >= hi:
-                continue
-            eta = kmat[i, i] + kmat[j, j] - 2.0 * kmat[i, j]
-            if eta <= 0.0:
-                continue
-            aj_new = aj_old + y[j] * (e_i - e_j) / eta
-            if aj_new < lo:
-                aj_new = lo
-            elif aj_new > hi:
-                aj_new = hi
-            if abs(aj_new - aj_old) < _SMO_MIN_STEP:
-                continue
-            ai_new = ai_old + y[i] * y[j] * (aj_old - aj_new)
-            b1 = (
-                b
-                - e_i
-                - y[i] * (ai_new - ai_old) * kmat[i, i]
-                - y[j] * (aj_new - aj_old) * kmat[i, j]
-            )
-            b2 = (
-                b
-                - e_j
-                - y[i] * (ai_new - ai_old) * kmat[i, j]
-                - y[j] * (aj_new - aj_old) * kmat[j, j]
-            )
-            if 0.0 < ai_new < c_i:
-                b = b1
-            elif 0.0 < aj_new < c_j:
-                b = b2
-            else:
-                b = (b1 + b2) / 2.0
-            di = y[i] * (ai_new - ai_old)
-            dj = y[j] * (aj_new - aj_old)
-            f += di * kmat[i] + dj * kmat[j]
-            alphas[i] = ai_new
-            alphas[j] = aj_new
-            changed += 1
-        if changed == 0:
-            clean += 1
+    grad = np.full(n, -1.0)
+    pos = y > 0
+    bound = smo_iteration_bound(n)
+    it = 0
+    while True:
+        v = -y * grad
+        below = alphas < c_arr
+        above = alphas > 0.0
+        up = np.where(pos, below, above)
+        low = np.where(pos, above, below)
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(v_up.argmax())
+        j = int(v_low.argmin())
+        m, big_m = v_up[i], v_low[j]
+        if m - big_m < tol or it >= bound:
+            break
+        ti, gain_i = _wss2_partner(i, low & (v < m), m - v, kdiag, kmat)
+        tj, gain_j = _wss2_partner(j, up & (v > big_m), v - big_m, kdiag, kmat)
+        pair_i = (min(i, ti), max(i, ti))
+        pair_j = (min(j, tj), max(j, tj))
+        if gain_i < gain_j or (gain_i == gain_j and pair_i <= pair_j):
+            p, q = pair_i
         else:
-            clean = 0
-    return alphas, b, sweeps
+            p, q = pair_j
+        _smo_step(p, q, kmat, kdiag, y, c_arr, alphas, grad)
+        it += 1
+    free = up & low
+    bias = v[free].mean() if free.any() else (m + big_m) / 2.0
+    return alphas, float(bias), it
+
+
+def _smo_step(i, j, kmat, kdiag, y, c_arr, alphas, grad):
+    """Solve the two-variable subproblem on (i, j) with LIBSVM's clipping
+    to the boxes [0, c_arr[i]] x [0, c_arr[j]]; updates alphas and grad."""
+    c_i, c_j = c_arr[i], c_arr[j]
+    old_i, old_j = alphas[i], alphas[j]
+    a_i, a_j = old_i, old_j
+    quad = kdiag[i] + kdiag[j] - 2.0 * kmat[i, j]
+    if quad <= 0.0:
+        quad = _TAU
+    if y[i] != y[j]:
+        delta = (-grad[i] - grad[j]) / quad
+        diff = a_i - a_j
+        a_i += delta
+        a_j += delta
+        if diff > 0.0:
+            if a_j < 0.0:
+                a_j, a_i = 0.0, diff
+        elif a_i < 0.0:
+            a_i, a_j = 0.0, -diff
+        if diff > c_i - c_j:
+            if a_i > c_i:
+                a_i, a_j = c_i, c_i - diff
+        elif a_j > c_j:
+            a_j, a_i = c_j, c_j + diff
+    else:
+        delta = (grad[i] - grad[j]) / quad
+        total = a_i + a_j
+        a_i -= delta
+        a_j += delta
+        if total > c_i:
+            if a_i > c_i:
+                a_i, a_j = c_i, total - c_i
+        elif a_j < 0.0:
+            a_j, a_i = 0.0, total
+        if total > c_j:
+            if a_j > c_j:
+                a_j, a_i = c_j, total - c_j
+        elif a_i < 0.0:
+            a_i, a_j = 0.0, total
+    alphas[i], alphas[j] = a_i, a_j
+    grad += y * ((y[i] * (a_i - old_i)) * kmat[i] + (y[j] * (a_j - old_j)) * kmat[j])
 
 
 # ---------------------------------------------------------------------------

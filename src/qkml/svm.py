@@ -1,4 +1,4 @@
-"""Binary SVM trained by simplified two-multiplier SMO.
+"""Binary SVM trained by SMO with second-order working-set selection.
 
 Labels enter as {0, 1} and are mapped to {-1, +1} internally.  Training
 runs on a precomputed kernel matrix; ``linear`` and ``rbf`` kernels are
@@ -40,10 +40,12 @@ _PSD_CHECK_MAX_N = 2048
 class SvmConfig:
     """Box constraint, stopping rule and kernel choice.
 
-    rbf kernels use exp(-gamma * ||x - x'||^2); when ``gamma`` is left
-    unset it defaults to 1/d at training time.  ``class_weight`` (off by
-    default) scales the per-class box: sample i of class k gets
-    C * class_weight[k].
+    The solve stops when the KKT gap falls below ``tolerance``;
+    ``max_passes`` is validated and serialized for compatibility but no
+    longer affects training.  rbf kernels use exp(-gamma * ||x - x'||^2);
+    when ``gamma`` is left unset it defaults to 1/d at training time.
+    ``class_weight`` (off by default) scales the per-class box: sample i
+    of class k gets C * class_weight[k].
     """
 
     c: float = 1.0
@@ -145,10 +147,12 @@ def train_svm(
 ) -> SvmModel:
     """Solve the dual on a precomputed kernel matrix.
 
-    ``seed`` fixes the SMO partner-index stream, making training fully
-    deterministic.  A matrix whose smallest eigenvalue falls below
-    PSD_WARN_TOL triggers a warning but training proceeds (the check is
-    skipped above _PSD_CHECK_MAX_N rows to stay affordable).
+    Training is deterministic and draws no random numbers: ``seed``, like
+    ``SvmConfig.max_passes``, is kept for compatibility and has no effect.
+    The solve stops once the KKT gap falls below ``config.tolerance``.  A
+    matrix whose smallest eigenvalue falls below PSD_WARN_TOL triggers a
+    warning but training proceeds (the check is skipped above
+    _PSD_CHECK_MAX_N rows to stay affordable).
     """
     kmat = np.ascontiguousarray(_as_kernel_matrix(gram))
     n = kmat.shape[0]
@@ -167,7 +171,7 @@ def train_svm(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return _fit(kmat, y01, config, seed, train_features=None)
+    return _fit(kmat, y01, config, train_features=None)
 
 
 def train_svm_features(
@@ -176,7 +180,8 @@ def train_svm_features(
     config: SvmConfig,
     seed: int = 0,
 ) -> SvmModel:
-    """Train a linear/rbf model straight from feature rows."""
+    """Train a linear/rbf model straight from feature rows; ``seed`` has
+    no effect, as in ``train_svm``."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected 2-d feature matrix, got shape {x.shape}")
@@ -191,28 +196,24 @@ def train_svm_features(
         raise ValueError(
             "train_svm_features needs a linear or rbf kernel config"
         )
-    return _fit(np.ascontiguousarray(kmat), y01, config, seed, train_features=x)
+    return _fit(np.ascontiguousarray(kmat), y01, config, train_features=x)
 
 
 SUPPORT_EPS = 1e-8
 
 
-def _fit(kmat, y01, config, seed, train_features) -> SvmModel:
+def _fit(kmat, y01, config, train_features) -> SvmModel:
     y = (2 * y01 - 1).astype(np.float64)
     weights = config.class_weight or (1.0, 1.0)
     c_arr = float(config.c) * np.where(y01 == 1, weights[1], weights[0])
-    alphas, bias, sweeps = accel.smo_solve(
-        kmat,
-        y,
-        np.ascontiguousarray(c_arr, dtype=np.float64),
-        float(config.tolerance),
-        int(config.max_passes),
-        accel.seed_to_state(seed),
+    alphas, bias, iterations = accel.smo_solve(
+        kmat, y, np.ascontiguousarray(c_arr, dtype=np.float64), float(config.tolerance)
     )
-    if sweeps >= accel._SMO_SWEEP_CAP:
+    bound = accel.smo_iteration_bound(kmat.shape[0])
+    if iterations >= bound:
         warnings.warn(
-            f"SMO hit the sweep cap ({sweeps} sweeps) before "
-            f"{config.max_passes} clean passes; model may not satisfy KKT",
+            f"SMO stopped at its iteration bound ({bound}) before the KKT gap "
+            f"fell below {config.tolerance}; model may not satisfy KKT",
             RuntimeWarning,
             stacklevel=3,
         )

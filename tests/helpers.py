@@ -4,7 +4,8 @@ Everything here is an independent re-derivation used to cross-check the
 package: full-matrix circuit simulation via Kronecker products, the
 closed-form product kernel for per-qubit RY embeddings, an
 exhaustive feasible-grid search of the SVM dual, element-wise loop
-versions of the gate kernels and the SMO solver in ``qkml.accel``, a
+versions of the gate kernels in ``qkml.accel``, the random-partner SMO
+loop whose dual ``qkml.accel.smo_solve`` must match or beat, a
 dot-product Z expectation, and
 the one-feature-at-a-time tree builder and per-row tree walk that
 ``qkml.trees`` must match node for node.
@@ -16,7 +17,6 @@ import numpy as np
 
 from qkml import statevector as sv
 from qkml import trees
-from qkml.accel import _LCG_INC, _LCG_MOD, _LCG_MUL, _SMO_MIN_STEP, _SMO_SWEEP_CAP
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -230,6 +230,24 @@ def z_expectation_dot(amps, qubit):
     return float(np.dot(signs, probs))
 
 
+# -- random-partner SMO: the dual that qkml.accel.smo_solve must reach ----------
+# Platt-style sweeps over every row, the partner index drawn from a fixed
+# 31-bit LCG, stopping after `max_passes` sweeps without a change or at
+# the sweep cap.  The package's solver was this algorithm before it moved
+# to second-order working-set selection.
+
+_LCG_MOD = 2147483648  # 2^31
+_LCG_MUL = 1103515245
+_LCG_INC = 12345
+_SMO_SWEEP_CAP = 20000
+_SMO_MIN_STEP = 1e-7
+
+
+def lcg_seed_state(seed: int) -> int:
+    """Fold an arbitrary Python int seed into the LCG state range."""
+    return (int(seed) ^ 0x5DEECE66D) % _LCG_MOD
+
+
 def _smo_loops(kmat, y, c_arr, tol, max_passes, lcg_state):
     n = kmat.shape[0]
     alphas = np.zeros(n, dtype=np.float64)
@@ -436,3 +454,14 @@ def predict_tree_walk(tree, row) -> int:
 def predict_forest_walk(model, row) -> int:
     votes = sum(predict_tree_walk(t, row) for t in model.trees)
     return 1 if 2 * votes > len(model.trees) else 0
+
+
+def smo_kkt_gap(kmat, y, c_arr, alphas) -> float:
+    """max(v | I_up) - min(v | I_low) with v = y - K (alpha y), computed
+    afresh from the alphas; the SVM dual is solved when it is <= 0."""
+    v = y - np.asarray(kmat) @ (alphas * y)
+    below = alphas < c_arr
+    above = alphas > 0.0
+    up = np.where(y > 0, below, above)
+    low = np.where(y > 0, above, below)
+    return float(v[up].max() - v[low].min())

@@ -1,13 +1,15 @@
 """The numpy kernels in ``qkml.accel`` paired with independent oracles.
 
-Gates and SMO must match the element-wise loops in ``tests/helpers.py``
+Gates must match the element-wise loops in ``tests/helpers.py``
 bitwise (single-qubit gates for real matrices; complex ones to 1e-12),
 every row of a multi-row gate block must be byte-equal to that row run
 alone as a 1-row block, the parity phase must be byte-equal to its dense
 diagonal-plus-CNOT form, the split scan, on one column or on a block of
 candidate columns, must match the exhaustive root-split search bitwise,
-and the Gram/cross matrices (a BLAS reduction) must match a per-pair
-``np.vdot`` to 1e-12.
+the Gram/cross matrices (a BLAS reduction) must match a per-pair
+``np.vdot`` to 1e-12, and the SMO solver must stay in its box, keep
+sum(alpha y) = 0, close the KKT gap to its tolerance and reach at least
+the dual of the random-partner loop solver in ``tests/helpers.py``.
 """
 
 import os
@@ -211,25 +213,61 @@ def _random_smo_problem(rng, n):
     return kmat, y
 
 
-def test_smo_pair_bitwise_equal():
+def _dual(kmat, y, alphas):
+    v = alphas * y
+    return alphas.sum() - 0.5 * v @ kmat @ v
+
+
+def test_smo_reaches_loop_oracle_dual_within_box_balance_and_kkt():
     rng = np.random.default_rng(4)
     for trial in range(10):
         n = int(rng.integers(4, 16))
         kmat, y = _random_smo_problem(rng, n)
-        c_arr = np.full(n, 1.0 if trial % 2 == 0 else 0.3)
-        state = accel.seed_to_state(trial)
-        a_alpha, a_b, a_sweeps = helpers._smo_loops(kmat, y, c_arr, 1e-3, 5, state)
-        b_alpha, b_b, b_sweeps = accel.smo_solve(kmat, y, c_arr, 1e-3, 5, state)
-        np.testing.assert_array_equal(a_alpha, b_alpha)
-        assert a_b == b_b
-        assert a_sweeps == b_sweeps
+        for c_arr in (
+            np.full(n, 1.0 if trial % 2 == 0 else 0.3),
+            np.where(y > 0, 2.0, 0.25),
+            rng.uniform(0.1, 2.0, size=n),
+        ):
+            for tol in (1e-3, 1e-5):
+                alphas, _, _ = accel.smo_solve(kmat, y, c_arr, tol)
+                assert np.all(alphas >= 0.0)
+                assert np.all(alphas <= c_arr)
+                assert abs(np.dot(alphas, y)) <= 1e-12
+                assert helpers.smo_kkt_gap(kmat, y, c_arr, alphas) <= tol
+            # Both solvers stop early; at tol 1e-5 neither stops far enough
+            # from the optimum for the loop solver to come out ahead.
+            oracle, _, _ = helpers._smo_loops(
+                kmat, y, c_arr, 1e-5, 5, helpers.lcg_seed_state(trial)
+            )
+            want = _dual(kmat, y, oracle)
+            assert _dual(kmat, y, alphas) >= want - 1e-9 * abs(want)
+
+
+def test_smo_first_step_takes_second_order_pair_lower_pair_on_tie(monkeypatch):
+    # At alpha = 0 every violation is equal, so the gain -b^2/a alone picks
+    # the partner: the sample with the largest kernel entry.  The pair
+    # anchored at the I_up maximiser (0) is (0, 3); the mirror pair
+    # anchored at the I_low minimiser (2) is (1, 2).  Their gains tie
+    # exactly, and the lower index pair wins, for either labelling.
+    kmat = np.array([
+        [1.0, 0.3, 0.1, 0.5],
+        [0.3, 1.0, 0.5, 0.1],
+        [0.1, 0.5, 1.0, 0.3],
+        [0.5, 0.1, 0.3, 1.0],
+    ])
+    y = np.array([1.0, 1.0, -1.0, -1.0])
+    monkeypatch.setattr(accel, "smo_iteration_bound", lambda n: 1)
+    for labels in (y, -y):
+        alphas, _, iterations = accel.smo_solve(kmat, labels, np.ones(4), 1e-3)
+        assert iterations == 1
+        np.testing.assert_array_equal(np.flatnonzero(alphas), [0, 3])
 
 
 def test_smo_respects_per_sample_box():
     rng = np.random.default_rng(5)
     kmat, y = _random_smo_problem(rng, 12)
     c_arr = np.where(y > 0, 0.25, 2.0)
-    alphas, _, _ = accel.smo_solve(kmat, y, c_arr, 1e-4, 10, accel.seed_to_state(0))
+    alphas, _, _ = accel.smo_solve(kmat, y, c_arr, 1e-4)
     assert np.all(alphas >= 0.0)
     assert np.all(alphas <= c_arr + 1e-12)
 
@@ -271,18 +309,3 @@ def test_scan_split_block_bitwise_equal_and_ties_go_to_lowest_row():
             assert row == -1
         else:
             assert (score, row, thr) == best
-
-
-def test_lcg_stream_is_fixed():
-    state = accel.seed_to_state(0)
-    assert state == (0 ^ 0x5DEECE66D) % 2**31
-    seen = [state]
-    for _ in range(4):
-        seen.append(accel._lcg_next(seen[-1]))
-    assert seen == [
-        (0 ^ 0x5DEECE66D) % 2**31,
-        (1103515245 * seen[0] + 12345) % 2**31,
-        (1103515245 * seen[1] + 12345) % 2**31,
-        (1103515245 * seen[2] + 12345) % 2**31,
-        (1103515245 * seen[3] + 12345) % 2**31,
-    ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qkml import qkernel, svm
+from qkml import accel, qkernel, svm
 from qkml.feature_maps import ZZ, FeatureMapSpec
 
 import helpers
@@ -193,9 +193,81 @@ def test_training_is_deterministic_per_seed():
     a = svm.train_svm(kmat, labels, svm.SvmConfig(), seed=4)
     b = svm.train_svm(kmat, labels, svm.SvmConfig(), seed=4)
     c = svm.train_svm(kmat, labels, svm.SvmConfig(), seed=5)
-    np.testing.assert_array_equal(a.alphas, b.alphas)
-    assert a.bias == b.bias
-    assert not (np.array_equal(a.alphas, c.alphas) and a.bias == c.bias)
+    for other in (b, c):
+        np.testing.assert_array_equal(a.alphas, other.alphas)
+        assert a.bias == other.bias
+
+
+def test_flipped_labels_give_equal_alphas_and_negated_bias():
+    rng = np.random.default_rng(14)
+    for trial in range(10):
+        n = int(rng.integers(4, 30))
+        x = rng.normal(size=(n, 2))
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = [0, 1]
+        kmat = svm.rbf_kernel(x, x, 0.8)
+        cfg = svm.SvmConfig(c=float(rng.choice([0.1, 1.0, 5.0])))
+        model = svm.train_svm(kmat, labels, cfg)
+        flipped = svm.train_svm(kmat, 1 - labels, cfg)
+        np.testing.assert_array_equal(model.alphas, flipped.alphas)
+        assert flipped.bias == -model.bias
+
+
+def test_bias_is_bound_midpoint_when_no_vector_is_free():
+    x = np.array([[0.0], [0.1], [1.0], [1.2], [0.4]])
+    labels = np.array([0, 1, 0, 1, 1])
+    kmat = svm.rbf_kernel(x, x, 1.0)
+    c = 1e-3
+    model = svm.train_svm(kmat, labels, svm.SvmConfig(c=c))
+    assert np.all((model.alphas == 0.0) | (model.alphas == c))
+    # At the bounds every multiplier bounds the bias from one side: below
+    # by v_t for t in I_up, above by v_t for t in I_low, v = y - K(alpha y).
+    y = model.signed_labels.astype(np.float64)
+    v = y - kmat @ (model.alphas * y)
+    at_c = model.alphas == c
+    up = np.where(y > 0, ~at_c, at_c)
+    midpoint = (v[up].max() + v[~up].min()) / 2.0
+    assert model.bias == pytest.approx(midpoint, rel=1e-12, abs=1e-15)
+
+
+def test_two_c_clipping_reaches_both_class_weighted_caps():
+    # Class-0 points around the origin with two class-1 points among them
+    # and a class-1 cluster far away: the inner class-1 points end at the
+    # class-1 cap, most class-0 points at the class-0 cap.
+    rng = np.random.default_rng(15)
+    x = np.vstack([
+        rng.normal(size=(24, 2)),
+        [[0.0, 0.0], [0.3, -0.2]],
+        rng.normal(loc=3.0, scale=0.5, size=(4, 2)),
+    ])
+    labels = np.r_[np.zeros(24, dtype=int), np.ones(6, dtype=int)]
+    kmat = svm.rbf_kernel(x, x, 0.5)
+    tol = 1e-5
+    cfg = svm.SvmConfig(c=1.0, tolerance=tol, class_weight=(0.25, 2.0))
+    model = svm.train_svm(kmat, labels, cfg)
+    y = model.signed_labels.astype(np.float64)
+    caps = np.where(labels == 1, 2.0, 0.25)
+    assert np.all(model.alphas >= 0.0)
+    assert np.all(model.alphas <= caps)
+    assert np.count_nonzero(model.alphas[labels == 0] == 0.25) >= 10
+    assert np.count_nonzero(model.alphas[labels == 1] == 2.0) >= 1
+    assert abs(np.dot(model.alphas, y)) <= 1e-12
+    assert helpers.smo_kkt_gap(kmat, y, caps, model.alphas) < tol
+    oracle, _, _ = helpers._smo_loops(kmat, y, caps, tol, 50, helpers.lcg_seed_state(0))
+    got = svm.dual_objective(kmat, labels, model.alphas)
+    want = svm.dual_objective(kmat, labels, oracle)
+    assert got >= want - 1e-9 * abs(want)
+
+
+def test_iteration_bound_warns(monkeypatch):
+    monkeypatch.setattr(accel, "smo_iteration_bound", lambda n: 1)
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(12, 2))
+    labels = (x[:, 0] > 0).astype(int)
+    kmat = svm.rbf_kernel(x, x, 1.0)
+    with pytest.warns(RuntimeWarning, match="iteration bound"):
+        model = svm.train_svm(kmat, labels, svm.SvmConfig())
+    assert np.count_nonzero(model.alphas) == 2
 
 
 def test_smo_dual_matches_grid_oracle_small():
