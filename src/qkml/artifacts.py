@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 
@@ -45,3 +46,11 @@ def write_json_atomic(path, obj) -> Path:
 def config_sha256(obj) -> str:
     """Hash of the canonical JSON form of a resolved configuration."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def require_fields(cls, doc: dict, optional=()) -> None:
+    """Raise KeyError unless ``doc`` names every field of the dataclass
+    ``cls`` that is not ``optional``; ``cls(**doc)`` would fill defaults."""
+    missing = sorted({f.name for f in fields(cls)} - set(doc) - set(optional))
+    if missing:
+        raise KeyError(f"{cls.__name__} document lacks {', '.join(missing)}")

@@ -26,6 +26,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -179,43 +180,45 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _tree_config(model_cfg: dict) -> trees.TreeConfig:
+    return trees.TreeConfig(
+        max_depth=int(model_cfg["max_depth"]),
+        min_samples_split=int(model_cfg["min_samples_split"]),
+        min_samples_leaf=int(model_cfg["min_samples_leaf"]),
+    )
+
+
+def _svm_config(model_cfg: dict, **kernel) -> svmmod.SvmConfig:
+    """The box and stopping rule of an svm or qsvm model section."""
+    cw = model_cfg["class_weight"]
+    return svmmod.SvmConfig(
+        c=float(model_cfg["c"]),
+        tolerance=float(model_cfg["tolerance"]),
+        max_passes=int(model_cfg["max_passes"]),
+        class_weight=None if cw is None else tuple(cw),
+        **kernel,
+    )
+
+
 def _train_and_predict(model_cfg: dict, train, test, seed: int):
     """Returns (test predictions, train predictions, model info dict)."""
     name = model_cfg["name"]
     if name == "dt":
-        cfg = trees.TreeConfig(
-            max_depth=int(model_cfg["max_depth"]),
-            min_samples_split=int(model_cfg["min_samples_split"]),
-            min_samples_leaf=int(model_cfg["min_samples_leaf"]),
-        )
-        tree = trees.train_tree(train.features, train.labels, cfg)
+        tree = trees.train_tree(train.features, train.labels, _tree_config(model_cfg))
         pred = trees.predict_tree_batch(tree, np.vstack([test.features, train.features]))
         return pred[: test.n_rows], pred[test.n_rows :], {"depth": trees.tree_depth(tree)}
     if name == "rf":
-        tcfg = trees.TreeConfig(
-            max_depth=int(model_cfg["max_depth"]),
-            min_samples_split=int(model_cfg["min_samples_split"]),
-            min_samples_leaf=int(model_cfg["min_samples_leaf"]),
-        )
         fcfg = trees.ForestConfig(
             n_trees=int(model_cfg["n_trees"]),
             mtry=model_cfg["mtry"],
             bootstrap=bool(model_cfg["bootstrap"]),
             seed=seed,
         )
-        forest = trees.train_forest(train.features, train.labels, tcfg, fcfg)
+        forest = trees.train_forest(train.features, train.labels, _tree_config(model_cfg), fcfg)
         pred = trees.predict_forest_batch(forest, np.vstack([test.features, train.features]))
         return pred[: test.n_rows], pred[test.n_rows :], {"n_trees": fcfg.n_trees}
     if name == "svm":
-        cw = model_cfg["class_weight"]
-        cfg = svmmod.SvmConfig(
-            c=float(model_cfg["c"]),
-            tolerance=float(model_cfg["tolerance"]),
-            max_passes=int(model_cfg["max_passes"]),
-            kernel=model_cfg["kernel"],
-            gamma=model_cfg["gamma"],
-            class_weight=None if cw is None else tuple(cw),
-        )
+        cfg = _svm_config(model_cfg, kernel=model_cfg["kernel"], gamma=model_cfg["gamma"])
         model = svmmod.train_svm_features(train.features, train.labels, cfg, seed)
         return (
             svmmod.predict_features(model, test.features),
@@ -231,14 +234,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         # Train rows are embedded once, for the Gram and the cross kernel.
         train_states = qkernel.embedding_matrix(spec, train.features)
         gram = qkernel.gram_from_states(train_states)
-        cw = model_cfg["class_weight"]
-        cfg = svmmod.SvmConfig(
-            c=float(model_cfg["c"]),
-            tolerance=float(model_cfg["tolerance"]),
-            max_passes=int(model_cfg["max_passes"]),
-            kernel=svmmod.PRECOMPUTED,
-            class_weight=None if cw is None else tuple(cw),
-        )
+        cfg = _svm_config(model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
         cross = qkernel.cross_from_states(
             qkernel.embedding_matrix(spec, test.features), train_states
@@ -248,12 +244,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
             svmmod.predict(model, gram.entries),
             {
                 "support_vectors": int(model.support_indices.shape[0]),
-                "feature_map": {
-                    "kind": spec.kind,
-                    "num_qubits": spec.num_qubits,
-                    "repetitions": spec.repetitions,
-                    "entanglement": spec.entanglement,
-                },
+                "feature_map": asdict(spec),
             },
         )
     raise ConfigError(f"unknown model {name!r}")

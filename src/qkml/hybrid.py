@@ -13,7 +13,10 @@ equals that window's circuit run on its own with ``run_circuit``.
 The classifier is a fully connected ReLU network with a 2-way softmax
 head, trained by mini-batch SGD on cross-entropy.  Training is a pure
 function of (data, config): Xavier-uniform init and epoch shuffling both
-come from seeded generators.
+come from seeded generators.  Each step runs one forward pass and
+backprop on the weight lists, and each epoch one forward pass per
+evaluated set (train, and validation when given), whose loss and
+accuracy come from one softmax.
 """
 
 from __future__ import annotations
@@ -142,28 +145,65 @@ def init_dense(sizes, seed: int = 0) -> DenseNet:
     return DenseNet(sizes, tuple(weights), tuple(biases))
 
 
-def _forward(net: DenseNet, x: np.ndarray):
-    """Returns (pre-activations, activations); ReLU hidden, linear head."""
-    zs = []
+def _forward(weights, biases, x: np.ndarray) -> list:
+    """Activations of every layer, input first; ReLU hidden, linear head."""
     acts = [x]
-    a = x
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
-        zs.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        acts.append(a)
-    return zs, acts
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if i == last else np.maximum(z, 0.0))
+    return acts
+
+
+def _softmax(logits: np.ndarray):
+    """(row-wise softmax, row-wise log-sum-exp) of the head logits."""
+    m = logits.max(axis=1, keepdims=True)
+    expd = np.exp(logits - m)
+    total = expd.sum(axis=1, keepdims=True)
+    return expd / total, (m + np.log(total))[:, 0]
+
+
+def _evaluate(weights, biases, x, y):
+    """(mean cross-entropy, accuracy) from one forward pass.  Accuracy is
+    the argmax of the probabilities, not of the logits: the division can
+    round two classes equal, and a tie goes to class 0."""
+    logits = _forward(weights, biases, x)[-1]
+    probs, lse = _softmax(logits)
+    loss = float(np.mean(lse - logits[np.arange(x.shape[0]), y]))
+    return loss, float((probs.argmax(axis=1) == y).mean())
+
+
+def _gradients(weights, biases, x, y):
+    """(weight grads, bias grads) of the mean cross-entropy on one batch."""
+    n = x.shape[0]
+    acts = _forward(weights, biases, x)
+    logits = acts[-1]
+    # From the log-sum-exp, not the softmax probabilities: they round differently.
+    delta = np.exp(logits - _softmax(logits)[1][:, None])
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(biases)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            # acts[layer] = relu(z) is > 0 exactly where z is.
+            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+    return grads_w, grads_b
+
+
+def _batch(features, labels):
+    return (
+        np.atleast_2d(np.asarray(features, dtype=np.float64)),
+        np.asarray(labels, dtype=np.int64),
+    )
 
 
 def predict_proba(net: DenseNet, features) -> np.ndarray:
     """Row-wise softmax over the head logits."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    _, acts = _forward(net, x)
-    logits = acts[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    return _softmax(_forward(net.weights, net.biases, x)[-1])[0]
 
 
 def predict_classes(net: DenseNet, features) -> np.ndarray:
@@ -172,37 +212,14 @@ def predict_classes(net: DenseNet, features) -> np.ndarray:
 
 def cross_entropy(net: DenseNet, features, labels) -> float:
     """Mean softmax cross-entropy, computed in log-sum-exp form."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64)
-    _, acts = _forward(net, x)
-    logits = acts[-1]
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(x.shape[0]), y]))
+    return _evaluate(net.weights, net.biases, *_batch(features, labels))[0]
 
 
 def loss_and_gradients(net: DenseNet, features, labels):
     """(loss, weight grads, bias grads) for one batch."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64)
-    n = x.shape[0]
-    zs, acts = _forward(net, x)
-    logits = acts[-1]
-    m = logits.max(axis=1)
-    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
-    loss = float(np.mean(lse - logits[np.arange(n), y]))
-    probs = np.exp(logits - lse[:, None])
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
-    for layer in range(len(net.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = (delta @ net.weights[layer].T) * (zs[layer - 1] > 0.0)
-    return loss, grads_w, grads_b
+    x, y = _batch(features, labels)
+    grads_w, grads_b = _gradients(net.weights, net.biases, x, y)
+    return cross_entropy(net, x, y), grads_w, grads_b
 
 
 @dataclass(frozen=True)
@@ -232,10 +249,6 @@ class TrainHistory:
     val_acc: list = field(default_factory=list)
 
 
-def _accuracy_of(net, x, y) -> float:
-    return float((predict_classes(net, x) == y).mean())
-
-
 def train_dense(
     net: DenseNet,
     features,
@@ -255,8 +268,7 @@ def train_dense(
         )
     has_val = val_features is not None
     if has_val:
-        xv = np.asarray(val_features, dtype=np.float64)
-        yv = np.asarray(val_labels, dtype=np.int64)
+        xv, yv = _batch(val_features, val_labels)
     weights = [w.copy() for w in net.weights]
     biases = [b.copy() for b in net.biases]
     rng = np.random.default_rng(config.seed)
@@ -266,23 +278,22 @@ def train_dense(
         perm = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            current = DenseNet(net.sizes, tuple(weights), tuple(biases))
-            _, gw, gb = loss_and_gradients(current, x[idx], y[idx])
+            gw, gb = _gradients(weights, biases, x[idx], y[idx])
             for layer in range(len(weights)):
                 weights[layer] -= config.learning_rate * gw[layer]
                 biases[layer] -= config.learning_rate * gb[layer]
-        current = DenseNet(net.sizes, tuple(weights), tuple(biases))
-        loss = cross_entropy(current, x, y)
+        loss, acc = _evaluate(weights, biases, x, y)
         if not np.isfinite(loss):
             raise ValueError(
                 f"training diverged: non-finite loss after epoch {epoch + 1} "
                 f"(learning_rate={config.learning_rate})"
             )
         history.train_loss.append(loss)
-        history.train_acc.append(_accuracy_of(current, x, y))
+        history.train_acc.append(acc)
         if has_val:
-            history.val_loss.append(cross_entropy(current, xv, yv))
-            history.val_acc.append(_accuracy_of(current, xv, yv))
+            loss, acc = _evaluate(weights, biases, xv, yv)
+            history.val_loss.append(loss)
+            history.val_acc.append(acc)
     return DenseNet(net.sizes, tuple(weights), tuple(biases)), history
 
 

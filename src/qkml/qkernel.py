@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -176,12 +176,7 @@ def save_gram(
         "format": _MAGIC.decode(),
         "version": _VERSION,
         "n": gram.size,
-        "feature_map": {
-            "kind": spec.kind,
-            "num_qubits": spec.num_qubits,
-            "repetitions": spec.repetitions,
-            "entanglement": spec.entanglement,
-        },
+        "feature_map": asdict(spec),
         "input_sha256": input_sha256,
         "file_sha256": hashlib.sha256(blob).hexdigest(),
     }

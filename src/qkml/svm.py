@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import accel
+from .artifacts import require_fields
 from .qkernel import GramMatrix, matrix_sha256
 
 PRECOMPUTED = "precomputed"
@@ -277,17 +278,7 @@ def model_to_text(model: SvmModel) -> str:
     doc = {
         "format": "qkml-svm",
         "version": 1,
-        "config": {
-            "c": model.config.c,
-            "tolerance": model.config.tolerance,
-            "max_passes": model.config.max_passes,
-            "kernel": model.config.kernel,
-            "gamma": model.config.gamma,
-            "class_weight": (
-                None if model.config.class_weight is None
-                else list(model.config.class_weight)
-            ),
-        },
+        "config": asdict(model.config),
         "alphas": model.alphas.tolist(),
         "bias": model.bias,
         "signed_labels": model.signed_labels.tolist(),
@@ -308,18 +299,11 @@ def model_from_text(text: str) -> SvmModel:
     if doc.get("format") != "qkml-svm" or doc.get("version") != 1:
         raise ValueError("not a qkml-svm version 1 document")
     cfg = doc["config"]
-    cw = cfg.get("class_weight")
-    config = SvmConfig(
-        c=cfg["c"],
-        tolerance=cfg["tolerance"],
-        max_passes=cfg["max_passes"],
-        kernel=cfg["kernel"],
-        gamma=cfg["gamma"],
-        class_weight=None if cw is None else tuple(cw),
-    )
+    # Documents written before class weights existed lack that key.
+    require_fields(SvmConfig, cfg, optional=("class_weight",))
     feats = doc.get("train_features")
     return SvmModel(
-        config=config,
+        config=SvmConfig(**cfg),
         alphas=np.asarray(doc["alphas"], dtype=np.float64),
         bias=float(doc["bias"]),
         signed_labels=np.asarray(doc["signed_labels"], dtype=np.int64),

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import accel
+from .artifacts import require_fields
 
 
 def gini_impurity(class_counts) -> float:
@@ -362,17 +363,8 @@ def forest_to_text(model: ForestModel) -> str:
     doc = {
         "format": "qkml-forest",
         "version": 1,
-        "tree_config": {
-            "max_depth": model.tree_config.max_depth,
-            "min_samples_split": model.tree_config.min_samples_split,
-            "min_samples_leaf": model.tree_config.min_samples_leaf,
-        },
-        "forest_config": {
-            "n_trees": model.forest_config.n_trees,
-            "mtry": model.forest_config.mtry,
-            "bootstrap": model.forest_config.bootstrap,
-            "seed": model.forest_config.seed,
-        },
+        "tree_config": asdict(model.tree_config),
+        "forest_config": asdict(model.forest_config),
         "trees": [_node_to_dict(t) for t in model.trees],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -384,17 +376,10 @@ def forest_from_text(text: str) -> ForestModel:
         raise ValueError("not a qkml-forest version 1 document")
     tc = doc["tree_config"]
     fc = doc["forest_config"]
+    require_fields(TreeConfig, tc)
+    require_fields(ForestConfig, fc)
     return ForestModel(
         trees=tuple(_node_from_dict(t) for t in doc["trees"]),
-        tree_config=TreeConfig(
-            max_depth=tc["max_depth"],
-            min_samples_split=tc["min_samples_split"],
-            min_samples_leaf=tc["min_samples_leaf"],
-        ),
-        forest_config=ForestConfig(
-            n_trees=fc["n_trees"],
-            mtry=fc["mtry"],
-            bootstrap=fc["bootstrap"],
-            seed=fc["seed"],
-        ),
+        tree_config=TreeConfig(**tc),
+        forest_config=ForestConfig(**fc),
     )

@@ -8,15 +8,18 @@ versions of the gate kernels in ``qkml.accel``, the random-partner SMO
 loop whose dual ``qkml.accel.smo_solve`` must match or beat, a
 dot-product Z expectation, and
 the one-feature-at-a-time tree builder and per-row tree walk that
-``qkml.trees`` must match node for node.
+``qkml.trees`` must match node for node, and the dense-net training loop
+that ``qkml.hybrid`` must match bit for bit.
 """
 
 import math
+from typing import Tuple
 
 import numpy as np
 
 from qkml import statevector as sv
 from qkml import trees
+from qkml.hybrid import DenseNet, TrainConfig, TrainHistory
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -465,3 +468,127 @@ def smo_kkt_gap(kmat, y, c_arr, alphas) -> float:
     up = np.where(y > 0, below, above)
     low = np.where(y > 0, above, below)
     return float(v[up].max() - v[low].min())
+
+
+# -- dense-net oracle ---------------------------------------------------------
+# The dense network's forward pass, softmax, loss, backprop and SGD loop as
+# they were before ``qkml.hybrid`` computed each quantity once per pass:
+# every step builds a DenseNet and computes a discarded loss, and each epoch
+# runs four full forward passes.  ``qkml.hybrid`` must match it bit for bit.
+
+
+def _forward_oracle(net: DenseNet, x: np.ndarray):
+    """Returns (pre-activations, activations); ReLU hidden, linear head."""
+    zs = []
+    acts = [x]
+    a = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        zs.append(z)
+        a = z if i == last else np.maximum(z, 0.0)
+        acts.append(a)
+    return zs, acts
+
+
+def predict_proba_oracle(net: DenseNet, features) -> np.ndarray:
+    """Row-wise softmax over the head logits."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    _, acts = _forward_oracle(net, x)
+    logits = acts[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
+def predict_classes_oracle(net: DenseNet, features) -> np.ndarray:
+    return predict_proba_oracle(net, features).argmax(axis=1).astype(np.int64)
+
+
+def cross_entropy_oracle(net: DenseNet, features, labels) -> float:
+    """Mean softmax cross-entropy, computed in log-sum-exp form."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    y = np.asarray(labels, dtype=np.int64)
+    _, acts = _forward_oracle(net, x)
+    logits = acts[-1]
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return float(np.mean(lse - logits[np.arange(x.shape[0]), y]))
+
+
+def loss_and_gradients_oracle(net: DenseNet, features, labels):
+    """(loss, weight grads, bias grads) for one batch."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    y = np.asarray(labels, dtype=np.int64)
+    n = x.shape[0]
+    zs, acts = _forward_oracle(net, x)
+    logits = acts[-1]
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    loss = float(np.mean(lse - logits[np.arange(n), y]))
+    probs = np.exp(logits - lse[:, None])
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grads_w = [None] * len(net.weights)
+    grads_b = [None] * len(net.biases)
+    for layer in range(len(net.weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ net.weights[layer].T) * (zs[layer - 1] > 0.0)
+    return loss, grads_w, grads_b
+
+
+def _accuracy_of_oracle(net, x, y) -> float:
+    return float((predict_classes_oracle(net, x) == y).mean())
+
+
+def train_dense_oracle(
+    net: DenseNet,
+    features,
+    labels,
+    config: TrainConfig = TrainConfig(),
+    val_features=None,
+    val_labels=None,
+) -> Tuple[DenseNet, TrainHistory]:
+    """Mini-batch SGD; returns the trained net and its history."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("features/labels shape mismatch")
+    if x.shape[1] != net.sizes[0]:
+        raise ValueError(
+            f"net expects {net.sizes[0]} inputs, data has {x.shape[1]}"
+        )
+    has_val = val_features is not None
+    if has_val:
+        xv = np.asarray(val_features, dtype=np.float64)
+        yv = np.asarray(val_labels, dtype=np.int64)
+    weights = [w.copy() for w in net.weights]
+    biases = [b.copy() for b in net.biases]
+    rng = np.random.default_rng(config.seed)
+    history = TrainHistory()
+    n = x.shape[0]
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            current = DenseNet(net.sizes, tuple(weights), tuple(biases))
+            _, gw, gb = loss_and_gradients_oracle(current, x[idx], y[idx])
+            for layer in range(len(weights)):
+                weights[layer] -= config.learning_rate * gw[layer]
+                biases[layer] -= config.learning_rate * gb[layer]
+        current = DenseNet(net.sizes, tuple(weights), tuple(biases))
+        loss = cross_entropy_oracle(current, x, y)
+        if not np.isfinite(loss):
+            raise ValueError(
+                f"training diverged: non-finite loss after epoch {epoch + 1} "
+                f"(learning_rate={config.learning_rate})"
+            )
+        history.train_loss.append(loss)
+        history.train_acc.append(_accuracy_of_oracle(current, x, y))
+        if has_val:
+            history.val_loss.append(cross_entropy_oracle(current, xv, yv))
+            history.val_acc.append(_accuracy_of_oracle(current, xv, yv))
+    return DenseNet(net.sizes, tuple(weights), tuple(biases)), history

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from qkml.dataset import Dataset
 from qkml.hybrid import (
     DenseNet,
@@ -374,3 +375,115 @@ def test_curves_csv_layout():
     assert lines[3].startswith("0,hybrid,")
     for ln in lines[1:]:
         assert len(ln.split(",")) == 6
+
+
+# -- bitwise equality with the dense-net oracle --------------------------------
+
+
+def _assert_same_training(got, want):
+    (net, hist), (net_o, hist_o) = got, want
+    assert net.sizes == net_o.sizes
+    for a, b in zip(net.weights + net.biases, net_o.weights + net_o.biases):
+        assert a.tobytes() == b.tobytes()
+    assert repr(hist) == repr(hist_o)
+
+
+@pytest.mark.parametrize("with_val", [False, True])
+@pytest.mark.parametrize("batch_size", [1, 7, 32, 50])
+@pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+def test_train_dense_bitwise_equals_oracle(hidden, batch_size, with_val):
+    rng = np.random.default_rng(len(hidden) * 100 + batch_size)
+    x = rng.normal(size=(45, 5))
+    y = (x[:, 0] * x[:, 1] + 0.3 * rng.normal(size=45) > 0).astype(np.int64)
+    val = (x[:13] + 0.1, y[:13]) if with_val else (None, None)
+    net = init_dense((5,) + hidden + (2,), seed=batch_size)
+    for lr in (0.05, 0.5, 2.0):
+        cfg = TrainConfig(epochs=4, learning_rate=lr, batch_size=batch_size, seed=3)
+        _assert_same_training(
+            train_dense(net, x, y, cfg, *val),
+            helpers.train_dense_oracle(net, x, y, cfg, *val),
+        )
+
+
+def test_divergence_message_equals_oracle():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 3))
+    y = (x[:, 0] + x[:, 1] > 0).astype(np.int64)
+    net = init_dense((3, 16, 2), seed=1)
+    cfg = TrainConfig(epochs=20, learning_rate=1e4, batch_size=7, seed=2)
+    messages = []
+    with np.errstate(all="ignore"):
+        for train in (train_dense, helpers.train_dense_oracle):
+            with pytest.raises(ValueError, match="non-finite loss") as err:
+                train(net, x, y, cfg, x[:10], y[:10])
+            messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (8, 4)])
+def test_public_dense_functions_equal_oracle(hidden):
+    rng = np.random.default_rng(len(hidden))
+    net = init_dense((4,) + hidden + (2,), seed=5)
+    x = rng.normal(scale=3.0, size=(17, 4))
+    y = rng.integers(0, 2, size=17)
+    assert predict_proba(net, x).tobytes() == helpers.predict_proba_oracle(net, x).tobytes()
+    assert predict_proba(net, x[0]).tobytes() == helpers.predict_proba_oracle(net, x[0]).tobytes()
+    assert repr(cross_entropy(net, x, y)) == repr(helpers.cross_entropy_oracle(net, x, y))
+    loss, gw, gb = loss_and_gradients(net, x, y)
+    loss_o, gw_o, gb_o = helpers.loss_and_gradients_oracle(net, x, y)
+    assert repr(loss) == repr(loss_o)
+    for a, b in zip(gw + gb, gw_o + gb_o):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_all_zero_net_ties_every_logit_to_class_zero():
+    # With every weight and bias zero the hidden layer outputs 0 for any
+    # input, and one full batch of one row per class has a zero gradient,
+    # so training keeps the net at zero and every logit pair ties.
+    rng = np.random.default_rng(8)
+    zero = DenseNet((3, 4, 2), (np.zeros((3, 4)), np.zeros((4, 2))), (np.zeros(4), np.zeros(2)))
+    x = rng.normal(size=(2, 3))
+    xv = rng.normal(size=(4, 3))
+    yv = np.array([1, 0, 0, 0])
+    trained, hist = train_dense(
+        zero, x, [0, 1], TrainConfig(epochs=3, batch_size=2), xv, yv
+    )
+    assert all(not a.any() for a in trained.weights + trained.biases)
+    assert predict_classes(trained, rng.normal(size=(8, 3))).tolist() == [0] * 8
+    assert hist.train_acc == [0.5] * 3
+    assert hist.val_acc == [0.75] * 3
+    assert cross_entropy(trained, xv, yv) == math.log(2.0)
+    assert hist.val_loss == [math.log(2.0)] * 3
+
+
+def test_accuracy_takes_argmax_of_probabilities_not_logits():
+    # Head logits 0 and 2**-60 differ, but their exponentials both round
+    # to 1.0, so the probabilities tie and the row goes to class 0.  Zero
+    # inputs and one row per class give a zero gradient, so the net stays.
+    net = DenseNet((2, 2), (np.zeros((2, 2)),), (np.array([0.0, 2.0**-60]),))
+    x = np.zeros((4, 2))
+    trained, hist = train_dense(
+        net, x[:2], [0, 1], TrainConfig(epochs=2, batch_size=2), x, [1, 1, 1, 0]
+    )
+    assert trained.biases[0].tolist() == [0.0, 2.0**-60]
+    assert predict_classes(trained, x).tolist() == [0] * 4
+    assert hist.val_acc == [0.25, 0.25]
+
+
+@pytest.mark.parametrize("with_val", [False, True])
+def test_forward_runs_once_per_step_and_per_evaluated_set(monkeypatch, with_val):
+    from qkml import hybrid
+
+    calls = []
+    forward = hybrid._forward
+
+    def counted(*args):
+        calls.append(args[2].shape[0])
+        return forward(*args)
+
+    monkeypatch.setattr(hybrid, "_forward", counted)
+    x, y = _blobs(10)
+    val = (x[:4], y[:4]) if with_val else (None, None)
+    train_dense(init_dense((2, 3, 2)), x, y, TrainConfig(epochs=2, batch_size=4), *val)
+    epoch = [4, 4, 2, 10] + ([4] if with_val else [])
+    assert calls == epoch * 2

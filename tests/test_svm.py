@@ -1,5 +1,7 @@
 """SMO training: analytic cases, feasibility, oracles, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,24 @@ def test_serialization_round_trip():
     np.testing.assert_array_equal(
         svm.predict_features(back, x), svm.predict_features(model, x)
     )
+
+
+def test_model_text_config_keys_and_missing_key():
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    cfg = svm.SvmConfig(c=2.0, kernel=svm.RBF, gamma=0.3, class_weight=(1.0, 1.5))
+    text = svm.model_to_text(svm.train_svm_features(x, [0, 1, 0, 1], cfg, seed=1))
+    doc = json.loads(text)
+    assert doc["config"] == {
+        "c": 2.0, "class_weight": [1.0, 1.5], "gamma": 0.3,
+        "kernel": svm.RBF, "max_passes": 50, "tolerance": 1e-3,
+    }
+    for key in ("c", "tolerance", "max_passes", "kernel", "gamma"):
+        partial = dict(doc, config={k: v for k, v in doc["config"].items() if k != key})
+        with pytest.raises(KeyError, match=key):
+            svm.model_from_text(json.dumps(partial))
+    # Documents from before class weights existed still load, unweighted.
+    del doc["config"]["class_weight"]
+    assert svm.model_from_text(json.dumps(doc)).config.class_weight is None
 
 
 def test_model_from_text_rejects_other_documents():

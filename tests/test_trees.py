@@ -1,5 +1,7 @@
 """Decision tree and random forest baselines."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -481,6 +483,21 @@ def test_forest_text_round_trip():
     assert predict_forest_batch(back, probe).tolist() == predict_forest_batch(
         forest, probe
     ).tolist()
+
+
+def test_forest_text_requires_every_config_key():
+    forest = train_forest(
+        [[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1],
+        TreeConfig(max_depth=3), ForestConfig(n_trees=2, mtry=1, seed=4),
+    )
+    doc = json.loads(forest_to_text(forest))
+    assert doc["tree_config"] == {"max_depth": 3, "min_samples_leaf": 1, "min_samples_split": 2}
+    assert doc["forest_config"] == {"bootstrap": True, "mtry": 1, "n_trees": 2, "seed": 4}
+    for section in ("tree_config", "forest_config"):
+        for key in doc[section]:
+            partial = dict(doc, **{section: {k: v for k, v in doc[section].items() if k != key}})
+            with pytest.raises(KeyError, match=key):
+                forest_from_text(json.dumps(partial))
 
 
 def test_serialization_rejects_foreign_documents():
