@@ -9,8 +9,6 @@ reached by the random-partner loop solver kept there.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 
@@ -27,7 +25,10 @@ def active_backend() -> str:
 # order (scalar first) whatever the row count, so each row comes out bit
 # for bit equal to running that row on its own.  A diagonal phase skips
 # the zero off-diagonal terms of the dense 2x2 form, so an amplitude that
-# is exactly zero can differ from that form in its sign.
+# is exactly zero can differ from that form in its sign.  The parity
+# phase is one broadcast product, phase first, over the whole block; each
+# amplitude gets the single product that the per-view loop in
+# tests/helpers.py gives it, one view per bit pattern.
 # ---------------------------------------------------------------------------
 
 
@@ -76,13 +77,27 @@ def apply_cz_rows(states, control, target):
     np.negative(both, out=both)
 
 
+# Parity of each bit pattern of one phase qubit or of a pair.
+_PARITY = {1: np.array([0, 1]), 2: np.array([[0, 1], [1, 0]])}
+
+
 def apply_parity_phase_rows(states, qubits, phases):
     """Multiply each amplitude by phases[:, p], p the parity of its bits
     at `qubits`; phases is (rows, 2).  One qubit gives RZ; a pair (i, j)
-    gives CNOT(i, j) RZ_j CNOT(i, j), whose CNOTs only permute."""
-    for bits in itertools.product((0, 1), repeat=len(qubits)):
-        view = _bits_view(states, dict(zip(qubits, bits)))
-        view[...] = _per_row(phases[:, sum(bits) % 2], view) * view
+    gives CNOT(i, j) RZ_j CNOT(i, j), whose CNOTs only permute.  The block
+    is viewed with one axis per phase qubit and one per run of the other
+    bits and multiplied once by a per-row table of phases by parity."""
+    rows, dim = states.shape
+    above = dim.bit_length() - 1
+    shape, table_shape = [rows], [-1]
+    for q in sorted(qubits, reverse=True):
+        shape += [1 << (above - q - 1), 2]
+        table_shape += [1, 2]
+        above = q
+    shape.append(1 << above)
+    table_shape.append(1)
+    view = states.reshape(shape)
+    view[...] = phases[:, _PARITY[len(qubits)]].reshape(table_shape) * view
 
 
 # ---------------------------------------------------------------------------

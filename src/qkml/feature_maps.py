@@ -15,17 +15,23 @@ dataset pipeline, but any finite angles are accepted.
 
 ``build_feature_circuit`` spells the map out gate by gate for
 ``run_circuit``, which applies each gate in its dense 2x2 form and is the
-reference.  ``embed_rows`` simulates a whole row matrix at once with the
-same arithmetic, and is what ``embed`` (its 1-row call) and the kernels
-use.  It relies
+reference.  ``embed_rows`` simulates a whole row matrix at once, and is
+what ``embed`` (its 1-row call) and the kernels use.  For zz it relies
 on the identity CNOT(i, j) RZ_j(phi) CNOT(i, j) = diag(e^{-i phi/2},
 e^{+i phi/2}) on the parity bit_i XOR bit_j: the CNOTs only permute
 amplitudes, so each pair term is one diagonal phase, as is each RZ, and
-only the H layers mix amplitudes.
+only the H layers mix amplitudes.  The first H layer acts on |0...0>
+and leaves one amplitude in every entry, so the first repetition starts
+from a product state: that amplitude times the Kronecker product of the
+RZ phases.  Each amplitude still gets the same floating-point operations
+in the same order as applying the layers one by one, so the states are
+bit for bit those of the layer-by-layer loop, and of ``run_circuit``
+except for the sign of an amplitude part that is exactly zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -145,27 +151,51 @@ def build_feature_circuit(spec: FeatureMapSpec, x: Sequence) -> Circuit:
     return Circuit(spec.num_qubits, tuple(gates))
 
 
+def _hadamard_layer(states: np.ndarray) -> None:
+    hadamard = single_qubit_matrix(h(0))
+    for q in range(states.shape[1].bit_length() - 1):
+        accel.apply_single_qubit_rows(states, q, hadamard)
+
+
+@functools.lru_cache(maxsize=None)
+def _plus_amplitude(num_qubits: int) -> complex:
+    """The amplitude that every entry of H^q|0...0> gets from the dense
+    kernel: each H step adds an exact zero to the product, so there is
+    one."""
+    plus = zero_rows(1, num_qubits)
+    _hadamard_layer(plus)
+    return complex(plus[0, 0])
+
+
 def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
     """States of every row of an (n, num_qubits) matrix as an (n, 2**q)
-    block.  Row r equals ``run_circuit(build_feature_circuit(spec, rows[r]))``
-    bit for bit, except that an amplitude part that is exactly zero (a
+    block.  Every amplitude gets the floating-point operations of applying
+    the circuit layer by layer to |0...0> rows, in the same order, so
+    row r equals ``run_circuit(build_feature_circuit(spec, rows[r]))`` bit
+    for bit, except that an amplitude part that is exactly zero (a
     feature exactly 0 or pi can cause one) may carry the other sign."""
     x = check_rows(spec, rows)
-    states = zero_rows(x.shape[0], spec.num_qubits)
     if spec.kind == ANGLE_Y:
+        states = zero_rows(x.shape[0], spec.num_qubits)
         for _ in range(spec.repetitions):
             ry_layer_rows(states, x)
         return states
-    hadamard = single_qubit_matrix(h(0))
     qubit_phases = rz_phases(x)
     pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     pair_phases = rz_phases((math.pi - x[:, i]) * (math.pi - x[:, j]))
-    for _ in range(spec.repetitions):
-        for q in range(spec.num_qubits):
-            accel.apply_single_qubit_rows(states, q, hadamard)
-        for q in range(spec.num_qubits):
-            accel.apply_parity_phase_rows(states, (q,), qubit_phases[:, q])
+    # H on |0...0> gives every entry the same amplitude, so the first RZ
+    # layer is that amplitude times the Kronecker product of the qubit
+    # phases, built low qubit first.
+    states = np.full((1, 1), _plus_amplitude(spec.num_qubits))
+    for q in range(spec.num_qubits):
+        phase = qubit_phases[:, q]
+        states = np.concatenate([phase[:, :1] * states, phase[:, 1:] * states], axis=1)
+    for rep in range(spec.repetitions):
+        if rep:
+            _hadamard_layer(states)
+            for q in range(spec.num_qubits):
+                accel.apply_parity_phase_rows(states, (q,), qubit_phases[:, q])
         for p, pair in enumerate(pairs):
             accel.apply_parity_phase_rows(states, pair, pair_phases[:, p])
     return states

@@ -4,7 +4,8 @@ Everything here is an independent re-derivation used to cross-check the
 package: full-matrix circuit simulation via Kronecker products, the
 closed-form product kernel for per-qubit RY embeddings, an
 exhaustive feasible-grid search of the SVM dual, element-wise loop
-versions of the gate kernels in ``qkml.accel``, the random-partner SMO
+versions of the gate kernels in ``qkml.accel``, the per-view parity
+phase and the layer-by-layer zz embedding, the random-partner SMO
 loop whose dual ``qkml.accel.smo_solve`` must match or beat, a
 dot-product Z expectation, and
 the one-feature-at-a-time tree builder and per-row tree walk that
@@ -12,13 +13,16 @@ the one-feature-at-a-time tree builder and per-row tree walk that
 that ``qkml.hybrid`` must match bit for bit.
 """
 
+import itertools
 import math
 from typing import Tuple
 
 import numpy as np
 
+from qkml import accel
 from qkml import statevector as sv
 from qkml import trees
+from qkml.feature_maps import entangled_pairs
 from qkml.hybrid import DenseNet, TrainConfig, TrainHistory
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
@@ -223,6 +227,42 @@ def _apply_cz_loops(amps, control, target):
         if i & cbit and i & tbit:
             out[i] = -amps[i]
     return out
+
+
+# -- per-view zz oracles for qkml.accel and qkml.feature_maps -------------------
+# One multiply per bit-pattern view, and every zz layer applied to |0...0>
+# rows in turn: the same floating-point operations in the same order as
+# the one-multiply parity phase and the product-state first repetition,
+# which must match them byte for byte.
+
+
+def parity_phase_views(states, qubits, phases):
+    """``accel.apply_parity_phase_rows`` as one multiply per bit pattern
+    of `qubits`: 2 views for one qubit, 4 for a pair."""
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        view = accel._bits_view(states, dict(zip(qubits, bits)))
+        view[...] = accel._per_row(phases[:, sum(bits) % 2], view) * view
+
+
+def embed_zz_layers(spec, rows):
+    """zz states of an (n, q) row matrix, every repetition applied gate
+    layer by gate layer to |0...0> rows: H, then RZ per qubit, then the
+    pair phases, each phase by ``parity_phase_views``."""
+    x = np.asarray(rows, dtype=np.float64)
+    states = sv.zero_rows(x.shape[0], spec.num_qubits)
+    hadamard = sv.single_qubit_matrix(sv.h(0))
+    qubit_phases = sv.rz_phases(x)
+    pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    pair_phases = sv.rz_phases((math.pi - x[:, i]) * (math.pi - x[:, j]))
+    for _ in range(spec.repetitions):
+        for q in range(spec.num_qubits):
+            accel.apply_single_qubit_rows(states, q, hadamard)
+        for q in range(spec.num_qubits):
+            parity_phase_views(states, (q,), qubit_phases[:, q])
+        for p, pair in enumerate(pairs):
+            parity_phase_views(states, pair, pair_phases[:, p])
+    return states
 
 
 def z_expectation_dot(amps, qubit):

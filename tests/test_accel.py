@@ -4,12 +4,13 @@ Gates must match the element-wise loops in ``tests/helpers.py``
 bitwise (single-qubit gates for real matrices; complex ones to 1e-12),
 every row of a multi-row gate block must be byte-equal to that row run
 alone as a 1-row block, the parity phase must be byte-equal to its dense
-diagonal-plus-CNOT form, the split scan, on one column or on a block of
-candidate columns, must match the exhaustive root-split search bitwise,
-the Gram/cross matrices (a BLAS reduction) must match a per-pair
-``np.vdot`` to 1e-12, and the SMO solver must stay in its box, keep
-sum(alpha y) = 0, close the KKT gap to its tolerance and reach at least
-the dual of the random-partner loop solver in ``tests/helpers.py``.
+diagonal-plus-CNOT form and to its per-view form, the split scan, on one
+column or on a block of candidate columns, must match the exhaustive
+root-split search bitwise, the Gram/cross matrices (a BLAS reduction)
+must match a per-pair ``np.vdot`` to 1e-12, and the SMO solver must stay
+in its box, keep sum(alpha y) = 0, close the KKT gap to its tolerance and
+reach at least the dual of the random-partner loop solver in
+``tests/helpers.py``.
 """
 
 import os
@@ -183,6 +184,23 @@ def test_parity_phase_rows_bytes_equal_rz_and_cnot_rz_cnot():
         accel.apply_parity_phase_rows(block, (i,), phases[:, 0])
         accel.apply_parity_phase_rows(block, (i, j), phases[:, 1])
         assert block.tobytes() == dense.tobytes()
+
+
+def test_parity_phase_rows_bytes_equal_per_view_oracle():
+    # Every single qubit and every ordered pair, adjacent or not, the ring
+    # pair (q-1, 0) among them, with phases that are any complex numbers.
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        targets = [(i,) for i in range(n)]
+        targets += [(i, j) for i in range(n) for j in range(n) if i != j]
+        for qubits in targets:
+            for rows in (1, 3):
+                block = _random_block(rng, rows, n)
+                phases = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+                want = block.copy()
+                helpers.parity_phase_views(want, qubits, phases)
+                accel.apply_parity_phase_rows(block, qubits, phases)
+                assert block.tobytes() == want.tobytes(), (n, qubits, rows)
 
 
 def test_gram_pair_close_and_symmetric():

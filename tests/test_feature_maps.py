@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qkml import accel
 from qkml import feature_maps as fm
 from qkml import statevector as sv
 
@@ -159,3 +160,30 @@ def test_embed_is_one_row_of_embed_rows():
         block = fm.embed_rows(spec, x)
         for r in range(3):
             assert fm.embed(spec, x[r]).amplitudes.tobytes() == block[r].tobytes()
+
+
+def test_first_repetition_runs_the_dense_kernel_on_one_row_only(monkeypatch):
+    rng = np.random.default_rng(32)
+    x = rng.uniform(0, np.pi, size=(5, 4))
+    spec = fm.FeatureMapSpec(fm.ZZ, 4, repetitions=1, entanglement=fm.RING)
+    want = helpers.embed_zz_layers(spec, x)
+    seen = []
+    real = accel.apply_single_qubit_rows
+
+    def record(states, target, u):
+        seen.append(states.shape[0])
+        real(states, target, u)
+
+    monkeypatch.setattr(accel, "apply_single_qubit_rows", record)
+    fm._plus_amplitude.cache_clear()
+    assert fm.embed_rows(spec, x).tobytes() == want.tobytes()
+    assert seen == [1] * 4
+
+
+@pytest.mark.parametrize("q", [1, 2, 10, 20])
+def test_hadamard_layer_on_zero_state_has_one_amplitude(q):
+    plus = sv.zero_rows(1, q)
+    for target in range(q):
+        accel.apply_single_qubit_rows(plus, target, sv.single_qubit_matrix(sv.h(0)))
+    assert plus.tobytes() == np.full_like(plus, plus[0, 0]).tobytes()
+    assert np.complex128(fm._plus_amplitude(q)).tobytes() == plus[0, 0].tobytes()

@@ -242,6 +242,25 @@ def test_embedding_matrix_on_boundary_angles_equals_gate_path():
     assert qkernel.gram_from_states(got).entries.tobytes() == gram.entries.tobytes()
 
 
+@pytest.mark.parametrize("reps", [1, 2, 3])
+@pytest.mark.parametrize("entanglement", ["linear", "ring"])
+@pytest.mark.parametrize("q", range(1, 13))
+def test_zz_embedding_matrix_bytes_equal_layer_oracle(q, entanglement, reps):
+    # Stricter than the gate path: exact 0 and pi inputs must give the
+    # layer-by-layer oracle's zero signs too.
+    rng = np.random.default_rng(100 * q + 10 * reps + len(entanglement))
+    spec = FeatureMapSpec(ZZ, q, repetitions=reps, entanglement=entanglement)
+    for n in (1, 5, 37):
+        edges = rng.uniform(0, np.pi, size=(n, q))
+        pick = rng.integers(3, size=(n, q))
+        edges[pick == 0] = 0.0
+        edges[pick == 1] = np.pi
+        spread = rng.uniform(0, np.pi, size=(n, q)), rng.uniform(-7.0, 7.0, size=(n, q))
+        for x in spread + (edges,):
+            got = qkernel.embedding_matrix(spec, x)
+            assert got.tobytes() == helpers.embed_zz_layers(spec, x).tobytes(), n
+
+
 def test_embedding_matrix_rejects_bad_rows():
     spec = FeatureMapSpec(ZZ, 2)
     with pytest.raises(ValueError):
