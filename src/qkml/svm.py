@@ -151,9 +151,11 @@ def train_svm(
     Training is deterministic and draws no random numbers: ``seed``, like
     ``SvmConfig.max_passes``, is kept for compatibility and has no effect.
     The solve stops once the KKT gap falls below ``config.tolerance``.  A
-    matrix whose smallest eigenvalue falls below PSD_WARN_TOL triggers a
-    warning but training proceeds (the check is skipped above
-    _PSD_CHECK_MAX_N rows to stay affordable).
+    plain array whose smallest eigenvalue falls below PSD_WARN_TOL
+    triggers a warning but training proceeds (the check is skipped above
+    _PSD_CHECK_MAX_N rows to stay affordable).  A ``GramMatrix`` is not
+    checked: its fidelities |<a|b>|^2 are the entrywise product of a PSD
+    Gram and its conjugate, so it is PSD by the Schur product theorem.
     """
     kmat = np.ascontiguousarray(_as_kernel_matrix(gram))
     n = kmat.shape[0]
@@ -163,7 +165,7 @@ def train_svm(
             f"train_svm takes a precomputed matrix; config says {config.kernel!r}"
             " (use train_svm_features)"
         )
-    if n <= _PSD_CHECK_MAX_N:
+    if not isinstance(gram, GramMatrix) and n <= _PSD_CHECK_MAX_N:
         min_eig = float(np.linalg.eigvalsh((kmat + kmat.T) / 2.0)[0])
         if min_eig < PSD_WARN_TOL:
             warnings.warn(

@@ -230,10 +230,10 @@ def _apply_cz_loops(amps, control, target):
 
 
 # -- per-view zz oracles for qkml.accel and qkml.feature_maps -------------------
-# One multiply per bit-pattern view, and every zz layer applied to |0...0>
-# rows in turn: the same floating-point operations in the same order as
-# the one-multiply parity phase and the product-state first repetition,
-# which must match them byte for byte.
+# One multiply per bit-pattern view: the same floating-point operations in
+# the same order as the one-multiply parity phase, which must match it
+# byte for byte.  Every zz layer applied to |0...0> rows in turn, with the
+# dense H kernel: ``feature_maps.embed_rows`` must match it to 1e-12.
 
 
 def parity_phase_views(states, qubits, phases):

@@ -162,22 +162,20 @@ def test_embed_is_one_row_of_embed_rows():
             assert fm.embed(spec, x[r]).amplitudes.tobytes() == block[r].tobytes()
 
 
-def test_first_repetition_runs_the_dense_kernel_on_one_row_only(monkeypatch):
+def test_zz_embed_rows_makes_no_dense_kernel_call(monkeypatch):
     rng = np.random.default_rng(32)
     x = rng.uniform(0, np.pi, size=(5, 4))
-    spec = fm.FeatureMapSpec(fm.ZZ, 4, repetitions=1, entanglement=fm.RING)
-    want = helpers.embed_zz_layers(spec, x)
+    specs = [fm.FeatureMapSpec(fm.ZZ, 4, repetitions=r, entanglement=fm.RING) for r in (1, 2, 3)]
+    wants = [helpers.embed_zz_layers(spec, x) for spec in specs]
     seen = []
-    real = accel.apply_single_qubit_rows
 
     def record(states, target, u):
         seen.append(states.shape[0])
-        real(states, target, u)
 
     monkeypatch.setattr(accel, "apply_single_qubit_rows", record)
-    fm._plus_amplitude.cache_clear()
-    assert fm.embed_rows(spec, x).tobytes() == want.tobytes()
-    assert seen == [1] * 4
+    for spec, want in zip(specs, wants):
+        np.testing.assert_allclose(fm.embed_rows(spec, x), want, rtol=0, atol=1e-12)
+    assert seen == []
 
 
 @pytest.mark.parametrize("q", [1, 2, 10, 20])
@@ -186,4 +184,45 @@ def test_hadamard_layer_on_zero_state_has_one_amplitude(q):
     for target in range(q):
         accel.apply_single_qubit_rows(plus, target, sv.single_qubit_matrix(sv.h(0)))
     assert plus.tobytes() == np.full_like(plus, plus[0, 0]).tobytes()
-    assert np.complex128(fm._plus_amplitude(q)).tobytes() == plus[0, 0].tobytes()
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_walsh_hadamard_butterflies_equal_dense_hadamard_layer(q):
+    rng = np.random.default_rng(40 + q)
+    block = rng.normal(size=(3, 1 << q)) + 1j * rng.normal(size=(3, 1 << q))
+    block /= np.linalg.norm(block, axis=1, keepdims=True)
+    dense = block.copy()
+    for target in range(q):
+        accel.apply_single_qubit_rows(dense, target, sv.single_qubit_matrix(sv.h(0)))
+    a, b = np.empty_like(block), np.empty_like(block)
+    before = block.copy()
+    got = fm._walsh_hadamard(block, a, b)
+    assert got is a or got is b
+    assert block.tobytes() == before.tobytes()
+    np.testing.assert_allclose(got * 2.0 ** (-q / 2), dense, rtol=0, atol=1e-12)
+
+
+def _zz_diagonal(spec, x):
+    """D of one zz repetition, entry by entry from the basis index bits:
+    the RZ phase of every qubit times the pair phase of every parity."""
+    q = spec.num_qubits
+    bits = (np.arange(1 << q)[:, None] >> np.arange(q)) & 1
+    qubit_phases = sv.rz_phases(x)
+    diag = np.ones((x.shape[0], 1 << q), dtype=np.complex128)
+    for k in range(q):
+        diag *= qubit_phases[:, k, bits[:, k]]
+    for i, j in fm.entangled_pairs(q, spec.entanglement):
+        phases = sv.rz_phases((np.pi - x[:, i]) * (np.pi - x[:, j]))
+        diag *= phases[:, bits[:, i] ^ bits[:, j]]
+    return diag
+
+
+@pytest.mark.parametrize("entanglement", [fm.LINEAR, fm.RING])
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 10])
+def test_one_repetition_state_is_the_scaled_diagonal(q, entanglement):
+    rng = np.random.default_rng(50 + q)
+    x = np.vstack([rng.uniform(0, np.pi, size=(4, q)), [0.0] * q, [np.pi] * q])
+    spec = fm.FeatureMapSpec(fm.ZZ, q, repetitions=1, entanglement=entanglement)
+    np.testing.assert_allclose(
+        fm.embed_rows(spec, x), _zz_diagonal(spec, x) * 2.0 ** (-q / 2), rtol=0, atol=1e-12
+    )

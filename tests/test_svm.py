@@ -61,6 +61,24 @@ def test_non_psd_matrix_warns_but_trains():
         svm.train_svm(kmat, [0, 1])
 
 
+def test_gram_matrix_input_skips_the_eigenvalue_check(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0, np.pi, size=(12, 3))
+    gram = qkernel.gram_matrix(FeatureMapSpec(ZZ, 3), x)
+    labels = (x[:, 0] > np.pi / 2).astype(int)
+    want = svm.train_svm(gram.entries, labels)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a GramMatrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    got = svm.train_svm(gram, labels)
+    assert got.alphas.tobytes() == want.alphas.tobytes()
+    assert got.bias == want.bias
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        svm.train_svm(gram.entries, labels)
+
+
 def test_decision_function_empty_model_sum():
     model = svm.SvmModel(
         config=svm.SvmConfig(),
