@@ -78,7 +78,7 @@ def apply_cz_rows(states, control, target):
 
 
 # Parity of each bit pattern of one phase qubit or of a pair.
-_PARITY = {1: np.array([0, 1]), 2: np.array([[0, 1], [1, 0]])}
+PARITY = {1: np.array([0, 1]), 2: np.array([[0, 1], [1, 0]])}
 
 
 def apply_parity_phase_rows(states, qubits, phases):
@@ -97,18 +97,34 @@ def apply_parity_phase_rows(states, qubits, phases):
     shape.append(1 << above)
     table_shape.append(1)
     view = states.reshape(shape)
-    view[...] = phases[:, _PARITY[len(qubits)]].reshape(table_shape) * view
+    view[...] = phases[:, PARITY[len(qubits)]].reshape(table_shape) * view
 
 
 # ---------------------------------------------------------------------------
 # Fidelity matrices.  states is (n, dim) complex128 with unit rows; the
-# result holds |<s_i|s_j>|^2 from one BLAS matmul.  The Gram copies its
-# upper triangle onto the lower so the output is exactly symmetric.
+# result holds |<s_i|s_j>|^2.  The cross kernel is one complex BLAS
+# matmul.  The Gram is built in real arithmetic from two real BLAS
+# products: Re<a|b> is the dot product of the interleaved (re, im) rows,
+# written as x @ x.T on one array so that numpy takes its symmetric
+# (syrk) path, and Im<a|b> is m - m.T with m = re @ im.T, a half-width
+# product on contiguous copies of the parts.  Im comes first, so the
+# copies are dropped before the real part is allocated.  The Gram copies
+# its upper triangle onto the lower so the output is exactly symmetric
+# whichever BLAS path ran.
 # ---------------------------------------------------------------------------
 
 
 def fidelity_gram(states):
-    g = fidelity_cross(states, states)
+    states = np.ascontiguousarray(states, dtype=np.complex128)
+    re, im = states.real.copy(), states.imag.copy()
+    imag = re @ im.T
+    del re, im
+    imag = imag - imag.T
+    x = states.view(np.float64)
+    g = x @ x.T
+    imag *= imag
+    g *= g
+    g += imag
     low = np.tril_indices(g.shape[0], -1)
     g[low] = g.T[low]
     return g

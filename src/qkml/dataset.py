@@ -28,7 +28,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import date, datetime
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -267,6 +267,19 @@ def _parse_date(cell: str):
     text = cell.strip()
     if not text:
         return None
+    # ASCII YYYY-MM-DD without strptime, which costs most of feature
+    # engineering.  An impossible date falls through to the loop below,
+    # which raises for it as before.
+    if (
+        len(text) == 10
+        and text.isascii()
+        and text[4] == text[7] == "-"
+        and (text[:4] + text[5:7] + text[8:]).isdigit()
+    ):
+        try:
+            return date(int(text[:4]), int(text[5:7]), int(text[8:]))
+        except ValueError:
+            pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(text, fmt).date()

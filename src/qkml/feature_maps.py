@@ -21,16 +21,19 @@ on the identity CNOT(i, j) RZ_j(phi) CNOT(i, j) = diag(e^{-i phi/2},
 e^{+i phi/2}) on the parity bit_i XOR bit_j: the CNOTs only permute
 amplitudes, so each pair term is one diagonal phase, as is each RZ, and
 one repetition is U_Phi(x) H^q with U_Phi(x) = D a diagonal.  D is built
-once per row block: the Kronecker product of the RZ phases, then one
-multiply per pair phase.  H^q|0...0> is 2^(-q/2) in every entry, so the
-first repetition is Ds = D 2^(-q/2), and each later one is an
-unnormalised Walsh-Hadamard transform (q add/subtract passes) followed
-by one multiply by Ds.  Each amplitude gets element-wise operations
-only, so a row's bytes do not depend on the block's row count.  The
-states agree with ``run_circuit`` and with the layer-by-layer loop in
-``tests/helpers.py`` to 1e-12 per amplitude, and so do the fidelity
-kernel entries built from them, but not bit for bit: the butterflies
-scale once at the end instead of by 1/sqrt(2) per H gate.
+once per row block as a Kronecker product, low qubit first: qubit q >= 1
+enters by one multiply with a per-row 2x2 table over (bit q, bit q-1),
+its RZ phase times the phase of the linear pair (q-1, q).  Only a ring's
+closing pair (n-1, 0) is a multiply of the whole block.  H^q|0...0> is
+2^(-q/2) in every entry, so the first repetition is Ds = D 2^(-q/2),
+and each later one is an unnormalised Walsh-Hadamard transform (q
+add/subtract passes) followed by one multiply by Ds.  Each amplitude
+gets element-wise operations only, so a row's bytes do not depend on
+the block's row count.  The states agree with ``run_circuit`` and with
+the layer-by-layer loop in ``tests/helpers.py`` to 1e-12 per amplitude,
+and so do the fidelity kernel entries built from them, but not bit for
+bit: the butterflies scale once at the end instead of by 1/sqrt(2) per
+H gate.
 """
 
 from __future__ import annotations
@@ -175,28 +178,38 @@ def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
     """States of every row of an (n, num_qubits) matrix as an (n, 2**q)
     block.  angle_y applies its RY layers to |0...0> rows, and row r
     equals ``run_circuit(build_feature_circuit(spec, rows[r]))`` bit for
-    bit.  zz builds the diagonal D of one repetition once, starts from
-    Ds = D 2^(-q/2) and runs each later repetition as Walsh-Hadamard
-    butterflies and one multiply by Ds; row r equals the gate path to
-    1e-12 per amplitude.  Either way a row's bytes do not depend on the
-    other rows of the block."""
+    bit.  zz builds the diagonal D of one repetition once, as a
+    Kronecker product that takes in each linear pair phase with its
+    higher qubit's RZ phase, then multiplies in a ring's closing pair.
+    It starts from Ds = D 2^(-q/2) and runs each later repetition as
+    Walsh-Hadamard butterflies and one multiply by Ds; row r equals the
+    gate path to 1e-12 per amplitude.  Either way a row's bytes do not
+    depend on the other rows of the block."""
     x = check_rows(spec, rows)
     if spec.kind == ANGLE_Y:
         states = zero_rows(x.shape[0], spec.num_qubits)
         for _ in range(spec.repetitions):
             ry_layer_rows(states, x)
         return states
+    n = x.shape[0]
     qubit_phases = rz_phases(x)
     pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     pair_phases = rz_phases((math.pi - x[:, i]) * (math.pi - x[:, j]))
-    # D: the Kronecker product of the qubit phases, built low qubit
-    # first, then the pair phases.
-    diag = np.ones((x.shape[0], 1), dtype=np.complex128)
-    for q in range(spec.num_qubits):
-        diag = (qubit_phases[:, q, :, None] * diag[:, None]).reshape(x.shape[0], -1)
-    for p, pair in enumerate(pairs):
-        accel.apply_parity_phase_rows(diag, pair, pair_phases[:, p])
+    # D, built low qubit first from qubit 0's phases.  Qubit q >= 1 comes
+    # in by one multiply with a per-row table over (bit q, bit q-1): its
+    # RZ phase times the phase of the linear pair (q-1, q) on their
+    # parity.  np.multiply, not `*`: numpy may compute `a * <temporary>`
+    # in the temporary's memory with the operands swapped once it is
+    # large, and a complex product's last bit depends on their order.
+    diag = qubit_phases[:, 0]
+    for q in range(1, spec.num_qubits):
+        pair = pair_phases[:, q - 1, accel.PARITY[2]]
+        table = np.multiply(qubit_phases[:, q, :, None], pair)
+        diag = (table[..., None] * diag.reshape(n, 1, 2, -1)).reshape(n, -1)
+    # The ring's closing pair (q-1, 0) is the only multiply of the block.
+    for p in range(spec.num_qubits - 1, len(pairs)):
+        accel.apply_parity_phase_rows(diag, pairs[p], pair_phases[:, p])
     scaled = 2.0 ** (-spec.num_qubits / 2) * diag
     states = scaled
     a, b = np.empty_like(scaled), np.empty_like(scaled)

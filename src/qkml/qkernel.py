@@ -2,12 +2,14 @@
 
 ``embedding_matrix`` simulates the feature map for a whole row matrix, a
 block of rows at a time (``statevector.block_rows``); all pairwise
-overlaps of the states are then evaluated in one BLAS matmul.
+overlaps of the states are then evaluated by BLAS products
+(``accel.fidelity_gram``, ``accel.fidelity_cross``).
 ``gram_from_states`` and ``cross_from_states`` work on states already
 embedded, so one embedding of a train set feeds both its Gram matrix and
 a test-by-train cross kernel; ``gram_matrix`` and ``cross_kernel`` embed
 their rows themselves.  Entries are clamped to [0, 1]; drift beyond
-CLAMP_TOL outside that interval indicates a broken embedding and raises.
+CLAMP_TOL outside that interval, or a NaN, indicates a broken embedding
+and raises.
 
 Gram matrices can be exported to a small binary container (magic
 ``QKGM``) with a JSON sidecar carrying the feature-map description and
@@ -64,10 +66,11 @@ def kernel_entry(spec: FeatureMapSpec, x: Sequence, x_prime: Sequence) -> float:
 
 
 def _clamp_unit(values: np.ndarray) -> np.ndarray:
-    """Clamp to [0, 1]; error out when anything drifts past CLAMP_TOL."""
+    """Clamp to [0, 1]; error out when anything drifts past CLAMP_TOL or
+    is NaN (a NaN min or max fails both comparisons)."""
     low = float(values.min())
     high = float(values.max())
-    if low < -CLAMP_TOL or high > 1.0 + CLAMP_TOL:
+    if not (low >= -CLAMP_TOL and high <= 1.0 + CLAMP_TOL):
         raise ValueError(
             f"fidelity outside [0, 1] beyond tolerance {CLAMP_TOL}: "
             f"range [{low}, {high}]"

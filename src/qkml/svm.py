@@ -156,6 +156,7 @@ def train_svm(
     _PSD_CHECK_MAX_N rows to stay affordable).  A ``GramMatrix`` is not
     checked: its fidelities |<a|b>|^2 are the entrywise product of a PSD
     Gram and its conjugate, so it is PSD by the Schur product theorem.
+    A kernel matrix with a NaN or infinite entry raises ValueError.
     """
     kmat = np.ascontiguousarray(_as_kernel_matrix(gram))
     n = kmat.shape[0]
@@ -206,6 +207,9 @@ SUPPORT_EPS = 1e-8
 
 
 def _fit(kmat, y01, config, train_features) -> SvmModel:
+    # SMO never meets its stopping rule on a NaN gradient.
+    if not np.all(np.isfinite(kmat)):
+        raise ValueError("kernel matrix contains non-finite values")
     y = (2 * y01 - 1).astype(np.float64)
     weights = config.class_weight or (1.0, 1.0)
     c_arr = float(config.c) * np.where(y01 == 1, weights[1], weights[0])

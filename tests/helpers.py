@@ -5,7 +5,8 @@ package: full-matrix circuit simulation via Kronecker products, the
 closed-form product kernel for per-qubit RY embeddings, an
 exhaustive feasible-grid search of the SVM dual, element-wise loop
 versions of the gate kernels in ``qkml.accel``, the per-view parity
-phase and the layer-by-layer zz embedding, the random-partner SMO
+phase and the layer-by-layer zz embedding, the complex-matmul fidelity
+Gram, the strptime date parser, the random-partner SMO
 loop whose dual ``qkml.accel.smo_solve`` must match or beat, a
 dot-product Z expectation, and
 the one-feature-at-a-time tree builder and per-row tree walk that
@@ -15,11 +16,12 @@ that ``qkml.hybrid`` must match bit for bit.
 
 import itertools
 import math
+from datetime import datetime
 from typing import Tuple
 
 import numpy as np
 
-from qkml import accel
+from qkml import accel, dataset
 from qkml import statevector as sv
 from qkml import trees
 from qkml.feature_maps import entangled_pairs
@@ -263,6 +265,36 @@ def embed_zz_layers(spec, rows):
         for p, pair in enumerate(pairs):
             parity_phase_views(states, pair, pair_phases[:, p])
     return states
+
+
+# -- fidelity and date oracles ------------------------------------------------
+# The Gram as one complex BLAS matmul: ``accel.fidelity_gram`` builds it
+# from real products and must match it to 1e-12.  The strptime loop over
+# every date format: ``dataset._parse_date`` must give the same date or
+# raise the same exception with the same message.
+
+
+def fidelity_gram_complex(states):
+    """|<s_i|s_j>|^2 from conj(states) @ states.T, upper triangle copied
+    onto the lower."""
+    inner = states.conj() @ states.T
+    g = inner.real**2 + inner.imag**2
+    low = np.tril_indices(g.shape[0], -1)
+    g[low] = g.T[low]
+    return g
+
+
+def parse_date_strptime(cell):
+    """A date cell through ``datetime.strptime`` alone; None when blank."""
+    text = cell.strip()
+    if not text:
+        return None
+    for fmt in dataset._DATE_FORMATS:
+        try:
+            return datetime.strptime(text, fmt).date()
+        except ValueError:
+            continue
+    raise ValueError(f"unparseable date {cell!r}")
 
 
 def z_expectation_dot(amps, qubit):

@@ -7,7 +7,8 @@ alone as a 1-row block, the parity phase must be byte-equal to its dense
 diagonal-plus-CNOT form and to its per-view form, the split scan, on one
 column or on a block of candidate columns, must match the exhaustive
 root-split search bitwise, the Gram/cross matrices (a BLAS reduction)
-must match a per-pair ``np.vdot`` to 1e-12, and the SMO solver must stay
+must match a per-pair ``np.vdot`` to 1e-12, the Gram also the complex
+matmul oracle, and the SMO solver must stay
 in its box, keep sum(alpha y) = 0, close the KKT gap to its tolerance and
 reach at least the dual of the random-partner loop solver in
 ``tests/helpers.py``.
@@ -18,9 +19,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import helpers
-from qkml import accel
+from qkml import accel, qkernel
+from qkml.feature_maps import RING, ZZ, FeatureMapSpec
 
 
 def _random_state(rng, n_qubits):
@@ -208,6 +211,21 @@ def test_gram_pair_close_and_symmetric():
     states = np.vstack([_random_state(rng, 3) for _ in range(12)])
     g = accel.fidelity_gram(states)
     np.testing.assert_allclose(g, _vdot_fidelities(states, states), atol=1e-12)
+    np.testing.assert_array_equal(g, g.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 37, 130])
+@pytest.mark.parametrize("q", [1, 2, 5, 10])
+def test_real_gram_matches_complex_gram_on_zz_states(q, n):
+    rng = np.random.default_rng(60 + q)
+    spec = FeatureMapSpec(ZZ, q, repetitions=2, entanglement=RING)
+    states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, q)))
+    before = states.copy()
+    g = accel.fidelity_gram(states)
+    assert states.tobytes() == before.tobytes()
+    assert accel.fidelity_gram(np.asfortranarray(states)).tobytes() == g.tobytes()
+    np.testing.assert_allclose(g, helpers.fidelity_gram_complex(states), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g, _vdot_fidelities(states, states), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(g, g.T)
 
 

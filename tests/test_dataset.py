@@ -1,10 +1,14 @@
 """CSV ingestion, status filtering, feature engineering, split, scale."""
 
+import itertools
 import math
+from datetime import date
 
 import numpy as np
 import pytest
 
+import helpers
+from qkml import dataset
 from qkml.dataset import (
     Dataset,
     FeatureConfig,
@@ -450,3 +454,31 @@ def test_dataset_type_validation():
         Dataset(np.zeros((2, 2)), [0, 1], ("a",))
     with pytest.raises(ValueError, match="0/1"):
         Dataset(np.zeros((2, 1)), [0, 3], ("a",))
+
+
+def _date_or_error(parse, cell):
+    try:
+        return parse(cell)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_iso_date_fast_path_agrees_with_strptime():
+    """The same date, or the same error, as strptime over every format."""
+    cells = [
+        "2020-02-30", "2020-13-01", "2020-1-5", "2020-01-0\uff15", "+020-01-05",
+        "20200105", "2020-W01-1", "01/05/2020", " 2020-01-05 ", "\t2020-01-05",
+        "", "   ", "2020-01-05T00", "2020-00-10", "0000-01-01", "0001-01-01",
+        "9999-12-31", "2021-02-29", "2024-02-29", "2020/01/05", "2020-01-5 ",
+        "2020--1-05", "2020-1--5", "-020-01-05", "2020-01-\u0665\u0665",
+        "2020-01/05", "2020/01-05", "2020.01.05",
+    ]
+    years = ("2020", "1999", "0000", "20a0")
+    months = ("01", "1", "00", "12", "13")
+    days = ("05", "5", "00", "29", "31", "32", "0x")
+    for y, m, d in itertools.product(years, months, days):
+        cells += [f"{y}-{m}-{d}", f"{m}/{d}/{y}"]
+    for cell in cells:
+        want = _date_or_error(helpers.parse_date_strptime, cell)
+        assert _date_or_error(dataset._parse_date, cell) == want, cell
+    assert dataset._parse_date("2020-01-05") == date(2020, 1, 5)

@@ -178,6 +178,25 @@ def test_zz_embed_rows_makes_no_dense_kernel_call(monkeypatch):
     assert seen == []
 
 
+@pytest.mark.parametrize("entanglement", [fm.LINEAR, fm.RING])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 10])
+def test_only_the_ring_closing_pair_is_a_block_multiply(monkeypatch, q, entanglement):
+    rng = np.random.default_rng(33)
+    x = rng.uniform(0, np.pi, size=(5, q))
+    spec = fm.FeatureMapSpec(fm.ZZ, q, repetitions=2, entanglement=entanglement)
+    want = helpers.embed_zz_layers(spec, x)
+    seen = []
+    apply = accel.apply_parity_phase_rows
+
+    def record(states, qubits, phases):
+        seen.append(tuple(qubits))
+        apply(states, qubits, phases)
+
+    monkeypatch.setattr(accel, "apply_parity_phase_rows", record)
+    np.testing.assert_allclose(fm.embed_rows(spec, x), want, rtol=0, atol=1e-12)
+    assert seen == ([(q - 1, 0)] if entanglement == fm.RING and q >= 3 else [])
+
+
 @pytest.mark.parametrize("q", [1, 2, 10, 20])
 def test_hadamard_layer_on_zero_state_has_one_amplitude(q):
     plus = sv.zero_rows(1, q)

@@ -131,6 +131,19 @@ def test_clamp_rejects_drift_beyond_tolerance():
     np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
+def test_nan_fidelities_are_rejected():
+    # (pi - 1e200)^2 overflows to inf, so the pair phase of row 0 is NaN.
+    spec = FeatureMapSpec(ZZ, 2)
+    rows = np.array([[1e200, 1e200], [0.5, 0.3], [0.1, 0.2]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="fidelity outside"):
+            qkernel.gram_matrix(spec, rows)
+        with pytest.raises(ValueError, match="fidelity outside"):
+            qkernel.cross_kernel(spec, rows[1:], rows)
+    with pytest.raises(ValueError, match="fidelity outside"):
+        qkernel._clamp_unit(np.array([0.5, np.nan]))
+
+
 def test_gram_container_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     x = rng.uniform(0, np.pi, size=(6, 2))

@@ -79,6 +79,17 @@ def test_gram_matrix_input_skips_the_eigenvalue_check(monkeypatch):
         svm.train_svm(gram.entries, labels)
 
 
+def test_nan_kernel_is_rejected_before_smo(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("smo_solve reached with a NaN kernel")
+
+    monkeypatch.setattr(accel, "smo_solve", refuse)
+    kmat = np.eye(3)
+    kmat[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        svm.train_svm(kmat, [0, 1, 1])
+
+
 def test_decision_function_empty_model_sum():
     model = svm.SvmModel(
         config=svm.SvmConfig(),
