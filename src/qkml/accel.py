@@ -1,10 +1,9 @@
 """Hot numeric kernels, one numpy implementation each.
 
-Gate application, fidelity matrices, the SMO dual solver and the Gini
-split scan.  Element-wise loop versions of the gate kernels and a
-one-feature-at-a-time split scan in ``tests/helpers.py`` are the oracles
-they are tested against; the SMO solver is checked against the dual
-reached by the random-partner loop solver kept there.
+Gate application, fidelity matrices and the SMO dual solver.
+Element-wise loop versions of the gate kernels in ``tests/helpers.py``
+are the oracles they are tested against; the SMO solver is checked
+against the dual reached by the random-partner loop solver kept there.
 """
 
 from __future__ import annotations
@@ -77,27 +76,21 @@ def apply_cz_rows(states, control, target):
     np.negative(both, out=both)
 
 
-# Parity of each bit pattern of one phase qubit or of a pair.
-PARITY = {1: np.array([0, 1]), 2: np.array([[0, 1], [1, 0]])}
+# Parity of each bit pattern of a qubit pair.
+PARITY = np.array([[0, 1], [1, 0]])
 
 
 def apply_parity_phase_rows(states, qubits, phases):
     """Multiply each amplitude by phases[:, p], p the parity of its bits
-    at `qubits`; phases is (rows, 2).  One qubit gives RZ; a pair (i, j)
-    gives CNOT(i, j) RZ_j CNOT(i, j), whose CNOTs only permute.  The block
-    is viewed with one axis per phase qubit and one per run of the other
+    at the pair `qubits` = (i, j); phases is (rows, 2).  This is
+    CNOT(i, j) RZ_j CNOT(i, j), whose CNOTs only permute.  The block is
+    viewed with one axis per phase qubit and one per run of the other
     bits and multiplied once by a per-row table of phases by parity."""
     rows, dim = states.shape
-    above = dim.bit_length() - 1
-    shape, table_shape = [rows], [-1]
-    for q in sorted(qubits, reverse=True):
-        shape += [1 << (above - q - 1), 2]
-        table_shape += [1, 2]
-        above = q
-    shape.append(1 << above)
-    table_shape.append(1)
-    view = states.reshape(shape)
-    view[...] = phases[:, PARITY[len(qubits)]].reshape(table_shape) * view
+    lo, hi = sorted(qubits)
+    n = dim.bit_length() - 1
+    view = states.reshape(rows, 1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    view[...] = phases[:, PARITY].reshape(-1, 1, 2, 1, 2, 1) * view
 
 
 # ---------------------------------------------------------------------------
@@ -253,47 +246,3 @@ def _smo_step(i, j, kmat, kdiag, y, c_arr, alphas, grad):
             a_i, a_j = 0.0, total
     alphas[i], alphas[j] = a_i, a_j
     grad += y * ((y[i] * (a_i - old_i)) * kmat[i] + (y[j] * (a_j - old_j)) * kmat[j])
-
-
-# ---------------------------------------------------------------------------
-# Best Gini split over k candidate feature columns, each sorted ascending.
-#
-# Split positions sit at boundaries between distinct consecutive values;
-# the threshold is their midpoint, samples with value <= threshold go
-# left.  Every admissible position of every row is scored in one pass and
-# the first strict minimum in feature-major order wins, so equal scores
-# resolve to the lowest row, then the lowest threshold.  Returns (score, threshold,
-# row) where score is the weighted child impurity; row is -1 when no
-# admissible split exists.
-# ---------------------------------------------------------------------------
-
-
-def scan_best_split(values, labels, min_leaf):
-    """Scan a sorted ``(k, n)`` value block and its row-aligned 0/1 labels.
-
-    A 1-d column and its labels are the ``k = 1`` case.
-    """
-    values = np.atleast_2d(values)
-    labels = np.atleast_2d(labels)
-    n = values.shape[1]
-    # Position p puts the first p rows left; only p in [first, last]
-    # leaves min_leaf rows on each side.
-    first, last = min_leaf, n - min_leaf
-    boundary = values[:, first:last + 1] > values[:, first - 1:last]
-    if not boundary.any():
-        return np.inf, 0.0, -1
-    ones = labels.cumsum(axis=1)
-    lo = ones[:, first - 1:last].astype(np.float64)
-    pl = np.arange(first, last + 1, dtype=np.float64)
-    pr = n - pl
-    lz = pl - lo
-    ro = ones[:, -1:] - lo
-    rz = pr - ro
-    score = (
-        pl * (1.0 - (lz * lz + lo * lo) / (pl * pl))
-        + pr * (1.0 - (rz * rz + ro * ro) / (pr * pr))
-    ) / n
-    row, pos = divmod(int(np.where(boundary, score, np.inf).argmin()), last - first + 1)
-    p = first + pos
-    thr = (values[row, p - 1] + values[row, p]) / 2.0
-    return float(score[row, pos]), float(thr), row

@@ -122,7 +122,8 @@ def _check_features(spec: FeatureMapSpec, x: Sequence) -> np.ndarray:
 
 
 def check_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
-    """The rows as a float64 (n, num_qubits) matrix of finite values."""
+    """The rows as a float64 (n, num_qubits) matrix of finite values whose
+    zz pair angles are finite too."""
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.num_qubits:
         raise ValueError(
@@ -131,6 +132,13 @@ def check_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("feature rows contain non-finite values")
+    # Only values of 1e150 or more can make a pair angle overflow.
+    if spec.kind == ZZ and not np.all(np.abs(x) < 1e150):
+        pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
+        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite((math.pi - x[:, i]) * (math.pi - x[:, j]))):
+                raise ValueError("zz pair angles (pi - x_i)(pi - x_j) overflow to inf")
     return x
 
 
@@ -204,7 +212,7 @@ def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
     # large, and a complex product's last bit depends on their order.
     diag = qubit_phases[:, 0]
     for q in range(1, spec.num_qubits):
-        pair = pair_phases[:, q - 1, accel.PARITY[2]]
+        pair = pair_phases[:, q - 1, accel.PARITY]
         table = np.multiply(qubit_phases[:, q, :, None], pair)
         diag = (table[..., None] * diag.reshape(n, 1, 2, -1)).reshape(n, -1)
     # The ring's closing pair (q-1, 0) is the only multiply of the block.

@@ -7,9 +7,11 @@ threshold, so a training run is a pure function of its inputs.  A node
 becomes a leaf when it is pure, too small, at max depth, or when no
 split strictly decreases impurity.
 
-Training grows each tree depth first.  At every node the candidate
-feature columns are sorted as one block and scored in one pass
-(``accel.scan_best_split``).
+Training grows all of a forest's trees in lockstep (``_grow``), and
+``train_tree`` is the one-tree case.  Each step sorts the rows of every
+(node, feature) candidate by a key of dense value rank and label, at
+most ``_CHUNK`` at once, scores every new value's position, and
+partitions the split nodes' row ranges in place.
 
 The forest draws one RNG per tree, seeded ``seed + tree_index`` (the
 bootstrap sample is drawn first, then per-split feature subsets in node
@@ -30,7 +32,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import accel
 from .artifacts import require_fields
 
 
@@ -39,11 +40,9 @@ def gini_impurity(class_counts) -> float:
     zeros, ones = (int(c) for c in class_counts)
     if zeros < 0 or ones < 0:
         raise ValueError(f"negative class counts {class_counts}")
-    n = zeros + ones
-    if n == 0:
+    if zeros + ones == 0:
         raise ValueError("empty node has no impurity")
-    nf = float(n)
-    return 1.0 - (zeros * zeros + ones * ones) / (nf * nf)
+    return _node_impurity(zeros, ones)
 
 
 def gini(labels: Sequence) -> float:
@@ -133,11 +132,7 @@ def _check_xy(features, labels):
 
 
 def _leaf(ones: int, zeros: int) -> TreeNode:
-    # Count tie -> class 0.
-    return TreeNode(
-        class_counts=(zeros, ones),
-        predicted_class=1 if ones > zeros else 0,
-    )
+    return TreeNode((zeros, ones), int(ones > zeros))  # count tie -> class 0
 
 
 def _node_impurity(zeros: int, ones: int) -> float:
@@ -145,45 +140,158 @@ def _node_impurity(zeros: int, ones: int) -> float:
     return 1.0 - (zeros * zeros + ones * ones) / (n * n)
 
 
-def _build(cols, y, depth, config, rng, mtry):
-    """Grow a subtree from ``cols``, the node's rows as a (features, rows) block."""
-    n = y.shape[0]
-    ones = int(y.sum())
-    zeros = n - ones
-    if (
-        ones == 0
-        or zeros == 0
-        or depth >= config.max_depth
-        or n < config.min_samples_split
-    ):
-        return _leaf(ones, zeros)
+def _weighted_gini(m, ones):
+    """m times the Gini impurity of m rows, ``ones`` of class 1, over float
+    arrays; a split scores the sum of its sides' over the node's rows."""
+    zeros = m - ones
+    return m * (1.0 - (zeros * zeros + ones * ones) / (m * m))
 
-    d = cols.shape[0]
-    if mtry is not None and mtry < d:
-        # Sorted so the lowest-index tie rule survives subsetting.
-        feats = np.sort(rng.choice(d, size=mtry, replace=False))
-    else:
-        feats = np.arange(d)
 
-    order = np.argsort(cols[feats], axis=1, kind="stable")
-    score, thr, row = accel.scan_best_split(
-        cols[feats[:, None], order], y[order], config.min_samples_leaf
-    )
-    if row < 0 or not score < _node_impurity(zeros, ones):
-        return _leaf(ones, zeros)
+# Elements handled at once; bounds the grower's scratch memory.
+_CHUNK = 1 << 14
 
-    feat = int(feats[row])
-    mask = cols[feat] <= thr
-    left = _build(cols[:, mask], y[mask], depth + 1, config, rng, mtry)
-    right = _build(cols[:, ~mask], y[~mask], depth + 1, config, rng, mtry)
-    return TreeNode(
-        class_counts=(zeros, ones),
-        predicted_class=1 if ones > zeros else 0,
-        feature_index=feat,
-        threshold=thr,
-        left=left,
-        right=right,
-    )
+
+def _chunks(lens, at):
+    """Runs of consecutive segments, of lengths ``lens`` at positions
+    ``at`` of a flat array, with at most ``_CHUNK`` elements together; a
+    longer segment runs alone.  Yields the run's segments [lo, hi), the
+    segment (from 0) and position of each element, and the segments'
+    starts in the run."""
+    ends = np.cumsum(lens)
+    lo = 0
+    while lo < len(ends):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - lens[lo] + _CHUNK, "right")))
+        starts = np.cumsum(lens[lo:hi]) - lens[lo:hi]
+        seg = np.repeat(np.arange(hi - lo), lens[lo:hi])
+        yield lo, hi, seg, np.arange(len(seg)) + (at[lo:hi] - starts)[seg], starts
+        lo = hi
+
+
+def _ranks(cols, y):
+    """The distinct values of each of the (d, n) ``cols`` in turn, and the
+    (d, n) codes 2 * rank + label, where rank indexes the value in them."""
+    uniq, codes = [], np.empty(cols.shape, dtype=np.int64)
+    for col, code in zip(cols, codes):
+        u, rank = np.unique(col, return_inverse=True)
+        code[:] = 2 * (rank + sum(map(len, uniq))) + y
+        uniq.append(u)
+    return np.concatenate(uniq), codes
+
+
+def _best_splits(uniq, codes, flat, at, size, ones, feats, min_leaf):
+    """Best split of each node i, the samples flat[at[i]:at[i] + size[i]],
+    ones[i] of class 1, over its k features feats[i]: (score, feature,
+    threshold) arrays, with score inf where no split is admissible.
+
+    Candidate c is feature feats.flat[c] of node c // k; its rows sort by
+    c * span + code, span = 2 len(uniq), and it scores the position before
+    each new value.  A node takes its first strict minimum, feature-major."""
+    k, n, span = feats.shape[1], codes.shape[1], 2 * len(uniq)
+    codes, feats = codes.ravel(), feats.ravel()
+    best = np.full(len(size), np.inf)
+    best_feat, best_thr = np.zeros(len(size), dtype=np.intp), np.zeros(len(size))
+    lens = np.repeat(size, k)
+    for lo, hi, seg, pos, starts in _chunks(lens, np.repeat(at, k)):
+        key = (np.arange(lo, hi) * span)[seg] + codes[(feats[lo:hi] * n)[seg] + flat[pos]]
+        key.sort()
+        # key >> 1 = c * len(uniq) + rank changes at each new value e; the
+        # first p = e - start rows of e's segment can go left, if each side
+        # keeps min_leaf rows.
+        e = np.flatnonzero(np.diff(key >> 1)) + 1
+        seg = seg[e]
+        p = e - starts[seg]
+        keep = (p >= min_leaf) & (p <= lens[lo:hi][seg] - min_leaf)
+        e, seg, p = e[keep], seg[keep], p[keep]
+        if not len(e):
+            continue
+        cum = np.concatenate(([0], np.cumsum(key & 1)))
+        node = (seg + lo) // k
+        pl, nf = p.astype(np.float64), size[node].astype(np.float64)
+        lo_ones = (cum[e] - cum[starts[seg]]).astype(np.float64)
+        score = (_weighted_gini(pl, lo_ones) + _weighted_gini(nf - pl, ones[node] - lo_ones)) / nf
+        # A later run holds later features, so it must beat the best so far.
+        new = np.r_[True, node[1:] != node[:-1]]
+        low = np.minimum.reduceat(score, np.flatnonzero(new))[np.cumsum(new) - 1]
+        win = np.flatnonzero(score == low)
+        win = win[np.r_[True, node[win[1:]] != node[win[:-1]]]]
+        win = win[score[win] < best[node[win]]]
+        g = node[win]
+        best[g] = score[win]
+        best_feat[g] = feats[seg[win] + lo]
+        edge = (key[np.stack([e[win] - 1, e[win]])] >> 1) % len(uniq)
+        best_thr[g] = (uniq[edge[0]] + uniq[edge[1]]) / 2.0
+    return best, best_feat, best_thr
+
+
+def _attach(node, frame, side):
+    """Put a finished subtree in slot ``side`` of ``frame``, then build each
+    ancestor whose two slots are now full.  A frame is [left, right,
+    parent frame, slot in it, class counts, feature, threshold]; a tree's
+    root goes to a one-slot frame."""
+    frame[side] = node
+    while len(frame) > 1 and frame[0] is not None and frame[1] is not None:
+        left, right, frame, side, counts, feat, thr = frame
+        frame[side] = TreeNode(counts, int(counts[1] > counts[0]), feat, thr, left, right)
+
+
+def _grow(x, y, rows, config, rngs, mtry):
+    """Grow one tree per row of ``rows``, the (trees, n) int32 sample
+    indices into the (n, d) ``x`` and ``y``; returns their roots.
+
+    ``rngs`` holds each tree's generator for its ``mtry`` feature draws,
+    or is None when every split considers all features.  Each step scores
+    the next node of every tree that draws, so its draws come in pre-order
+    as in a depth-first build, and all open nodes of a tree that does not.
+    A node is a range of its tree's row, partitioned in place on a split.
+    """
+    (n_trees, n), d = rows.shape, x.shape[1]
+    uniq, codes = _ranks(x.T, y)
+    flat, values = rows.ravel(), x.T.ravel()  # values[f * n + i] = x[i, f]
+    stacks = [[] for _ in range(n_trees)]
+
+    def settle(t, a, m, ones, depth, frame, side):
+        # Node of tree t: m samples from flat[a], `ones` of class 1.
+        if ones in (0, m) or depth >= config.max_depth or m < config.min_samples_split:
+            _attach(_leaf(ones, m - ones), frame, side)
+        else:
+            stacks[t].append((t, a, m, ones, depth, frame, side))
+
+    roots = [[None] for _ in range(n_trees)]
+    for t in range(n_trees):
+        settle(t, t * n, n, int(y[rows[t]].sum()), 0, roots[t], 0)
+    while any(stacks):
+        if rngs is None:
+            nodes = [stack.pop() for stack in stacks for _ in range(len(stack))]
+            feats = np.tile(np.arange(d), (len(nodes), 1))
+        else:
+            nodes = [stack.pop() for stack in stacks if stack]
+            # Sorted so the lowest-index tie rule survives subsetting.
+            feats = np.sort([rngs[nd[0]].choice(d, size=mtry, replace=False) for nd in nodes], 1)
+        at, size, ones = np.array([node[1:4] for node in nodes]).T
+        best, feat, thr = _best_splits(uniq, codes, flat, at, size, ones, feats,
+                                       config.min_samples_leaf)
+        grown = []
+        for i, (t, a, m, o, depth, frame, side) in enumerate(nodes):
+            if best[i] < _node_impurity(m - o, o):
+                grown.append(i)
+            else:
+                _attach(_leaf(o, m - o), frame, side)
+        # Rows with value <= threshold move to the front of their range.
+        size, at, feat, thr = size[grown], at[grown], feat[grown], thr[grown]
+        right_rows, right_ones = np.zeros((2, len(grown)), dtype=np.int64)
+        for lo, hi, seg, pos, starts in _chunks(size, at):
+            sample = flat[pos]
+            right = values[(feat[lo:hi] * n)[seg] + sample] > thr[lo:hi][seg]
+            flat[pos] = sample[np.argsort(2 * seg + right, kind="stable")]
+            right_rows[lo:hi] = np.add.reduceat(right, starts)
+            right_ones[lo:hi] = np.add.reduceat(right * y[sample], starts)
+        for i, f, th, mr, orr in zip(grown, feat.tolist(), thr.tolist(),
+                                      right_rows.tolist(), right_ones.tolist()):
+            t, a, m, o, depth, frame, side = nodes[i]
+            up = [None, None, frame, side, (m - o, o), f, th]
+            settle(t, a + m - mr, mr, orr, depth + 1, up, 1)
+            settle(t, a, m - mr, o - orr, depth + 1, up, 0)
+    return [root[0] for root in roots]
 
 
 def train_tree(
@@ -197,12 +305,11 @@ def train_tree(
     feature subsampling (used by the forest); left unset, every split
     considers all features."""
     x, y = _check_xy(features, labels)
-    rng = None
+    rngs = None
     if mtry is not None and mtry < x.shape[1]:
-        rng = np.random.default_rng(
-            0 if feature_subset_seed is None else feature_subset_seed
-        )
-    return _build(np.ascontiguousarray(x.T), y, 0, config, rng, mtry)
+        rngs = [np.random.default_rng(feature_subset_seed or 0)]
+    rows = np.arange(x.shape[0], dtype=np.int32)[None]
+    return _grow(x, y, rows, config, rngs, mtry)[0]
 
 
 def _node_table(tree: TreeNode):
@@ -284,17 +391,12 @@ def train_forest(
         mtry = int(math.ceil(math.sqrt(d)))
     mtry = min(mtry, d)
 
-    cols = np.ascontiguousarray(x.T)
-    trees = []
-    for t in range(forest_config.n_trees):
-        rng = np.random.default_rng(forest_config.seed + t)
-        if forest_config.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            ct, yt = cols[:, idx], y[idx]
-        else:
-            ct, yt = cols, y
-        trees.append(_build(ct, yt, 0, tree_config, rng, mtry if mtry < d else None))
-    return ForestModel(tuple(trees), tree_config, forest_config)
+    rngs = [np.random.default_rng(forest_config.seed + t) for t in range(forest_config.n_trees)]
+    rows = np.empty((forest_config.n_trees, n), dtype=np.int32)
+    for t, rng in enumerate(rngs):
+        rows[t] = rng.integers(0, n, size=n) if forest_config.bootstrap else np.arange(n)
+    roots = _grow(x, y, rows, tree_config, rngs if mtry < d else None, mtry)
+    return ForestModel(tuple(roots), tree_config, forest_config)
 
 
 def predict_forest_batch(model: ForestModel, features) -> np.ndarray:

@@ -240,7 +240,7 @@ def _apply_cz_loops(amps, control, target):
 
 def parity_phase_views(states, qubits, phases):
     """``accel.apply_parity_phase_rows`` as one multiply per bit pattern
-    of `qubits`: 2 views for one qubit, 4 for a pair."""
+    of the pair `qubits`, 4 views."""
     for bits in itertools.product((0, 1), repeat=len(qubits)):
         view = accel._bits_view(states, dict(zip(qubits, bits)))
         view[...] = accel._per_row(phases[:, sum(bits) % 2], view) * view

@@ -1,9 +1,11 @@
 """Feature maps: circuit structure, embeddings, and the analytic oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from qkml import accel
+from qkml import accel, qkernel
 from qkml import feature_maps as fm
 from qkml import statevector as sv
 
@@ -102,6 +104,30 @@ def test_embed_rejects_non_finite():
     spec = fm.FeatureMapSpec(fm.ANGLE_Y, 2)
     with pytest.raises(ValueError):
         fm.embed(spec, [0.1, np.nan])
+
+
+def test_zz_rows_whose_pair_angles_overflow_are_rejected_up_front():
+    # (pi - 1e200)^2 overflows to inf, which would make every phase NaN.
+    spec = fm.FeatureMapSpec(fm.ZZ, 2)
+    rows = np.array([[1e200, 1e200], [0.5, 0.3]])
+    calls = (
+        lambda: fm.embed_rows(spec, rows),
+        lambda: fm.embed(spec, rows[0]),
+        lambda: qkernel.gram_matrix(spec, rows),
+        lambda: qkernel.cross_kernel(spec, rows[1:], rows),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="pair angles"):
+                call()
+        # Only the pairs of the pattern count: (2, 0) closes the ring alone.
+        far = [[1e200, 0.0, 1e200]]
+        linear = fm.FeatureMapSpec(fm.ZZ, 3, entanglement=fm.LINEAR)
+        assert fm.embed_rows(linear, far).shape == (1, 8)
+        with pytest.raises(ValueError, match="pair angles"):
+            fm.embed_rows(fm.FeatureMapSpec(fm.ZZ, 3, entanglement=fm.RING), far)
+        assert fm.embed_rows(fm.FeatureMapSpec(fm.ANGLE_Y, 2), rows).shape == (2, 4)
 
 
 def test_embeddings_normalized():

@@ -132,14 +132,16 @@ def test_clamp_rejects_drift_beyond_tolerance():
 
 
 def test_nan_fidelities_are_rejected():
-    # (pi - 1e200)^2 overflows to inf, so the pair phase of row 0 is NaN.
+    # Rows whose pair angles overflow are refused before they are embedded
+    # (tests/test_feature_maps.py), so a NaN amplitude is planted instead.
     spec = FeatureMapSpec(ZZ, 2)
-    rows = np.array([[1e200, 1e200], [0.5, 0.3], [0.1, 0.2]])
-    with np.errstate(invalid="ignore", over="ignore"):
+    states = qkernel.embedding_matrix(spec, np.array([[0.5, 0.3], [0.1, 0.2], [2.0, 1.0]]))
+    states[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="fidelity outside"):
-            qkernel.gram_matrix(spec, rows)
+            qkernel.gram_from_states(states)
         with pytest.raises(ValueError, match="fidelity outside"):
-            qkernel.cross_kernel(spec, rows[1:], rows)
+            qkernel.cross_from_states(states[1:], states)
     with pytest.raises(ValueError, match="fidelity outside"):
         qkernel._clamp_unit(np.array([0.5, np.nan]))
 

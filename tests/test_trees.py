@@ -1,6 +1,7 @@
 """Decision tree and random forest baselines."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,153 @@ def test_batch_forest_vote_tie_falls_to_class_zero():
     # Rows left of the stump's 1.5 threshold tie 2-2; right ones win 3-1.
     out = predict_forest_batch(model, np.array([[0.0], [1.5], [1.6], [9.0]]))
     assert out.tolist() == [0, 0, 1, 1]
+
+
+# -- the lockstep grower against the depth-first oracle ---------------------
+
+
+def _assert_same_forest(forest, oracle):
+    assert len(forest.trees) == len(oracle.trees)
+    for a, b in zip(forest.trees, oracle.trees):
+        _assert_same_tree(a, b)
+
+
+def _forest_and_oracle(x, y, tcfg, fcfg):
+    forest = train_forest(x, y, tcfg, fcfg)
+    _assert_same_forest(forest, helpers.train_forest_loops(x, y, tcfg, fcfg))
+    return forest
+
+
+def test_trees_that_finish_at_different_steps_match_oracle():
+    # Six class-1 rows in 60: a bootstrap sample without them is one leaf
+    # while others grow deep, so trees drop out of the steps one by one.
+    rng = np.random.default_rng(300)
+    x = rng.uniform(-1.0, 1.0, size=(60, 4))
+    y = np.zeros(60, dtype=np.int64)
+    y[rng.choice(60, 6, replace=False)] = 1
+    forest = _forest_and_oracle(x, y, TreeConfig(), ForestConfig(n_trees=40, seed=300))
+    counts = [len(list(_walk(t))) for t in forest.trees]
+    assert min(counts) == 1 and max(counts) >= 15
+
+
+@pytest.mark.parametrize("cap", [1, 40])
+def test_chunked_steps_match_oracle(monkeypatch, cap):
+    monkeypatch.setattr(trees, "_CHUNK", cap)
+    runs = []
+    chunks = trees._chunks
+
+    def record(lens, at):
+        call = list(chunks(lens, at))
+        runs.append([(hi - lo, len(seg)) for lo, hi, seg, _, _ in call])
+        return iter(call)
+
+    monkeypatch.setattr(trees, "_chunks", record)
+    rng = np.random.default_rng(310 + cap)
+    x, y = _tied_xy(rng, 120, 5)
+    tcfg = TreeConfig(max_depth=6)
+    _forest_and_oracle(x, y, tcfg, ForestConfig(n_trees=6, mtry=2, seed=cap))
+    _forest_and_oracle(x, y, tcfg, ForestConfig(n_trees=3, mtry=5, seed=cap))
+    _assert_same_tree(train_tree(x, y, tcfg), helpers.train_tree_loops(x, y, tcfg))
+    # Some step spans several runs, and some segment over the cap runs alone.
+    assert any(len(call) > 1 for call in runs)
+    assert any(segs == 1 and size > cap for call in runs for segs, size in call)
+
+
+def test_bootstrap_of_many_duplicate_rows_matches_oracle():
+    rng = np.random.default_rng(320)
+    distinct, y_distinct = _tied_xy(rng, 12, 4)
+    pick = rng.integers(0, 12, size=150)
+    x, y = distinct[pick], y_distinct[pick]
+    for leaf in (1, 4):
+        tcfg = TreeConfig(min_samples_leaf=leaf)
+        _forest_and_oracle(x, y, tcfg, ForestConfig(n_trees=8, mtry=2, seed=leaf))
+
+
+@pytest.mark.parametrize("mtry", [5, 9])
+def test_all_feature_bootstrap_forest_grows_open_nodes_together(mtry):
+    # mtry >= d draws no subsets, so every step takes all open nodes.
+    rng = np.random.default_rng(330 + mtry)
+    x, y = _tied_xy(rng, 100, 5)
+    fcfg = ForestConfig(n_trees=7, mtry=mtry, bootstrap=True, seed=mtry)
+    _forest_and_oracle(x, y, TreeConfig(max_depth=8), fcfg)
+
+
+@pytest.mark.parametrize("split,leaf", [(5, 1), (12, 2), (30, 3)])
+def test_min_samples_split_above_two_matches_oracle(split, leaf):
+    rng = np.random.default_rng(340 + split)
+    x, y = _tied_xy(rng, 110, 4)
+    tcfg = TreeConfig(min_samples_split=split, min_samples_leaf=leaf)
+    _forest_and_oracle(x, y, tcfg, ForestConfig(n_trees=5, mtry=2, seed=split))
+    for mtry in (None, 2):
+        _assert_same_tree(
+            train_tree(x, y, tcfg, feature_subset_seed=split, mtry=mtry),
+            helpers.train_tree_loops(x, y, tcfg, feature_subset_seed=split, mtry=mtry),
+        )
+
+
+def _score_nodes(rng, x, y, n_nodes, k, min_leaf, max_size=40):
+    """Score several nodes of rows drawn from (x, y) in one call; returns
+    each node's rows and features with the (score, feature, threshold)."""
+    uniq, codes = trees._ranks(np.ascontiguousarray(x.T), y)
+    size = rng.integers(1, max_size, size=n_nodes)
+    flat = rng.integers(0, len(y), size=size.sum()).astype(np.int32)
+    at = np.cumsum(size) - size
+    ones = np.add.reduceat(y[flat], at)
+    feats = np.sort([rng.choice(x.shape[1], size=k, replace=False) for _ in range(n_nodes)], 1)
+    best = trees._best_splits(uniq, codes, flat, at, size, ones, feats, min_leaf)
+    nodes = [(flat[a:a + m], f) for a, m, f in zip(at, size, feats)]
+    return nodes, list(zip(*best))
+
+
+def test_best_splits_of_one_column_nodes_bitwise_equal():
+    rng = np.random.default_rng(6)
+    for _ in range(30):
+        x = rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=(50, 1))
+        y = rng.integers(0, 2, size=50).astype(np.int64)
+        min_leaf = int(rng.integers(1, 4))
+        nodes, found = _score_nodes(rng, x, y, int(rng.integers(1, 6)), 1, min_leaf)
+        for (rows, _), (score, feat, thr) in zip(nodes, found):
+            best = best_root_split(x[rows], y[rows], min_leaf)
+            if best is None:
+                assert score == np.inf
+            else:
+                assert (score, feat, thr) == best
+
+
+def test_best_splits_of_column_blocks_bitwise_equal_and_ties_go_to_lowest_feature():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        d = int(rng.integers(1, 7))
+        x = rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=(60, d))
+        if trial % 3 == 0:
+            x[:, -1] = x[:, 0]  # a duplicate column ties with feature 0
+        elif trial % 3 == 1:
+            x[:, 0] = rng.uniform(-1.0, 1.0, size=60)
+        y = rng.integers(0, 2, size=60).astype(np.int64)
+        min_leaf = int(rng.integers(1, 5))
+        k = int(rng.integers(1, d + 1))
+        nodes, found = _score_nodes(rng, x, y, int(rng.integers(1, 8)), k, min_leaf)
+        for (rows, feats), (score, feat, thr) in zip(nodes, found):
+            best = best_root_split(x[np.ix_(rows, feats)], y[rows], min_leaf)
+            if best is None:
+                assert score == np.inf
+            else:
+                assert (score, feat, thr) == (best[0], feats[best[1]], best[2])
+
+
+def test_forest_training_memory_is_bounded():
+    # 51 trees on 4,400 x 17 rows take ~7.5 MB.  An unchunked first step
+    # would sort 51 x 5 x 4,400 keys at once and peak near 70 MB.
+    x, y = _tied_xy(np.random.default_rng(350), 4400, 17)
+    fcfg = ForestConfig(n_trees=51, seed=1)
+    train_forest(x, y, forest_config=fcfg)
+    tracemalloc.start()
+    try:
+        train_forest(x, y, forest_config=fcfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 # -- serialization -----------------------------------------------------------
