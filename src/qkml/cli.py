@@ -26,14 +26,14 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
 from .artifacts import write_json_atomic, write_text_atomic
-from .config import ConfigError, load_config, resolve_config
+from .config import _FEATURE_MAP_DEFAULTS, ConfigError, load_config, resolve_config
 from .feature_maps import FeatureMapSpec
 
 log = logging.getLogger("qkml")
@@ -137,14 +137,16 @@ def _obtain_dataset(resolved: dict, out: Path) -> dsmod.Dataset:
     return _require_cached_dataset(out)
 
 
+def _typed(cls, section: dict, **fixed):
+    """``cls`` from the keys of a resolved config section that name its
+    fields, with ``fixed`` in place; the dataclass casts and validates."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{**{k: v for k, v in section.items() if k in names}, **fixed})
+
+
 def _feature_map_spec(model_cfg: dict, num_qubits: int) -> FeatureMapSpec:
-    fm = (model_cfg or {}).get("feature_map") or {}
-    return FeatureMapSpec(
-        kind=fm.get("kind", "angle_y"),
-        num_qubits=num_qubits,
-        repetitions=fm.get("repetitions"),
-        entanglement=fm.get("entanglement", "linear"),
-    )
+    fm = (model_cfg or {}).get("feature_map") or _FEATURE_MAP_DEFAULTS
+    return _typed(FeatureMapSpec, fm, num_qubits=num_qubits)
 
 
 def _check_kernel_fits(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> None:
@@ -180,45 +182,22 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _tree_config(model_cfg: dict) -> trees.TreeConfig:
-    return trees.TreeConfig(
-        max_depth=int(model_cfg["max_depth"]),
-        min_samples_split=int(model_cfg["min_samples_split"]),
-        min_samples_leaf=int(model_cfg["min_samples_leaf"]),
-    )
-
-
-def _svm_config(model_cfg: dict, **kernel) -> svmmod.SvmConfig:
-    """The box and stopping rule of an svm or qsvm model section."""
-    cw = model_cfg["class_weight"]
-    return svmmod.SvmConfig(
-        c=float(model_cfg["c"]),
-        tolerance=float(model_cfg["tolerance"]),
-        max_passes=int(model_cfg["max_passes"]),
-        class_weight=None if cw is None else tuple(cw),
-        **kernel,
-    )
-
-
 def _train_and_predict(model_cfg: dict, train, test, seed: int):
     """Returns (test predictions, train predictions, model info dict)."""
     name = model_cfg["name"]
     if name == "dt":
-        tree = trees.train_tree(train.features, train.labels, _tree_config(model_cfg))
+        tree = trees.train_tree(train.features, train.labels, _typed(trees.TreeConfig, model_cfg))
         pred = trees.predict_tree_batch(tree, np.vstack([test.features, train.features]))
         return pred[: test.n_rows], pred[test.n_rows :], {"depth": trees.tree_depth(tree)}
     if name == "rf":
-        fcfg = trees.ForestConfig(
-            n_trees=int(model_cfg["n_trees"]),
-            mtry=model_cfg["mtry"],
-            bootstrap=bool(model_cfg["bootstrap"]),
-            seed=seed,
+        fcfg = _typed(trees.ForestConfig, model_cfg, seed=seed)
+        forest = trees.train_forest(
+            train.features, train.labels, _typed(trees.TreeConfig, model_cfg), fcfg
         )
-        forest = trees.train_forest(train.features, train.labels, _tree_config(model_cfg), fcfg)
         pred = trees.predict_forest_batch(forest, np.vstack([test.features, train.features]))
         return pred[: test.n_rows], pred[test.n_rows :], {"n_trees": fcfg.n_trees}
     if name == "svm":
-        cfg = _svm_config(model_cfg, kernel=model_cfg["kernel"], gamma=model_cfg["gamma"])
+        cfg = _typed(svmmod.SvmConfig, model_cfg)
         model = svmmod.train_svm_features(train.features, train.labels, cfg, seed)
         return (
             svmmod.predict_features(model, test.features),
@@ -234,7 +213,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         # Train rows are embedded once, for the Gram and the cross kernel.
         train_states = qkernel.embedding_matrix(spec, train.features)
         gram = qkernel.gram_from_states(train_states)
-        cfg = _svm_config(model_cfg, kernel=svmmod.PRECOMPUTED)
+        cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
         cross = qkernel.cross_from_states(
             qkernel.embedding_matrix(spec, test.features), train_states
@@ -318,25 +297,12 @@ def cmd_hybrid(args) -> int:
     ds = _obtain_dataset(resolved, out)
     train, test, info = _prepare_splits(ds, resolved["dataset"])
     hcfg = resolved["hybrid"]
-    window = int(hcfg["quanv"]["window"])
+    quanv = _typed(hmod.QuanvSpec, hcfg["quanv"])
     n_feats = train.features.shape[1]
-    if window > n_feats:
-        log.warning(
-            "quanv window %d wider than %d features; clamping", window, n_feats
-        )
-        window = n_feats
-    quanv = hmod.QuanvSpec(
-        window=window,
-        stride=int(hcfg["quanv"]["stride"]),
-        layers=int(hcfg["quanv"]["layers"]),
-        circuit_seed=int(hcfg["quanv"]["circuit_seed"]),
-    )
-    tcfg = hmod.TrainConfig(
-        epochs=int(hcfg["train"]["epochs"]),
-        learning_rate=float(hcfg["train"]["learning_rate"]),
-        batch_size=int(hcfg["train"]["batch_size"]),
-        seed=int(resolved["dataset"]["seed"]),
-    )
+    if quanv.window > n_feats:
+        log.warning("quanv window %d wider than %d features; clamping", quanv.window, n_feats)
+        quanv = replace(quanv, window=n_feats)
+    tcfg = _typed(hmod.TrainConfig, hcfg["train"], seed=resolved["dataset"]["seed"])
     started = time.monotonic()
     arms = hmod.compare_hybrid(train, test, quanv, hcfg["hidden"], tcfg)
     wall = time.monotonic() - started

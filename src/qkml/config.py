@@ -5,15 +5,27 @@ than silently running with defaults.  ``resolve_config`` fills every
 default in place, applies the seed override, and returns the resolved
 document together with its content hash; the hash lands in every
 artifact so results can be traced back to their exact settings.
+
+The model, feature-map, quanv and train sections take their keys and
+defaults from the fields of the dataclasses they build (``TreeConfig``,
+``ForestConfig``, ``SvmConfig``, ``FeatureMapSpec``, ``QuanvSpec``,
+``TrainConfig``), less the fields the pipeline sets itself (``seed``,
+``num_qubits``).  Two defaults differ from the dataclass: svm's
+``kernel`` is rbf, and the feature map's ``kind`` is angle_y.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .artifacts import config_sha256
 from .dataset import MINMAX_PI, STANDARDIZE
+from .feature_maps import FeatureMapSpec
+from .hybrid import QuanvSpec, TrainConfig
+from .svm import SvmConfig
+from .trees import ForestConfig, TreeConfig
 
 
 class ConfigError(ValueError):
@@ -36,42 +48,27 @@ _DATASET_DEFAULTS = {
 
 _SYNTH_DEFAULTS = {"name": None, "n": 200, "noise": None, "seed": None}
 
+
+def _defaults(*classes, skip=(), **overrides) -> dict:
+    """The field defaults of config dataclasses, less the fields in `skip`,
+    with `overrides` in place."""
+    out = {f.name: f.default for c in classes for f in fields(c) if f.name not in skip}
+    return {**out, **overrides}
+
+
+# svm trains on features, so its kernel defaults to rbf, not precomputed.
 _MODEL_DEFAULTS = {
-    "dt": {"max_depth": 10, "min_samples_split": 2, "min_samples_leaf": 1},
-    "rf": {
-        "max_depth": 10,
-        "min_samples_split": 2,
-        "min_samples_leaf": 1,
-        "n_trees": 101,
-        "mtry": None,
-        "bootstrap": True,
-    },
-    "svm": {
-        "c": 1.0,
-        "tolerance": 1e-3,
-        "max_passes": 50,
-        "kernel": "rbf",
-        "gamma": None,
-        "class_weight": None,
-    },
-    "qsvm": {
-        "c": 1.0,
-        "tolerance": 1e-3,
-        "max_passes": 50,
-        "feature_map": None,
-        "class_weight": None,
-    },
+    "dt": _defaults(TreeConfig),
+    "rf": _defaults(TreeConfig, ForestConfig, skip=("seed",)),
+    "svm": _defaults(SvmConfig, kernel="rbf"),
+    "qsvm": _defaults(SvmConfig, skip=("kernel", "gamma"), feature_map=None),
 }
 
-_FEATURE_MAP_DEFAULTS = {
-    "kind": "angle_y",
-    "repetitions": None,
-    "entanglement": "linear",
-}
+_FEATURE_MAP_DEFAULTS = _defaults(FeatureMapSpec, skip=("num_qubits",), kind="angle_y")
 
-_QUANV_DEFAULTS = {"window": 4, "stride": 4, "layers": 1, "circuit_seed": 0}
+_QUANV_DEFAULTS = _defaults(QuanvSpec)
 
-_TRAIN_DEFAULTS = {"epochs": 100, "learning_rate": 0.05, "batch_size": 32}
+_TRAIN_DEFAULTS = _defaults(TrainConfig, skip=("seed",))
 
 _HYBRID_DEFAULTS = {"quanv": None, "hidden": [16], "train": None}
 

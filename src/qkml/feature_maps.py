@@ -109,18 +109,6 @@ def entangled_pairs(num_qubits: int, pattern: str) -> list:
     return pairs
 
 
-def _check_features(spec: FeatureMapSpec, x: Sequence) -> np.ndarray:
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != spec.num_qubits:
-        raise ValueError(
-            f"feature vector must have length {spec.num_qubits}, "
-            f"got shape {vec.shape}"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("feature vector contains non-finite values")
-    return vec
-
-
 def check_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
     """The rows as a float64 (n, num_qubits) matrix of finite values whose
     zz pair angles are finite too."""
@@ -144,7 +132,7 @@ def check_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
 
 def build_feature_circuit(spec: FeatureMapSpec, x: Sequence) -> Circuit:
     """Encoding circuit for one feature vector."""
-    vec = _check_features(spec, x)
+    vec = check_rows(spec, [x])[0]
     gates = []
     if spec.kind == ANGLE_Y:
         for _ in range(spec.repetitions):
@@ -234,5 +222,4 @@ def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
 
 def embed(spec: FeatureMapSpec, x: Sequence) -> StateVector:
     """The encoded state of one feature vector."""
-    vec = _check_features(spec, x)
-    return StateVector(spec.num_qubits, embed_rows(spec, vec[None])[0])
+    return StateVector(spec.num_qubits, embed_rows(spec, [x])[0])

@@ -22,7 +22,7 @@ accuracy come from one softmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -52,11 +52,13 @@ class QuanvSpec:
     circuit_seed: int = 0
 
     def __post_init__(self):
-        if int(self.window) < 1:
+        for f in fields(self):
+            object.__setattr__(self, f.name, int(getattr(self, f.name)))
+        if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if int(self.stride) < 1:
+        if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if int(self.layers) < 0:
+        if self.layers < 0:
             raise ValueError(f"layers must be >= 0, got {self.layers}")
 
 
@@ -230,11 +232,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.epochs) < 1:
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if int(self.batch_size) < 1:
+        if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
@@ -310,28 +315,19 @@ def compare_hybrid(
     Returns both histories plus the trained nets, keyed by arm name.
     """
     hidden = tuple(int(h) for h in hidden)
+    # Quanvolve first, so a bad window fails before the classical arm trains.
+    inputs = {
+        "classical": (train_ds.features, val_ds.features),
+        "hybrid": (
+            quanv_transform_batch(quanv, train_ds.features),
+            quanv_transform_batch(quanv, val_ds.features),
+        ),
+    }
     arms = {}
-
-    raw_sizes = (train_ds.features.shape[1],) + hidden + (2,)
-    net_c = init_dense(raw_sizes, seed=config.seed)
-    net_c, hist_c = train_dense(
-        net_c,
-        train_ds.features,
-        train_ds.labels,
-        config,
-        val_ds.features,
-        val_ds.labels,
-    )
-    arms["classical"] = {"net": net_c, "history": hist_c}
-
-    xq_train = quanv_transform_batch(quanv, train_ds.features)
-    xq_val = quanv_transform_batch(quanv, val_ds.features)
-    q_sizes = (xq_train.shape[1],) + hidden + (2,)
-    net_q = init_dense(q_sizes, seed=config.seed)
-    net_q, hist_q = train_dense(
-        net_q, xq_train, train_ds.labels, config, xq_val, val_ds.labels
-    )
-    arms["hybrid"] = {"net": net_q, "history": hist_q}
+    for name, (x_train, x_val) in inputs.items():
+        net = init_dense((x_train.shape[1],) + hidden + (2,), seed=config.seed)
+        net, history = train_dense(net, x_train, train_ds.labels, config, x_val, val_ds.labels)
+        arms[name] = {"net": net, "history": history}
     return arms
 
 

@@ -57,13 +57,16 @@ class SvmConfig:
     class_weight: Optional[tuple] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+        object.__setattr__(self, "max_passes", int(self.max_passes))
+        object.__setattr__(self, "gamma", None if self.gamma is None else float(self.gamma))
         if not self.c > 0:
             raise ValueError(f"c must be > 0, got {self.c}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if int(self.max_passes) < 1:
+        if self.max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        object.__setattr__(self, "max_passes", int(self.max_passes))
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.gamma is not None and not self.gamma > 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,16 +59,14 @@ class TreeConfig:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        if int(self.max_depth) < 1:
+        for f in fields(self):
+            object.__setattr__(self, f.name, int(getattr(self, f.name)))
+        if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if int(self.min_samples_split) < 2:
-            raise ValueError(
-                f"min_samples_split must be >= 2, got {self.min_samples_split}"
-            )
-        if int(self.min_samples_leaf) < 1:
-            raise ValueError(
-                f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}"
-            )
+        if self.min_samples_split < 2:
+            raise ValueError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
+        if self.min_samples_leaf < 1:
+            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,13 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_trees) < 1:
+        object.__setattr__(self, "n_trees", int(self.n_trees))
+        object.__setattr__(self, "mtry", None if self.mtry is None else int(self.mtry))
+        object.__setattr__(self, "bootstrap", bool(self.bootstrap))
+        object.__setattr__(self, "seed", int(self.seed))
+        if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.mtry is not None and int(self.mtry) < 1:
+        if self.mtry is not None and self.mtry < 1:
             raise ValueError(f"mtry must be >= 1, got {self.mtry}")
 
 

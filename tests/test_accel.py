@@ -13,6 +13,7 @@ reach at least the dual of the random-partner loop solver in
 ``tests/helpers.py``.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -292,6 +293,45 @@ def test_smo_first_step_takes_second_order_pair_lower_pair_on_tie(monkeypatch):
         alphas, _, iterations = accel.smo_solve(kmat, labels, np.ones(4), 1e-3)
         assert iterations == 1
         np.testing.assert_array_equal(np.flatnonzero(alphas), [0, 3])
+
+
+def _run_traced(func, call):
+    """(``call()``, the line numbers of ``func`` that it executed)."""
+    seen = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            seen.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is func.__code__ else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, seen
+
+
+def test_smo_lower_clips_keep_an_opposite_label_pair_feasible():
+    # On this problem opposite-label steps overshoot below 0 on either side
+    # and are clipped there: the ``a_j < 0`` and ``a_i < 0`` branches.
+    kmat, y = _random_smo_problem(np.random.default_rng(1094), 16)
+    c_arr = np.full(16, 10.0)
+    source, first = inspect.getsourcelines(accel._smo_step)
+    clips = {
+        first + k
+        for k, line in enumerate(source)
+        if line.strip() in ("a_j, a_i = 0.0, diff", "a_i, a_j = 0.0, -diff")
+    }
+    assert len(clips) == 2
+    (alphas, _, _), ran = _run_traced(
+        accel._smo_step, lambda: accel.smo_solve(kmat, y, c_arr, 1e-3)
+    )
+    assert clips <= ran
+    assert np.all(alphas >= 0.0) and np.all(alphas <= c_arr)
+    assert abs(np.dot(alphas, y)) <= 1e-12
+    assert helpers.smo_kkt_gap(kmat, y, c_arr, alphas) < 1e-3
 
 
 def test_smo_respects_per_sample_box():

@@ -8,7 +8,7 @@ import pytest
 
 from qkml import __version__, cli, qkernel, trees
 from qkml.cli import main
-from qkml.config import ConfigError
+from qkml.config import ConfigError, resolve_config
 from qkml.dataset import Dataset
 
 DATA = Path(__file__).parent / "data"
@@ -361,6 +361,87 @@ def test_unknown_model_key_exits_two(tmp_path, capsys):
     rc = main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+_MOONS = {"synthetic": {"name": "moons"}}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (None, "config file not found"),
+        ([1, 2], "top level must be a JSON object"),
+        ({"dataset": []}, "dataset must be a JSON object"),
+        ({"dataset": {"synthetic": {"n": 50}}}, "dataset.synthetic needs a 'name'"),
+        ({"dataset": {}}, "dataset needs either 'csv' or 'synthetic'"),
+        ({"dataset": {**_MOONS, "csv": "x.csv"}}, "takes 'csv' or 'synthetic', not both"),
+        ({"dataset": {**_MOONS, "test_fraction": 1.0}}, "test_fraction must be in (0, 1)"),
+        ({"dataset": {**_MOONS, "scaling": "log"}}, "dataset.scaling must be"),
+        ({"dataset": _MOONS, "model": {"c": 1.0}}, "model needs a 'name'"),
+        ({"dataset": _MOONS, "model": {"name": "knn"}}, "unknown model 'knn'"),
+        ({"dataset": _MOONS, "hybrid": {"hidden": [0]}}, "hybrid.hidden must be a list"),
+    ],
+    ids=["no-file", "top-level", "section", "synthetic-name", "no-source", "two-sources",
+         "test-fraction", "scaling", "model-name", "unknown-model", "hidden"],
+)
+def test_config_errors_exit_two_with_their_message(tmp_path, capsys, doc, message):
+    cfg = str(tmp_path / "missing.json") if doc is None else _write_config(tmp_path, doc)
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "model, digest",
+    [
+        ("dt", "7b99ddcd2e67cc14f17e994e7e05cd939807449e3bdb0ec2737ff771912ff523"),
+        ("rf", "b6ecf55c786b54a8a83fe0696576c86abf5e170563bf3a4fed2c945004d57d26"),
+        ("svm", "4e1d6ea32eecdadea0a2acea8db4c4a12d37a2fe9fcb02953a62f2517f27cdae"),
+        ("qsvm", "cc6b5e253aa229d096454a7a74ccbd8af3f735c625c307341ebd13da7cd5605d"),
+        (None, "8da06d2687fc2f11e642f112b3384e22f5bc12a7cf9a828ad139f12c22d59f64"),
+    ],
+)
+def test_default_resolutions_keep_their_hash(model, digest):
+    doc = {"dataset": _MOONS}
+    if model is not None:
+        doc["model"] = {"name": model}
+    assert resolve_config(doc)[1] == digest
+
+
+@pytest.mark.parametrize(
+    "command, as_ints, as_written",
+    [
+        (
+            "benchmark",
+            {"model": {"name": "rf", "n_trees": 5, "mtry": 1, "max_depth": 4}},
+            {"model": {"name": "rf", "n_trees": 5.0, "mtry": 1.0, "max_depth": "4"}},
+        ),
+        (
+            "benchmark",
+            {"model": {"name": "qsvm", "feature_map": {"kind": "zz", "repetitions": 1}}},
+            {"model": {"name": "qsvm", "max_passes": "50",
+                       "feature_map": {"kind": "zz", "repetitions": 1.0}}},
+        ),
+        (
+            "hybrid",
+            {"hybrid": {"quanv": {"window": 2, "stride": 1},
+                        "train": {"epochs": 2, "batch_size": 16}}},
+            {"hybrid": {"quanv": {"window": 2.0, "stride": "1"},
+                        "train": {"epochs": 2.0, "batch_size": "16"}}},
+        ),
+    ],
+    ids=["rf", "qsvm", "hybrid"],
+)
+def test_integral_floats_and_numeric_strings_run_as_ints(tmp_path, command, as_ints, as_written):
+    dataset = {"synthetic": {"name": "moons", "n": 80}, "seed": 2}
+    outs = []
+    for name, doc in (("ints", as_ints), ("written", as_written)):
+        cfg = _write_config(tmp_path, {"dataset": dataset, **doc}, name=f"{name}.json")
+        outs.append(tmp_path / name)
+        assert main([command, "--config", cfg, "--out", str(outs[-1])]) == 0
+    artifacts = ["curves.csv"] if command == "hybrid" else ["report.txt", "confusion.csv"]
+    for artifact in artifacts:
+        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
 
 def test_commands_need_a_source():

@@ -300,6 +300,17 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
 
 
+def test_train_config_trains_integral_floats_as_ints():
+    # A config file may spell an int as 2.0; the dataclass casts it.
+    x, y = _blobs(30)
+    net = init_dense((2, 4, 2), seed=4)
+    cfg = TrainConfig(epochs=2.0, batch_size=8.0)
+    assert cfg == TrainConfig(epochs=2, batch_size=8)
+    _assert_same_training(
+        train_dense(net, x, y, cfg), train_dense(net, x, y, TrainConfig(epochs=2, batch_size=8))
+    )
+
+
 def test_train_deterministic_per_seed():
     x, y = _blobs(30)
     net = init_dense((2, 4, 2), seed=4)

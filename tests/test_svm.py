@@ -184,6 +184,10 @@ def test_precomputed_linear_matrix_matches_linear_kernel_path():
     model_lin = svm.train_svm_features(x, labels, cfg_lin, seed=2)
     np.testing.assert_allclose(model_pre.alphas, model_lin.alphas, atol=1e-9)
     assert model_pre.bias == pytest.approx(model_lin.bias, abs=1e-9)
+    rows = rng.normal(size=(40, 3))
+    want = svm.predict(model_pre, svm.linear_kernel(rows, x))
+    assert 0 < want.sum() < len(want)
+    np.testing.assert_array_equal(svm.predict_features(model_lin, rows), want)
 
 
 def test_class_weight_scales_the_box():

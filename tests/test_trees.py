@@ -337,6 +337,21 @@ def test_forest_config_validation():
         ForestConfig(mtry=0)
 
 
+def test_configs_train_integral_floats_and_numeric_strings_as_ints():
+    # A config file may spell an int as 3.0 or "3"; the dataclass casts it.
+    x, y = _random_xy(np.random.default_rng(12), 60, 4)
+    tree_cfg = TreeConfig(max_depth="3")
+    assert tree_cfg == TreeConfig(max_depth=3)
+    _assert_same_tree(train_tree(x, y, tree_cfg), train_tree(x, y, TreeConfig(max_depth=3)))
+    forest_cfg = ForestConfig(n_trees=3.0, mtry=2.0, seed=4.0)
+    assert forest_cfg == ForestConfig(n_trees=3, mtry=2, seed=4)
+    got = train_forest(x, y, TreeConfig(), forest_cfg)
+    want = train_forest(x, y, TreeConfig(), ForestConfig(n_trees=3, mtry=2, seed=4))
+    assert len(got.trees) == len(want.trees) == 3
+    for a, b in zip(got.trees, want.trees):
+        _assert_same_tree(a, b)
+
+
 # -- array builder and router against the per-feature / per-row oracles -----
 
 
