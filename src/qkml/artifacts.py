@@ -1,4 +1,4 @@
-"""Deterministic artifact writing.
+"""Deterministic artifact writing, and the casting rule for config values.
 
 Every file the CLI produces goes through a temp-file-then-rename in the
 destination directory, so a crash never leaves a half-written artifact
@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 
 def write_bytes_atomic(path, data: bytes) -> Path:
@@ -46,6 +48,53 @@ def write_json_atomic(path, obj) -> Path:
 def config_sha256(obj) -> str:
     """Hash of the canonical JSON form of a resolved configuration."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+_WANT = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def cast_value(kind, value, name: str):
+    """``value`` as ``kind``, the one casting rule for config values: an int
+    takes an integer, an integral float or an integer numeral such as "4";
+    a float any int, float or numeral; neither takes a bool; a bool takes
+    only True or False and a str only a string.  ``Optional[kind]`` also
+    takes None, and ``list[kind]`` or ``Tuple[kind, ...]`` a list or tuple
+    cast element by element.  Anything else raises ValueError naming ``name``."""
+    nullable = get_origin(kind) is Union
+    if nullable:
+        if value is None:
+            return None
+        kind = get_args(kind)[0]
+    if get_origin(kind) in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list{' or null' * nullable}, got {value!r}")
+        return get_origin(kind)(cast_value(get_args(kind)[0], v, name) for v in value)
+    try:
+        if isinstance(value, str) and kind in (int, float):
+            return kind(value)
+        if kind in (bool, str):
+            ok = isinstance(value, kind)
+        else:
+            ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+                kind is float or isinstance(value, numbers.Integral) or float(value).is_integer()
+            )
+        if ok:
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be {_WANT[kind]}{' or null' * nullable}, got {value!r}")
+
+
+def cast_fields(obj, **minimum) -> None:
+    """Cast every field of the frozen dataclass instance ``obj`` to its
+    annotated kind with ``cast_value``, then refuse a field named in
+    ``minimum`` whose value is below it (None passes)."""
+    for name, kind in get_type_hints(type(obj)).items():
+        object.__setattr__(obj, name, cast_value(kind, getattr(obj, name), name))
+    for name, low in minimum.items():
+        value = getattr(obj, name)
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def require_fields(cls, doc: dict, optional=()) -> None:

@@ -15,6 +15,8 @@ All artifacts are written atomically and deterministically: rerunning a
 command with the same config, seed and inputs reproduces every byte
 (the hybrid manifest's wall_time field is the one documented exception).
 ``--threads`` is accepted for compatibility and has no effect.
+Config values arrive cast by ``config.resolve_config``; a value it
+refuses exits 2 with a one-line ``error:`` that names the key.
 ``QKML_LOG`` sets the log level; logs go to stderr so stdout stays
 scriptable.
 """
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import __version__, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
 from .artifacts import write_json_atomic, write_text_atomic
-from .config import _FEATURE_MAP_DEFAULTS, ConfigError, load_config, resolve_config
+from .config import _FEATURE_MAP, ConfigError, load_config, resolve_config
 from .feature_maps import FeatureMapSpec
 
 log = logging.getLogger("qkml")
@@ -54,17 +56,12 @@ def _setup_logging() -> None:
 # -- dataset plumbing ---------------------------------------------------------
 
 
-def _feature_config(dcfg: dict) -> dsmod.FeatureConfig:
-    path = dcfg.get("feature_config")
-    if path is None:
-        return dsmod.default_feature_config()
-    return dsmod.FeatureConfig.from_json(Path(path).read_text())
-
-
 def _build_dataset(dcfg: dict):
     """Materialise the configured source; returns (dataset, summary)."""
     if dcfg["csv"] is not None:
-        fc = _feature_config(dcfg)
+        fc = dsmod.default_feature_config()
+        if dcfg["feature_config"] is not None:
+            fc = dsmod.FeatureConfig.from_json(Path(dcfg["feature_config"]).read_text())
         table = dsmod.load_csv(dcfg["csv"])
         filtered, status_summary = dsmod.filter_status(table, fc.status_column)
         ds, eng_summary = dsmod.engineer_features(filtered, fc)
@@ -73,10 +70,7 @@ def _build_dataset(dcfg: dict):
     else:
         synth_cfg = dcfg["synthetic"]
         ds = synth.make_synthetic(
-            synth_cfg["name"],
-            int(synth_cfg["n"]),
-            noise=synth_cfg["noise"],
-            seed=int(synth_cfg["seed"]),
+            synth_cfg["name"], synth_cfg["n"], noise=synth_cfg["noise"], seed=synth_cfg["seed"]
         )
         summary = {"source": {"synthetic": synth_cfg}}
     if ds.n_rows == 0:
@@ -100,18 +94,18 @@ def _prepare_splits(ds: dsmod.Dataset, dcfg: dict):
     Returns (train, test, info); the returned info feeds the report
     artifacts."""
     train, test = dsmod.train_test_split(
-        ds, float(dcfg["test_fraction"]), int(dcfg["seed"]), bool(dcfg["stratify"])
+        ds, dcfg["test_fraction"], dcfg["seed"], dcfg["stratify"]
     )
     params = dsmod.fit_scaler(train, dcfg["scaling"])
     train = dsmod.apply_scaler(params, train)
     test = dsmod.apply_scaler(params, test)
     if dcfg["feature_k"] is not None:
-        idx = dsmod.select_features(train, int(dcfg["feature_k"]))
+        idx = dsmod.select_features(train, dcfg["feature_k"])
         train = dsmod.take_features(train, idx)
         test = dsmod.take_features(test, idx)
-    if dcfg["subsample"] is not None and train.n_rows > int(dcfg["subsample"]):
+    if dcfg["subsample"] is not None and train.n_rows > dcfg["subsample"]:
         # Rows are already seed-shuffled by the split; take a prefix.
-        keep = np.arange(int(dcfg["subsample"]))
+        keep = np.arange(dcfg["subsample"])
         train = dsmod.Dataset(
             train.features[keep], train.labels[keep], train.feature_names
         )
@@ -124,17 +118,13 @@ def _prepare_splits(ds: dsmod.Dataset, dcfg: dict):
     return train, test, info
 
 
-def _require_cached_dataset(out: Path) -> dsmod.Dataset:
-    return dsmod.load_dataset(_dataset_cache_dir(out))
-
-
 def _obtain_dataset(resolved: dict, out: Path) -> dsmod.Dataset:
     """Synthetic sources regenerate on the fly; CSV sources need `ingest`."""
     dcfg = resolved["dataset"]
     if dcfg["synthetic"] is not None:
         ds, _ = _build_dataset(dcfg)
         return ds
-    return _require_cached_dataset(out)
+    return dsmod.load_dataset(_dataset_cache_dir(out))
 
 
 def _typed(cls, section: dict, **fixed):
@@ -145,7 +135,7 @@ def _typed(cls, section: dict, **fixed):
 
 
 def _feature_map_spec(model_cfg: dict, num_qubits: int) -> FeatureMapSpec:
-    fm = (model_cfg or {}).get("feature_map") or _FEATURE_MAP_DEFAULTS
+    fm = (model_cfg or {}).get("feature_map") or _FEATURE_MAP[0]
     return _typed(FeatureMapSpec, fm, num_qubits=num_qubits)
 
 
@@ -238,7 +228,7 @@ def cmd_benchmark(args) -> int:
     out = Path(args.out)
     ds = _obtain_dataset(resolved, out)
     train, test, info = _prepare_splits(ds, resolved["dataset"])
-    seed = int(resolved["dataset"]["seed"])
+    seed = resolved["dataset"]["seed"]
     preds, train_preds, model_info = _train_and_predict(
         resolved["model"], train, test, seed
     )

@@ -1,13 +1,18 @@
-"""Experiment configuration: JSON in, validated + defaulted dict out.
+"""Experiment configuration: JSON in, validated + defaulted + typed dict out.
 
 Configs are strict: unknown keys are rejected so typos fail fast rather
 than silently running with defaults.  ``resolve_config`` fills every
-default in place, applies the seed override, and returns the resolved
-document together with its content hash; the hash lands in every
-artifact so results can be traced back to their exact settings.
+default in place, applies the seed override, casts every value with
+``artifacts.cast_value``, and returns the resolved document together
+with its content hash; the hash lands in every artifact so results can
+be traced back to their exact settings.  ``4.0`` and ``"4"`` resolve to
+the int 4 and ``1`` to the float 1.0, so a config and its canonical
+spelling share one hash; a value of the wrong kind is a ValueError
+naming its key.
 
-The model, feature-map, quanv and train sections take their keys and
-defaults from the fields of the dataclasses they build (``TreeConfig``,
+Each section takes its keys, defaults and kinds from dataclass fields:
+the dataset sections from ``DatasetSection`` and ``SyntheticSection``,
+the others from the dataclasses they build (``TreeConfig``,
 ``ForestConfig``, ``SvmConfig``, ``FeatureMapSpec``, ``QuanvSpec``,
 ``TrainConfig``), less the fields the pipeline sets itself (``seed``,
 ``num_qubits``).  Two defaults differ from the dataclass: svm's
@@ -17,10 +22,11 @@ defaults from the fields of the dataclasses they build (``TreeConfig``,
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Optional, get_type_hints
 
-from .artifacts import config_sha256
+from .artifacts import cast_value, config_sha256
 from .dataset import MINMAX_PI, STANDARDIZE
 from .feature_maps import FeatureMapSpec
 from .hybrid import QuanvSpec, TrainConfig
@@ -32,48 +38,63 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
-_MODEL_NAMES = ("dt", "rf", "svm", "qsvm")
+@dataclass(frozen=True)
+class DatasetSection:
+    """Keys, defaults and kinds of the dataset section (less ``synthetic``)."""
 
-_DATASET_DEFAULTS = {
-    "csv": None,
-    "feature_config": None,
-    "synthetic": None,
-    "test_fraction": 0.2,
-    "stratify": False,
-    "scaling": MINMAX_PI,
-    "feature_k": None,
-    "subsample": None,
-    "seed": 0,
-}
-
-_SYNTH_DEFAULTS = {"name": None, "n": 200, "noise": None, "seed": None}
+    csv: Optional[str] = None
+    feature_config: Optional[str] = None
+    test_fraction: float = 0.2
+    stratify: bool = False
+    scaling: str = MINMAX_PI
+    feature_k: Optional[int] = None
+    subsample: Optional[int] = None
+    seed: int = 0
 
 
-def _defaults(*classes, skip=(), **overrides) -> dict:
-    """The field defaults of config dataclasses, less the fields in `skip`,
-    with `overrides` in place."""
-    out = {f.name: f.default for c in classes for f in fields(c) if f.name not in skip}
-    return {**out, **overrides}
+@dataclass(frozen=True)
+class SyntheticSection:
+    """Keys, defaults and kinds of dataset.synthetic (null seed: the dataset's)."""
 
+    name: Optional[str] = None
+    n: int = 200
+    noise: Optional[float] = None
+    seed: Optional[int] = None
+
+
+def _section(*classes, skip=(), **overrides) -> tuple:
+    """(defaults, kinds) from the fields of config dataclasses, less those in
+    `skip`, with `overrides` in place; a key that names no field has no kind."""
+    defaults = {f.name: f.default for c in classes for f in fields(c) if f.name not in skip}
+    kinds = {k: v for c in classes for k, v in get_type_hints(c).items() if k not in skip}
+    return {**defaults, **overrides}, kinds
+
+
+_DATASET = _section(DatasetSection, synthetic=None)
+
+_SYNTHETIC = _section(SyntheticSection)
 
 # svm trains on features, so its kernel defaults to rbf, not precomputed.
-_MODEL_DEFAULTS = {
-    "dt": _defaults(TreeConfig),
-    "rf": _defaults(TreeConfig, ForestConfig, skip=("seed",)),
-    "svm": _defaults(SvmConfig, kernel="rbf"),
-    "qsvm": _defaults(SvmConfig, skip=("kernel", "gamma"), feature_map=None),
+_MODELS = {
+    "dt": _section(TreeConfig),
+    "rf": _section(TreeConfig, ForestConfig, skip=("seed",)),
+    "svm": _section(SvmConfig, kernel="rbf"),
+    "qsvm": _section(SvmConfig, skip=("kernel", "gamma"), feature_map=None),
 }
 
-_FEATURE_MAP_DEFAULTS = _defaults(FeatureMapSpec, skip=("num_qubits",), kind="angle_y")
+_FEATURE_MAP = _section(FeatureMapSpec, skip=("num_qubits",), kind="angle_y")
 
-_QUANV_DEFAULTS = _defaults(QuanvSpec)
+_QUANV = _section(QuanvSpec)
 
-_TRAIN_DEFAULTS = _defaults(TrainConfig, skip=("seed",))
+_TRAIN = _section(TrainConfig, skip=("seed",))
 
-_HYBRID_DEFAULTS = {"quanv": None, "hidden": [16], "train": None}
+_HYBRID = ({"quanv": None, "hidden": [16], "train": None}, {"hidden": list[int]})
 
 
-def _merge(section_name: str, defaults: dict, given) -> dict:
+def _merge(section_name: str, section: tuple, given, **overrides) -> dict:
+    """The section's defaults updated by `given` and then `overrides`,
+    each value cast to its key's kind."""
+    defaults, kinds = section
     if given is None:
         given = {}
     if not isinstance(given, dict):
@@ -84,8 +105,9 @@ def _merge(section_name: str, defaults: dict, given) -> dict:
             f"unknown key(s) in {section_name}: {sorted(unknown)}; "
             f"allowed: {sorted(defaults)}"
         )
-    out = dict(defaults)
-    out.update(given)
+    out = {**defaults, **given, **overrides}
+    for key, kind in kinds.items():
+        out[key] = cast_value(kind, out[key], f"{section_name}.{key}")
     return out
 
 
@@ -114,14 +136,14 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
             "allowed: ['dataset', 'model', 'hybrid']"
         )
 
-    dataset = _merge("dataset", _DATASET_DEFAULTS, doc.get("dataset"))
+    overrides = {}
     if seed_override is not None:
-        dataset["seed"] = int(seed_override)
+        overrides["seed"] = seed_override
     if synthetic_override is not None:
-        dataset["csv"] = None
-        dataset["synthetic"] = {"name": str(synthetic_override)}
+        overrides.update(csv=None, synthetic={"name": synthetic_override})
+    dataset = _merge("dataset", _DATASET, doc.get("dataset"), **overrides)
     if dataset["synthetic"] is not None:
-        synth = _merge("dataset.synthetic", _SYNTH_DEFAULTS, dataset["synthetic"])
+        synth = _merge("dataset.synthetic", _SYNTHETIC, dataset["synthetic"])
         if not synth["name"]:
             raise ConfigError("dataset.synthetic needs a 'name'")
         if synth["seed"] is None:
@@ -131,7 +153,7 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
         raise ConfigError("dataset needs either 'csv' or 'synthetic'")
     if dataset["csv"] is not None and dataset["synthetic"] is not None:
         raise ConfigError("dataset takes 'csv' or 'synthetic', not both")
-    if not 0.0 < float(dataset["test_fraction"]) < 1.0:
+    if not 0.0 < dataset["test_fraction"] < 1.0:
         raise ConfigError(
             f"dataset.test_fraction must be in (0, 1), got {dataset['test_fraction']}"
         )
@@ -148,28 +170,22 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
         if not isinstance(model, dict) or "name" not in model:
             raise ConfigError("model needs a 'name'")
         name = model["name"]
-        if name not in _MODEL_NAMES:
-            raise ConfigError(
-                f"unknown model {name!r}; choose from {list(_MODEL_NAMES)}"
-            )
+        if not isinstance(name, str) or name not in _MODELS:
+            raise ConfigError(f"unknown model {name!r}; choose from {list(_MODELS)}")
         body = {k: v for k, v in model.items() if k != "name"}
-        merged = _merge(f"model({name})", _MODEL_DEFAULTS[name], body)
+        merged = _merge(f"model({name})", _MODELS[name], body)
         if name == "qsvm":
             merged["feature_map"] = _merge(
-                "model.feature_map",
-                _FEATURE_MAP_DEFAULTS,
-                merged.get("feature_map"),
+                "model.feature_map", _FEATURE_MAP, merged["feature_map"]
             )
         merged["name"] = name
         resolved["model"] = merged
 
     # The hybrid section always resolves so `qkml hybrid` runs on defaults.
-    merged = _merge("hybrid", _HYBRID_DEFAULTS, doc.get("hybrid"))
-    merged["quanv"] = _merge("hybrid.quanv", _QUANV_DEFAULTS, merged["quanv"])
-    merged["train"] = _merge("hybrid.train", _TRAIN_DEFAULTS, merged["train"])
-    if not isinstance(merged["hidden"], list) or not all(
-        isinstance(h, int) and h >= 1 for h in merged["hidden"]
-    ):
+    merged = _merge("hybrid", _HYBRID, doc.get("hybrid"))
+    merged["quanv"] = _merge("hybrid.quanv", _QUANV, merged["quanv"])
+    merged["train"] = _merge("hybrid.train", _TRAIN, merged["train"])
+    if not all(h >= 1 for h in merged["hidden"]):
         raise ConfigError("hybrid.hidden must be a list of positive ints")
     resolved["hybrid"] = merged
 

@@ -63,6 +63,15 @@ class RawTable:
             ) from None
 
 
+def check_labels(labels) -> np.ndarray:
+    """``labels`` as an int64 array, refusing any value but 0 and 1."""
+    y = np.asarray(labels)
+    bad = set(np.unique(y).tolist()) - {0, 1}
+    if bad:
+        raise ValueError(f"labels must be 0/1, got extra values {sorted(bad)}")
+    return y.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Numeric design matrix with 0/1 labels and column names."""
@@ -73,7 +82,7 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = check_labels(self.labels)
         if x.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {x.shape}")
         if y.shape != (x.shape[0],):
@@ -84,9 +93,6 @@ class Dataset:
             raise ValueError(
                 f"{len(self.feature_names)} names for {x.shape[1]} columns"
             )
-        bad = set(np.unique(y).tolist()) - {0, 1} if y.size else set()
-        if bad:
-            raise ValueError(f"labels must be 0/1, got {sorted(bad)}")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))

@@ -45,6 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import accel
+from .artifacts import cast_fields
 from .statevector import (
     MAX_QUBITS,
     Circuit,
@@ -84,19 +85,13 @@ class FeatureMapSpec:
     entanglement: str = LINEAR
 
     def __post_init__(self):
+        cast_fields(self, repetitions=1)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
-        n = int(self.num_qubits)
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {n}")
-        object.__setattr__(self, "num_qubits", n)
-        reps = self.repetitions
-        if reps is None:
-            reps = _DEFAULT_REPS[self.kind]
-        reps = int(reps)
-        if reps < 1:
-            raise ValueError(f"repetitions must be >= 1, got {reps}")
-        object.__setattr__(self, "repetitions", reps)
+        if not 1 <= self.num_qubits <= MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {self.num_qubits}")
+        if self.repetitions is None:
+            object.__setattr__(self, "repetitions", _DEFAULT_REPS[self.kind])
         if self.entanglement not in _PATTERNS:
             raise ValueError(f"unknown entanglement pattern {self.entanglement!r}")
 

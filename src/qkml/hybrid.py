@@ -22,13 +22,14 @@ accuracy come from one softmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dataset import Dataset
+from .artifacts import cast_fields, cast_value
+from .dataset import Dataset, check_labels
 from .statevector import (
     Circuit,
     block_rows,
@@ -52,14 +53,7 @@ class QuanvSpec:
     circuit_seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, int(getattr(self, f.name)))
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        cast_fields(self, window=1, stride=1, layers=0)
 
 
 def build_quanv_circuit(spec: QuanvSpec) -> Circuit:
@@ -198,7 +192,7 @@ def _gradients(weights, biases, x, y):
 def _batch(features, labels):
     return (
         np.atleast_2d(np.asarray(features, dtype=np.float64)),
-        np.asarray(labels, dtype=np.int64),
+        check_labels(labels),
     )
 
 
@@ -232,15 +226,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "learning_rate", float(self.learning_rate))
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        cast_fields(self, epochs=1, batch_size=1)
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -264,7 +252,7 @@ def train_dense(
 ) -> Tuple[DenseNet, TrainHistory]:
     """Mini-batch SGD; returns the trained net and its history."""
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = check_labels(labels)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("features/labels shape mismatch")
     if x.shape[1] != net.sizes[0]:
@@ -314,7 +302,7 @@ def compare_hybrid(
 
     Returns both histories plus the trained nets, keyed by arm name.
     """
-    hidden = tuple(int(h) for h in hidden)
+    hidden = cast_value(Tuple[int, ...], hidden, "hidden")
     # Quanvolve first, so a bad window fails before the classical arm trains.
     inputs = {
         "classical": (train_ds.features, val_ds.features),

@@ -20,6 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import check_labels
+
 
 def round_half_up(x: float, ndigits: int = 2) -> float:
     """Decimal round-half-up on the shortest repr of ``x``."""
@@ -33,15 +35,12 @@ def format_rate(x: float, ndigits: int = 2) -> str:
 
 
 def _check_labels(y_true: Sequence, y_pred: Sequence):
-    t = np.asarray(y_true, dtype=np.int64).ravel()
-    p = np.asarray(y_pred, dtype=np.int64).ravel()
+    t = check_labels(y_true).ravel()
+    p = check_labels(y_pred).ravel()
     if t.shape != p.shape:
         raise ValueError(f"length mismatch: {t.shape[0]} true vs {p.shape[0]} predicted")
     if t.shape[0] == 0:
         raise ValueError("no samples")
-    bad = (set(np.unique(t).tolist()) | set(np.unique(p).tolist())) - {0, 1}
-    if bad:
-        raise ValueError(f"labels must be 0/1, got extra values {sorted(bad)}")
     return t, p
 
 
@@ -157,48 +156,30 @@ _NAME_W = 12
 _COL_W = 9
 
 
+def _line(name, *cells) -> str:
+    """One table line: the row name, then each cell right-aligned."""
+    return " ".join([f"{name:>{_NAME_W}}", *(f"{c:>{_COL_W}}" for c in cells)])
+
+
 def render_report(report: ClassificationReport) -> str:
     """Fixed-width table: per-class rows, then accuracy / macro avg /
     weighted avg, every rate shown half-up at two decimals."""
 
-    def row(name, p, r, f1, support):
-        return (
-            f"{name:>{_NAME_W}} "
-            f"{format_rate(p):>{_COL_W}} "
-            f"{format_rate(r):>{_COL_W}} "
-            f"{format_rate(f1):>{_COL_W}} "
-            f"{support:>{_COL_W}}"
-        )
+    def row(name, rates, support):
+        return _line(name, *map(format_rate, rates), support)
 
-    header = (
-        f"{'':>{_NAME_W}} "
-        f"{'precision':>{_COL_W}} "
-        f"{'recall':>{_COL_W}} "
-        f"{'f1-score':>{_COL_W}} "
-        f"{'support':>{_COL_W}}"
-    )
-    acc_row = (
-        f"{'accuracy':>{_NAME_W}} "
-        f"{'':>{_COL_W}} "
-        f"{'':>{_COL_W}} "
-        f"{format_rate(report.accuracy):>{_COL_W}} "
-        f"{report.total_support:>{_COL_W}}"
-    )
+    c0, c1 = report.classes
     lines = [
-        header,
+        _line("", "precision", "recall", "f1-score", "support"),
         "",
-        row("Class 0", *_unpack(report.classes[0])),
-        row("Class 1", *_unpack(report.classes[1])),
+        row("Class 0", (c0.precision, c0.recall, c0.f1), c0.support),
+        row("Class 1", (c1.precision, c1.recall, c1.f1), c1.support),
         "",
-        acc_row,
-        row("macro avg", *report.macro_avg, report.total_support),
-        row("weighted avg", *report.weighted_avg, report.total_support),
+        _line("accuracy", "", "", format_rate(report.accuracy), report.total_support),
+        row("macro avg", report.macro_avg, report.total_support),
+        row("weighted avg", report.weighted_avg, report.total_support),
     ]
     return "\n".join(lines) + "\n"
-
-
-def _unpack(m: ClassMetrics):
-    return m.precision, m.recall, m.f1, m.support
 
 
 def report_to_dict(report: ClassificationReport) -> dict:

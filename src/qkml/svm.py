@@ -16,12 +16,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import accel
-from .artifacts import require_fields
+from .artifacts import cast_fields, require_fields
+from .dataset import check_labels
 from .qkernel import GramMatrix, matrix_sha256
 
 PRECOMPUTED = "precomputed"
@@ -54,30 +55,21 @@ class SvmConfig:
     max_passes: int = 50
     kernel: str = PRECOMPUTED
     gamma: Optional[float] = None
-    class_weight: Optional[tuple] = None
+    class_weight: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "max_passes", int(self.max_passes))
-        object.__setattr__(self, "gamma", None if self.gamma is None else float(self.gamma))
+        cast_fields(self, max_passes=1)
         if not self.c > 0:
             raise ValueError(f"c must be > 0, got {self.c}")
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
         if self.kernel not in _KERNELS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.class_weight is not None:
-            cw = tuple(float(w) for w in self.class_weight)
-            if len(cw) != 2 or any(not w > 0 for w in cw):
-                raise ValueError(
-                    f"class_weight must be two positive factors, got {self.class_weight}"
-                )
-            object.__setattr__(self, "class_weight", cw)
+        cw = self.class_weight
+        if cw is not None and (len(cw) != 2 or any(not w > 0 for w in cw)):
+            raise ValueError(f"class_weight must be two positive factors, got {cw}")
 
 
 @dataclass(frozen=True)
@@ -131,14 +123,10 @@ def _as_kernel_matrix(gram: Union[GramMatrix, np.ndarray]) -> np.ndarray:
 
 
 def _check_labels(labels: Sequence, n: int) -> np.ndarray:
-    y = np.asarray(labels)
+    y = check_labels(labels)
     if y.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {y.shape}")
-    y = y.astype(np.int64)
-    values = set(np.unique(y).tolist())
-    if not values <= {0, 1}:
-        raise ValueError(f"labels must be 0/1, got values {sorted(values)}")
-    if len(values) < 2:
+    if np.unique(y).shape[0] < 2:
         raise ValueError("training needs both classes present")
     return y
 

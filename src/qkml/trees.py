@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .artifacts import require_fields
+from .artifacts import cast_fields, require_fields
+from .dataset import check_labels
 
 
 def gini_impurity(class_counts) -> float:
@@ -59,14 +60,7 @@ class TreeConfig:
     min_samples_leaf: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, int(getattr(self, f.name)))
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise ValueError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
-        if self.min_samples_leaf < 1:
-            raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        cast_fields(self, max_depth=1, min_samples_split=2, min_samples_leaf=1)
 
 
 @dataclass(frozen=True)
@@ -97,14 +91,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_trees", int(self.n_trees))
-        object.__setattr__(self, "mtry", None if self.mtry is None else int(self.mtry))
-        object.__setattr__(self, "bootstrap", bool(self.bootstrap))
-        object.__setattr__(self, "seed", int(self.seed))
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.mtry is not None and self.mtry < 1:
-            raise ValueError(f"mtry must be >= 1, got {self.mtry}")
+        cast_fields(self, n_trees=1, mtry=1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +103,7 @@ class ForestModel:
 
 def _check_xy(features, labels):
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = check_labels(labels)
     if x.ndim != 2:
         raise ValueError(f"expected 2-d feature matrix, got shape {x.shape}")
     if y.shape != (x.shape[0],):
@@ -125,9 +112,6 @@ def _check_xy(features, labels):
         )
     if x.shape[0] == 0:
         raise ValueError("no training rows")
-    bad = set(np.unique(y).tolist()) - {0, 1}
-    if bad:
-        raise ValueError(f"labels must be 0/1, got extra values {sorted(bad)}")
     if not np.all(np.isfinite(x)):
         raise ValueError("features contain non-finite values")
     return x, y

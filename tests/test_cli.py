@@ -1,12 +1,13 @@
 """End-to-end command-line runs (in-process)."""
 
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkml import __version__, cli, qkernel, trees
+from qkml import __version__, cli, config, qkernel, trees
 from qkml.cli import main
 from qkml.config import ConfigError, resolve_config
 from qkml.dataset import Dataset
@@ -380,15 +381,73 @@ _MOONS = {"synthetic": {"name": "moons"}}
         ({"dataset": _MOONS, "model": {"c": 1.0}}, "model needs a 'name'"),
         ({"dataset": _MOONS, "model": {"name": "knn"}}, "unknown model 'knn'"),
         ({"dataset": _MOONS, "hybrid": {"hidden": [0]}}, "hybrid.hidden must be a list"),
+        ({"dataset": _MOONS, "model": {"name": "rf", "bootstrap": "false"}},
+         "model(rf).bootstrap must be true or false"),
+        ({"dataset": _MOONS, "model": {"name": "dt", "max_depth": None}},
+         "model(dt).max_depth must be an integer"),
+        ({"dataset": _MOONS, "model": {"name": "svm", "c": None}}, "model(svm).c must be a number"),
+        ({"dataset": _MOONS, "model": {"name": "svm", "class_weight": True}},
+         "model(svm).class_weight must be a list"),
+        ({"dataset": {"csv": 5}}, "dataset.csv must be a string or null"),
+        ({"dataset": _MOONS, "model": {"name": "dt", "max_depth": 2.7}},
+         "model(dt).max_depth must be an integer"),
+        ({"dataset": _MOONS, "model": {"name": "qsvm", "feature_map": {"repetitions": 1.5}}},
+         "model.feature_map.repetitions must be an integer or null"),
+        ({"dataset": {**_MOONS, "feature_k": 1.5}}, "dataset.feature_k must be an integer"),
+        ({"dataset": {**_MOONS, "stratify": "no"}}, "dataset.stratify must be true or false"),
+        ({"dataset": _MOONS, "model": {"name": "svm", "class_weight": [True, 2]}},
+         "model(svm).class_weight must be a number"),
+        ({"dataset": _MOONS, "hybrid": {"hidden": [True]}}, "hybrid.hidden must be an integer"),
     ],
     ids=["no-file", "top-level", "section", "synthetic-name", "no-source", "two-sources",
-         "test-fraction", "scaling", "model-name", "unknown-model", "hidden"],
+         "test-fraction", "scaling", "model-name", "unknown-model", "hidden",
+         "bootstrap-string", "max-depth-null", "c-null", "class-weight-bool", "csv-int",
+         "max-depth-fraction", "repetitions-fraction", "feature-k-fraction", "stratify-string",
+         "class-weight-bool-factor", "hidden-bool"],
 )
 def test_config_errors_exit_two_with_their_message(tmp_path, capsys, doc, message):
     cfg = str(tmp_path / "missing.json") if doc is None else _write_config(tmp_path, doc)
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def _section_cases():
+    """(section name, key, kind, doc builder) for every key of every section
+    table that has a kind."""
+    sections = [
+        ("dataset", config._DATASET, lambda k, v: {"dataset": {**_MOONS, k: v}}),
+        ("dataset.synthetic", config._SYNTHETIC,
+         lambda k, v: {"dataset": {"synthetic": {"name": "moons", k: v}}}),
+        ("model.feature_map", config._FEATURE_MAP,
+         lambda k, v: {"dataset": _MOONS, "model": {"name": "qsvm", "feature_map": {k: v}}}),
+        ("hybrid", config._HYBRID, lambda k, v: {"dataset": _MOONS, "hybrid": {k: v}}),
+        ("hybrid.quanv", config._QUANV,
+         lambda k, v: {"dataset": _MOONS, "hybrid": {"quanv": {k: v}}}),
+        ("hybrid.train", config._TRAIN,
+         lambda k, v: {"dataset": _MOONS, "hybrid": {"train": {k: v}}}),
+    ] + [
+        (f"model({m})", section,
+         lambda k, v, m=m: {"dataset": _MOONS, "model": {"name": m, k: v}})
+        for m, section in config._MODELS.items()
+    ]
+    return [
+        pytest.param(name, key, kind, build, id=f"{name}.{key}")
+        for name, (_, kinds), build in sections
+        for key, kind in sorted(kinds.items())
+    ]
+
+
+@pytest.mark.parametrize("section, key, kind, build", _section_cases())
+def test_every_config_key_refuses_a_wrong_kind(tmp_path, capsys, section, key, kind, build):
+    # A dict is the wrong kind for every key; so is true, unless it is a bool.
+    wrong = "false" if bool in (kind, *typing.get_args(kind)) else True
+    for i, value in enumerate(({}, wrong)):
+        cfg = _write_config(tmp_path, build(key, value), name=f"{i}.json")
+        assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}.{key} must be ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -418,8 +477,9 @@ def test_default_resolutions_keep_their_hash(model, digest):
         ),
         (
             "benchmark",
-            {"model": {"name": "qsvm", "feature_map": {"kind": "zz", "repetitions": 1}}},
-            {"model": {"name": "qsvm", "max_passes": "50",
+            {"model": {"name": "qsvm", "c": 2.0,
+                       "feature_map": {"kind": "zz", "repetitions": 1}}},
+            {"model": {"name": "qsvm", "max_passes": "50", "c": 2,
                        "feature_map": {"kind": "zz", "repetitions": 1.0}}},
         ),
         (
@@ -429,8 +489,15 @@ def test_default_resolutions_keep_their_hash(model, digest):
             {"hybrid": {"quanv": {"window": 2.0, "stride": "1"},
                         "train": {"epochs": 2.0, "batch_size": "16"}}},
         ),
+        (
+            "benchmark",
+            {"dataset": {"synthetic": {"name": "moons", "n": 80}, "seed": 2,
+                         "feature_k": 2, "subsample": 40}, "model": {"name": "dt"}},
+            {"dataset": {"synthetic": {"name": "moons", "n": 80.0}, "seed": 2,
+                         "feature_k": 2.0, "subsample": "40"}, "model": {"name": "dt"}},
+        ),
     ],
-    ids=["rf", "qsvm", "hybrid"],
+    ids=["rf", "qsvm", "hybrid", "dataset"],
 )
 def test_integral_floats_and_numeric_strings_run_as_ints(tmp_path, command, as_ints, as_written):
     dataset = {"synthetic": {"name": "moons", "n": 80}, "seed": 2}
@@ -439,9 +506,16 @@ def test_integral_floats_and_numeric_strings_run_as_ints(tmp_path, command, as_i
         cfg = _write_config(tmp_path, {"dataset": dataset, **doc}, name=f"{name}.json")
         outs.append(tmp_path / name)
         assert main([command, "--config", cfg, "--out", str(outs[-1])]) == 0
-    artifacts = ["curves.csv"] if command == "hybrid" else ["report.txt", "confusion.csv"]
+    if command == "hybrid":
+        artifacts = ["curves.csv", "hybrid_manifest.json"]
+    else:
+        artifacts = ["report.txt", "report.json", "confusion.csv"]
     for artifact in artifacts:
-        assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+        ints, written = ((out / artifact).read_bytes() for out in outs)
+        if artifact == "hybrid_manifest.json":
+            # Every field but the wall time, config_sha256 included.
+            ints, written = ({**json.loads(doc), "wall_time_s": 0} for doc in (ints, written))
+        assert ints == written
 
 
 def test_commands_need_a_source():

@@ -454,6 +454,8 @@ def test_dataset_type_validation():
         Dataset(np.zeros((2, 2)), [0, 1], ("a",))
     with pytest.raises(ValueError, match="0/1"):
         Dataset(np.zeros((2, 1)), [0, 3], ("a",))
+    with pytest.raises(ValueError, match="0/1"):
+        Dataset(np.zeros((2, 1)), [0, 0.5], ("a",))
 
 
 def _date_or_error(parse, cell):

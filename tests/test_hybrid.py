@@ -291,6 +291,23 @@ def test_train_shape_mismatches():
         train_dense(net2, x, y[:-1])
 
 
+@pytest.mark.parametrize("label", [-1, 2])
+def test_labels_outside_zero_one_rejected(label):
+    x, y = _blobs(10)
+    bad = np.array(y)
+    bad[0] = label
+    net = init_dense((2, 4, 2), seed=0)
+    cfg = TrainConfig(epochs=1)
+    for call in (
+        lambda: train_dense(net, x, bad, cfg),
+        lambda: train_dense(net, x, y, cfg, x, bad),
+        lambda: cross_entropy(net, x, bad),
+        lambda: loss_and_gradients(net, x, bad),
+    ):
+        with pytest.raises(ValueError, match="0/1"):
+            call()
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)

@@ -229,6 +229,8 @@ def test_train_tree_rejections():
 
 
 def test_tree_config_validation():
+    with pytest.raises(ValueError, match="max_depth must be an integer"):
+        TreeConfig(max_depth=None)
     with pytest.raises(ValueError):
         TreeConfig(max_depth=0)
     with pytest.raises(ValueError):
