@@ -280,9 +280,7 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_hybrid(args) -> int:
-    resolved, cfg_hash = resolve_config(
-        load_config(args.config), args.seed, args.synthetic
-    )
+    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
     out = Path(args.out)
     ds = _obtain_dataset(resolved, out)
     train, test, info = _prepare_splits(ds, resolved["dataset"])
@@ -293,6 +291,11 @@ def cmd_hybrid(args) -> int:
         log.warning("quanv window %d wider than %d features; clamping", quanv.window, n_feats)
         quanv = replace(quanv, window=n_feats)
     tcfg = _typed(hmod.TrainConfig, hcfg["train"], seed=resolved["dataset"]["seed"])
+    width = hmod.quanv_output_width(quanv, n_feats)
+    log.info("quanv: %d rows x %d windows of %d qubits",
+             train.n_rows + test.n_rows, width // quanv.window, quanv.window)
+    log.info("stacked training: 2 arms, input widths %d and %d, %d steps per epoch, %d epochs",
+             n_feats, width, -(-train.n_rows // tcfg.batch_size), tcfg.epochs)
     started = time.monotonic()
     arms = hmod.compare_hybrid(train, test, quanv, hcfg["hidden"], tcfg)
     wall = time.monotonic() - started
@@ -305,12 +308,8 @@ def cmd_hybrid(args) -> int:
         "hidden": hcfg["hidden"],
         "train": hcfg["train"],
         "arms": {
-            name: {
-                "final_train_loss": arm["history"].train_loss[-1],
-                "final_train_acc": arm["history"].train_acc[-1],
-                "final_val_loss": arm["history"].val_loss[-1],
-                "final_val_acc": arm["history"].val_acc[-1],
-            }
+            name: {f"final_{key}": getattr(arm["history"], key)[-1]
+                   for key in ("train_loss", "train_acc", "val_loss", "val_acc")}
             for name, arm in sorted(arms.items())
         },
         # Wall time varies run to run; every other field is deterministic.
@@ -319,10 +318,7 @@ def cmd_hybrid(args) -> int:
     write_json_atomic(out / "hybrid_manifest.json", manifest)
     for name in sorted(arms):
         h = arms[name]["history"]
-        print(
-            f"hybrid[{name}]: train_acc={h.train_acc[-1]:.3f} "
-            f"val_acc={h.val_acc[-1]:.3f}"
-        )
+        print(f"hybrid[{name}]: train_acc={h.train_acc[-1]:.3f} val_acc={h.val_acc[-1]:.3f}")
     return 0
 
 

@@ -34,6 +34,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .artifacts import cast_value
+
 log = logging.getLogger("qkml.dataset")
 
 STATUS_EXIT = ("acquired", "ipo")
@@ -402,6 +404,8 @@ def train_test_split(
     The test block holds floor(n * test_fraction) rows, at least 1; with
     ``stratify`` the floor is taken per class (again at least 1 each).
     """
+    test_fraction = cast_value(float, test_fraction, "test_fraction")
+    seed = cast_value(int, seed, "seed")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = ds.n_rows
@@ -504,7 +508,8 @@ def select_features(ds: Dataset, k: int = 8) -> np.ndarray:
     resolve to the lower column index.  Returned indices are ascending,
     preserving column order for ``take_features``.
     """
-    if int(k) < 1:
+    k = cast_value(int, k, "k")
+    if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     x, y = ds.features, ds.labels
     d = x.shape[1]
@@ -522,7 +527,7 @@ def select_features(ds: Dataset, k: int = 8) -> np.ndarray:
     pooled = np.sqrt((n1 * var1 + n0 * var0) / (n1 + n0))
     score = np.abs(mu1 - mu0) / (pooled + 1e-12)
     # Stable sort on negated scores keeps the lower index first on ties.
-    ranked = np.argsort(-score, kind="stable")[: int(k)]
+    ranked = np.argsort(-score, kind="stable")[:k]
     return np.sort(ranked)
 
 

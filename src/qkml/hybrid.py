@@ -11,36 +11,33 @@ registers of all (row, window) pairs together as row blocks; each output
 equals that window's circuit run on its own with ``run_circuit``.
 
 The classifier is a fully connected ReLU network with a 2-way softmax
-head, trained by mini-batch SGD on cross-entropy.  Training is a pure
-function of (data, config): Xavier-uniform init and epoch shuffling both
-come from seeded generators.  Each step runs one forward pass and
-backprop on the weight lists, and each epoch one forward pass per
-evaluated set (train, and validation when given), whose loss and
-accuracy come from one softmax.
+head, trained by mini-batch SGD on cross-entropy from a seeded
+Xavier-uniform init and seeded epoch shuffles.  ``compare_hybrid`` trains
+its two arms as one stack of nets on the same minibatches, so each step
+runs one forward pass and one backprop for both.  numpy runs a stacked
+matmul as the same gemm per arm that a 2-d matmul runs; the first layer
+keeps one matrix per arm, as the input widths differ and a product
+zero-padded to a common width does not keep every bit.  So each arm is
+bit for bit what ``train_dense``, the one-arm case, gives it alone, and a
+diverging arm raises what it raises alone: the classical arm at once,
+the hybrid arm once the classical arm has finished.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import cast_fields, cast_value
 from .dataset import Dataset, check_labels
-from .statevector import (
-    Circuit,
-    block_rows,
-    cnot,
-    run_circuit,  # not called here; tracing tools patch it by module and name
-    run_circuit_rows,
-    ry,
-    ry_layer_rows,
-    z_expectation_rows,
-    zero_rows,
-)
+from .statevector import Circuit, block_rows, cnot, ry, ry_layer_rows, run_circuit_rows
+from .statevector import run_circuit  # not called here; tracing tools patch it by module and name
+from .statevector import z_expectation_rows, zero_rows
 
 
 @dataclass(frozen=True)
@@ -76,11 +73,8 @@ def build_quanv_circuit(spec: QuanvSpec) -> Circuit:
 
 def quanv_output_width(spec: QuanvSpec, n_features: int) -> int:
     if n_features < spec.window:
-        raise ValueError(
-            f"need at least window={spec.window} features, got {n_features}"
-        )
-    n_windows = (n_features - spec.window) // spec.stride + 1
-    return n_windows * spec.window
+        raise ValueError(f"need at least window={spec.window} features, got {n_features}")
+    return ((n_features - spec.window) // spec.stride + 1) * spec.window
 
 
 def quanv_transform(spec: QuanvSpec, x) -> np.ndarray:
@@ -126,14 +120,13 @@ class DenseNet:
 
 def init_dense(sizes, seed: int = 0) -> DenseNet:
     """Xavier-uniform weights, zero biases, drawn layer by layer."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = cast_value(Tuple[int, ...], tuple(sizes), "sizes")
     if len(sizes) < 2:
         raise ValueError("need at least input and output layer sizes")
     if any(s < 1 for s in sizes):
         raise ValueError(f"layer sizes must be >= 1, got {sizes}")
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
+    weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
@@ -141,65 +134,79 @@ def init_dense(sizes, seed: int = 0) -> DenseNet:
     return DenseNet(sizes, tuple(weights), tuple(biases))
 
 
-def _forward(weights, biases, x: np.ndarray) -> list:
-    """Activations of every layer, input first; ReLU hidden, linear head."""
-    acts = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b
-        acts.append(z if i == last else np.maximum(z, 0.0))
+def _stack(nets):
+    """Copies of the weights and biases of k nets alike past the input, as one
+    stack: a list of first matrices, then (k, fan_in, fan_out) and (k, 1, fan_out) arrays."""
+    weights = [[net.weights[0].copy() for net in nets]]
+    weights += [np.stack(layer) for layer in zip(*(net.weights[1:] for net in nets))]
+    return weights, [np.stack(layer)[:, None] for layer in zip(*(net.biases for net in nets))]
+
+
+def _unstack(weights, biases, arm: int):
+    """Arm ``arm``'s weights and biases out of a stack."""
+    return (weights[0][arm], *(w[arm] for w in weights[1:])), tuple(b[arm, 0] for b in biases)
+
+
+def _forward(weights, biases, xs) -> list:
+    """Activations of every layer of a stack, input first; ReLU hidden, linear
+    head.  ``xs`` lists each arm's input rows, later activations are (k, rows, width)."""
+    z = np.array([x @ w for x, w in zip(xs, weights[0])])
+    acts = [xs]
+    for i, b in enumerate(biases):
+        if i:
+            z = acts[-1] @ weights[i]
+        z += b
+        acts.append(z if i == len(biases) - 1 else np.maximum(z, 0.0, out=z))
     return acts
 
 
-def _softmax(logits: np.ndarray):
-    """(row-wise softmax, row-wise log-sum-exp) of the head logits."""
-    m = logits.max(axis=1, keepdims=True)
+def _log_sum_exp(logits: np.ndarray):
+    """(log-sum-exp, exp(logits - max), their sum) over the last axis, with
+    keepdims; the softmax probabilities are the second over the third."""
+    # Exact in any order, and many times faster than numpy's row-by-row max of a short axis.
+    m = functools.reduce(np.maximum, [logits[..., j : j + 1] for j in range(logits.shape[-1])])
     expd = np.exp(logits - m)
-    total = expd.sum(axis=1, keepdims=True)
-    return expd / total, (m + np.log(total))[:, 0]
+    total = expd.sum(axis=-1, keepdims=True)
+    return m + np.log(total), expd, total
 
 
-def _evaluate(weights, biases, x, y):
-    """(mean cross-entropy, accuracy) from one forward pass.  Accuracy is
-    the argmax of the probabilities, not of the logits: the division can
-    round two classes equal, and a tie goes to class 0."""
-    logits = _forward(weights, biases, x)[-1]
-    probs, lse = _softmax(logits)
-    loss = float(np.mean(lse - logits[np.arange(x.shape[0]), y]))
-    return loss, float((probs.argmax(axis=1) == y).mean())
+def _evaluate(weights, biases, xs, y) -> list:
+    """Each arm's (mean cross-entropy, accuracy) from one forward pass.
+    Accuracy is the argmax of the probabilities, not of the logits: the
+    division can round two classes equal, and a tie goes to class 0."""
+    logits = _forward(weights, biases, xs)[-1]
+    lse, expd, total = _log_sum_exp(logits)
+    losses = lse[:, :, 0] - logits[:, np.arange(y.shape[0]), y]
+    hits = (expd / total).argmax(axis=-1) == y
+    return [(float(np.mean(loss)), float(hit.mean())) for loss, hit in zip(losses, hits)]
 
 
-def _gradients(weights, biases, x, y):
-    """(weight grads, bias grads) of the mean cross-entropy on one batch."""
-    n = x.shape[0]
-    acts = _forward(weights, biases, x)
-    logits = acts[-1]
-    # From the log-sum-exp, not the softmax probabilities: they round differently.
-    delta = np.exp(logits - _softmax(logits)[1][:, None])
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(biases)
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
-        if layer > 0:
-            # acts[layer] = relu(z) is > 0 exactly where z is.
-            delta = (delta @ weights[layer].T) * (acts[layer] > 0.0)
+def _gradients(weights, biases, xs, onehot):
+    """(weight grads, bias grads) of each arm's mean cross-entropy on one
+    batch, laid out as the stack; ``onehot`` is the batch's one-hot labels."""
+    acts = _forward(weights, biases, xs)
+    # From the log-sum-exp, not the probabilities (they round differently).
+    delta = np.exp(acts[-1] - _log_sum_exp(acts[-1])[0]) - onehot
+    delta /= onehot.shape[0]
+    grads_w, grads_b = [None] * len(biases), [None] * len(biases)
+    for layer in range(len(biases) - 1, 0, -1):
+        grads_w[layer] = acts[layer].swapaxes(1, 2) @ delta
+        grads_b[layer] = delta.sum(axis=1, keepdims=True)
+        # acts[layer] = relu(z) is > 0 exactly where z is.
+        delta = (delta @ weights[layer].swapaxes(1, 2)) * (acts[layer] > 0.0)
+    grads_w[0] = [x.T @ d for x, d in zip(xs, delta)]
+    grads_b[0] = delta.sum(axis=1, keepdims=True)
     return grads_w, grads_b
 
 
-def _batch(features, labels):
-    return (
-        np.atleast_2d(np.asarray(features, dtype=np.float64)),
-        check_labels(labels),
-    )
+def _rows(features) -> np.ndarray:
+    return np.atleast_2d(np.asarray(features, dtype=np.float64))
 
 
 def predict_proba(net: DenseNet, features) -> np.ndarray:
     """Row-wise softmax over the head logits."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    return _softmax(_forward(net.weights, net.biases, x)[-1])[0]
+    _, expd, total = _log_sum_exp(_forward(*_stack([net]), [_rows(features)])[-1][0])
+    return expd / total
 
 
 def predict_classes(net: DenseNet, features) -> np.ndarray:
@@ -208,14 +215,14 @@ def predict_classes(net: DenseNet, features) -> np.ndarray:
 
 def cross_entropy(net: DenseNet, features, labels) -> float:
     """Mean softmax cross-entropy, computed in log-sum-exp form."""
-    return _evaluate(net.weights, net.biases, *_batch(features, labels))[0]
+    return _evaluate(*_stack([net]), [_rows(features)], check_labels(labels))[0][0]
 
 
 def loss_and_gradients(net: DenseNet, features, labels):
     """(loss, weight grads, bias grads) for one batch."""
-    x, y = _batch(features, labels)
-    grads_w, grads_b = _gradients(net.weights, net.biases, x, y)
-    return cross_entropy(net, x, y), grads_w, grads_b
+    x, y = _rows(features), check_labels(labels)
+    grads_w, grads_b = _unstack(*_gradients(*_stack([net]), [x], np.eye(net.sizes[-1])[y]), 0)
+    return cross_entropy(net, x, y), list(grads_w), list(grads_b)
 
 
 @dataclass(frozen=True)
@@ -233,8 +240,7 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch full-dataset evaluations (val lists empty without a
-    validation set)."""
+    """Per-epoch evaluations of the whole sets (val lists empty without validation)."""
 
     train_loss: list = field(default_factory=list)
     train_acc: list = field(default_factory=list)
@@ -243,80 +249,75 @@ class TrainHistory:
 
 
 def train_dense(
-    net: DenseNet,
-    features,
-    labels,
-    config: TrainConfig = TrainConfig(),
-    val_features=None,
-    val_labels=None,
+    net: DenseNet, features, labels, config: TrainConfig = TrainConfig(),
+    val_features=None, val_labels=None,
 ) -> Tuple[DenseNet, TrainHistory]:
     """Mini-batch SGD; returns the trained net and its history."""
-    x = np.asarray(features, dtype=np.float64)
+    val = None if val_features is None else [val_features]
+    return _train_arms([net], [features], labels, config, val, val_labels)[0]
+
+
+def _train_arms(nets, inputs, labels, config: TrainConfig, val_inputs=None, val_labels=None):
+    """Train net i on ``inputs[i]`` for every i in one loop; returns a (net,
+    history) pair per arm.  An arm whose loss turns non-finite stops its
+    history; the error is the first such arm's, raised at once for arm 0
+    and otherwise once every earlier arm has finished."""
     y = check_labels(labels)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise ValueError("features/labels shape mismatch")
-    if x.shape[1] != net.sizes[0]:
-        raise ValueError(
-            f"net expects {net.sizes[0]} inputs, data has {x.shape[1]}"
-        )
-    has_val = val_features is not None
-    if has_val:
-        xv, yv = _batch(val_features, val_labels)
-    weights = [w.copy() for w in net.weights]
-    biases = [b.copy() for b in net.biases]
+    xs = [np.asarray(x, dtype=np.float64) for x in inputs]
+    for net, x in zip(nets, xs):
+        if x.ndim != 2 or x.shape[0] != y.shape[0]:
+            raise ValueError("features/labels shape mismatch")
+        if x.shape[1] != net.sizes[0]:
+            raise ValueError(f"net expects {net.sizes[0]} inputs, data has {x.shape[1]}")
+    sets = [(xs, y)]
+    if val_inputs is not None:
+        sets.append(([_rows(x) for x in val_inputs], check_labels(val_labels)))
+    weights, biases = _stack(nets)
+    params = weights[0] + weights[1:] + biases
+    onehot = np.eye(nets[0].sizes[-1])[y]
     rng = np.random.default_rng(config.seed)
-    history = TrainHistory()
-    n = x.shape[0]
-    for epoch in range(config.epochs):
+    curves = [[] for _ in nets]  # per arm, one (loss, acc[, val loss, val acc]) per epoch
+    diverged = {}  # arm -> the epoch after which its loss was not finite
+    n, step = y.shape[0], config.batch_size
+    for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
-            gw, gb = _gradients(weights, biases, x[idx], y[idx])
-            for layer in range(len(weights)):
-                weights[layer] -= config.learning_rate * gw[layer]
-                biases[layer] -= config.learning_rate * gb[layer]
-        loss, acc = _evaluate(weights, biases, x, y)
-        if not np.isfinite(loss):
-            raise ValueError(
-                f"training diverged: non-finite loss after epoch {epoch + 1} "
-                f"(learning_rate={config.learning_rate})"
-            )
-        history.train_loss.append(loss)
-        history.train_acc.append(acc)
-        if has_val:
-            loss, acc = _evaluate(weights, biases, xv, yv)
-            history.val_loss.append(loss)
-            history.val_acc.append(acc)
-    return DenseNet(net.sizes, tuple(weights), tuple(biases)), history
+        shuffled, hot = [x[perm] for x in xs], onehot[perm]
+        for lo in range(0, n, step):
+            batch = [x[lo : lo + step] for x in shuffled]
+            grads_w, grads_b = _gradients(weights, biases, batch, hot[lo : lo + step])
+            for p, g in zip(params, grads_w[0] + grads_w[1:] + grads_b):
+                p -= config.learning_rate * g
+        for arm, row in enumerate(zip(*(_evaluate(weights, biases, *s) for s in sets))):
+            if arm in diverged or not np.isfinite(row[0][0]):
+                diverged.setdefault(arm, epoch)
+            else:
+                curves[arm].append(sum(row, ()))
+        if 0 in diverged:
+            break
+    if diverged:
+        raise ValueError(f"training diverged: non-finite loss after epoch "
+                         f"{diverged[min(diverged)]} (learning_rate={config.learning_rate})")
+    return [
+        (DenseNet(net.sizes, *_unstack(weights, biases, arm)), TrainHistory(*map(list, zip(*r))))
+        for arm, (net, r) in enumerate(zip(nets, curves))
+    ]
 
 
 def compare_hybrid(
-    train_ds: Dataset,
-    val_ds: Dataset,
-    quanv: QuanvSpec,
-    hidden=(16,),
+    train_ds: Dataset, val_ds: Dataset, quanv: QuanvSpec, hidden=(16,),
     config: TrainConfig = TrainConfig(),
 ) -> dict:
-    """Train the same dense architecture on raw features (classical arm)
-    and on quanvolved features (hybrid arm) with identical seeds.
-
-    Returns both histories plus the trained nets, keyed by arm name.
-    """
+    """Train the same dense architecture on raw features (classical arm) and
+    on quanvolved features (hybrid arm) with identical seeds, both in one
+    loop; returns both histories plus the trained nets, keyed by arm name."""
     hidden = cast_value(Tuple[int, ...], hidden, "hidden")
-    # Quanvolve first, so a bad window fails before the classical arm trains.
-    inputs = {
-        "classical": (train_ds.features, val_ds.features),
-        "hybrid": (
-            quanv_transform_batch(quanv, train_ds.features),
-            quanv_transform_batch(quanv, val_ds.features),
-        ),
-    }
-    arms = {}
-    for name, (x_train, x_val) in inputs.items():
-        net = init_dense((x_train.shape[1],) + hidden + (2,), seed=config.seed)
-        net, history = train_dense(net, x_train, train_ds.labels, config, x_val, val_ds.labels)
-        arms[name] = {"net": net, "history": history}
-    return arms
+    # Quanvolve first, so a bad window fails before any arm trains.
+    train = [train_ds.features, quanv_transform_batch(quanv, train_ds.features)]
+    val = [val_ds.features, quanv_transform_batch(quanv, val_ds.features)]
+    nets = [init_dense((x.shape[1],) + hidden + (2,), seed=config.seed) for x in train]
+    trained = _train_arms(nets, train, train_ds.labels, config, val, val_ds.labels)
+    arms = zip(("classical", "hybrid"), trained)
+    return {arm: {"net": net, "history": hist} for arm, (net, hist) in arms}
 
 
 def curves_csv(arms: dict) -> str:
@@ -327,7 +328,5 @@ def curves_csv(arms: dict) -> str:
         for e in range(len(hist.train_loss)):
             vl = repr(hist.val_loss[e]) if hist.val_loss else ""
             va = repr(hist.val_acc[e]) if hist.val_acc else ""
-            lines.append(
-                f"{e},{arm},{hist.train_loss[e]!r},{hist.train_acc[e]!r},{vl},{va}"
-            )
+            lines.append(f"{e},{arm},{hist.train_loss[e]!r},{hist.train_acc[e]!r},{vl},{va}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """End-to-end command-line runs (in-process)."""
 
 import json
+import logging
 import typing
 from pathlib import Path
 
@@ -320,6 +321,17 @@ def test_hybrid_default_window_clamps_to_feature_count(tmp_path):
     assert main(["hybrid", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "hybrid_manifest.json").read_text())
     assert manifest["quanv"]["window"] == 2
+
+
+def test_hybrid_logs_each_stage_with_its_sizes(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="qkml")
+    out = tmp_path / "out"
+    assert main(["hybrid", "--config", _hybrid_config(tmp_path, epochs=2), "--out", str(out)]) == 0
+    stages = [r.getMessage() for r in caplog.records if r.name == "qkml"]
+    assert stages == [
+        "quanv: 40 rows x 1 windows of 2 qubits",
+        "stacked training: 2 arms, input widths 2 and 2, 1 steps per epoch, 2 epochs",
+    ]
 
 
 # -- report --------------------------------------------------------------------

@@ -313,6 +313,18 @@ def test_split_rejects_degenerate_inputs():
         train_test_split(_toy_dataset(1), 0.5, seed=0)
 
 
+def test_split_arguments_pass_the_config_casting_rule():
+    ds = _toy_dataset(12)
+    want = train_test_split(ds, 0.25, seed=3)
+    for fraction, seed in ((0.25, np.int64(3)), (np.float64(0.25), 3.0)):
+        got = train_test_split(ds, fraction, seed)
+        assert [g.features.tobytes() for g in got] == [w.features.tobytes() for w in want]
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        train_test_split(ds, 0.25, 1.5)
+    with pytest.raises(ValueError, match="test_fraction must be a number"):
+        train_test_split(ds, True, 3)
+
+
 # -- scaling -----------------------------------------------------------------
 
 
@@ -418,6 +430,15 @@ def test_select_features_validation():
     ds = Dataset(np.zeros((4, 2)), [1, 1, 1, 1], ("a", "b"))
     with pytest.raises(ValueError, match="both classes"):
         select_features(ds, k=1)
+
+
+def test_select_features_k_passes_the_config_casting_rule():
+    # Integral values of any type select the same columns; nothing is truncated.
+    ds = _toy_dataset()
+    for k in (2.0, np.int64(2)):
+        assert select_features(ds, k=k).tolist() == select_features(ds, 2).tolist()
+    with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+        select_features(ds, k=1.5)
 
 
 def test_take_features():

@@ -177,6 +177,15 @@ def test_init_dense_validation():
         init_dense((4, 0, 2))
 
 
+def test_init_dense_sizes_pass_the_config_casting_rule():
+    # Integral values of any type build the same net; nothing is truncated.
+    want = init_dense((2, 4, 2), seed=3)
+    for sizes in ((2, 4.0, 2), [np.int64(2), np.int64(4), 2], np.array([2, 4, 2])):
+        _assert_same_net(init_dense(sizes, seed=3), want)
+    with pytest.raises(ValueError, match="sizes must be an integer, got 4.7"):
+        init_dense((2, 4.7, 2))
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     net = init_dense((4, 6, 2), seed=2)
@@ -408,11 +417,16 @@ def test_curves_csv_layout():
 # -- bitwise equality with the dense-net oracle --------------------------------
 
 
+def _assert_same_net(net, want):
+    assert net.sizes == want.sizes
+    assert len(net.weights) == len(want.weights) and len(net.biases) == len(want.biases)
+    for a, b in zip(net.weights + net.biases, want.weights + want.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_same_training(got, want):
     (net, hist), (net_o, hist_o) = got, want
-    assert net.sizes == net_o.sizes
-    for a, b in zip(net.weights + net.biases, net_o.weights + net_o.biases):
-        assert a.tobytes() == b.tobytes()
+    _assert_same_net(net, net_o)
     assert repr(hist) == repr(hist_o)
 
 
@@ -506,7 +520,7 @@ def test_forward_runs_once_per_step_and_per_evaluated_set(monkeypatch, with_val)
     forward = hybrid._forward
 
     def counted(*args):
-        calls.append(args[2].shape[0])
+        calls.append(args[2][0].shape[0])  # rows of the first arm's input
         return forward(*args)
 
     monkeypatch.setattr(hybrid, "_forward", counted)
@@ -515,3 +529,139 @@ def test_forward_runs_once_per_step_and_per_evaluated_set(monkeypatch, with_val)
     train_dense(init_dense((2, 3, 2)), x, y, TrainConfig(epochs=2, batch_size=4), *val)
     epoch = [4, 4, 2, 10] + ([4] if with_val else [])
     assert calls == epoch * 2
+
+
+def test_compare_hybrid_runs_one_forward_pass_per_step_for_both_arms(monkeypatch):
+    from qkml import hybrid
+
+    calls = []
+    forward = hybrid._forward
+
+    def counted(*args):
+        calls.append([x.shape for x in args[2]])
+        return forward(*args)
+
+    monkeypatch.setattr(hybrid, "_forward", counted)
+    train, val = _ring_dataset(10, seed=6), _ring_dataset(4, seed=7)
+    spec = QuanvSpec(window=1, stride=1, layers=1)  # 2 features in, 2 out
+    compare_hybrid(train, val, spec, hidden=(3,), config=TrainConfig(epochs=2, batch_size=4))
+    epoch = [[(rows, 2)] * 2 for rows in (4, 4, 2, 10, 4)]
+    assert calls == epoch * 2
+
+
+# -- the stacked trainer against the one-arm oracle ------------------------------
+
+
+def _wide_dataset(n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, math.pi, size=(n, d))
+    y = (x[:, 0] + x[:, -1] + 0.5 * rng.normal(size=n) > math.pi).astype(np.int64)
+    return Dataset(x, y, tuple(f"f{i}" for i in range(d)))
+
+
+def _oracle_arms(train, val, spec, hidden, cfg):
+    """Each arm trained alone by the oracle, classical first: {arm: (net, history)}."""
+    from qkml import hybrid
+
+    transform = hybrid.quanv_transform_batch  # looked up here, so a test can patch it
+    arms = {}
+    for name, x, xv in (
+        ("classical", train.features, None if val is None else val.features),
+        ("hybrid", transform(spec, train.features),
+         None if val is None else transform(spec, val.features)),
+    ):
+        net = init_dense((x.shape[1],) + hidden + (2,), seed=cfg.seed)
+        arms[name] = helpers.train_dense_oracle(
+            net, x, train.labels, cfg, xv, None if val is None else val.labels
+        )
+    return arms
+
+
+# (features, quanv geometry, hidden layers); the quanv widths are 16, 56, 17, 16 and 18.
+_ARM_SHAPES = [
+    (17, QuanvSpec(window=4, stride=4, circuit_seed=1), (16,)),  # hybrid narrower
+    (17, QuanvSpec(window=4, stride=1, circuit_seed=2), (16,)),  # hybrid wider
+    (17, QuanvSpec(window=1, stride=1, circuit_seed=3), (8, 4)),  # equal widths
+    (17, QuanvSpec(window=4, stride=4, circuit_seed=4), (6, 5, 3)),
+    # A width that zero padding to 18 columns would round differently on OpenBLAS.
+    (8, QuanvSpec(window=3, stride=1, circuit_seed=5), ()),
+]
+
+
+@pytest.mark.parametrize("with_val", [False, True])
+@pytest.mark.parametrize("batch_size", [1, 7, 39, 60])
+@pytest.mark.parametrize("d, spec, hidden", _ARM_SHAPES)
+def test_stacked_arms_bitwise_equal_oracle_per_arm(d, spec, hidden, batch_size, with_val):
+    from qkml import hybrid
+
+    train = _wide_dataset(60, d, seed=d + batch_size)
+    val = _wide_dataset(13, d, seed=d + 1) if with_val else None
+    cfg = TrainConfig(epochs=3, learning_rate=0.3, batch_size=batch_size, seed=batch_size)
+    want = _oracle_arms(train, val, spec, hidden, cfg)
+    if with_val:
+        arms = compare_hybrid(train, val, spec, hidden, cfg)
+        got = {name: (arm["net"], arm["history"]) for name, arm in arms.items()}
+    else:
+        inputs = [train.features, quanv_transform_batch(spec, train.features)]
+        nets = [init_dense((x.shape[1],) + hidden + (2,), seed=cfg.seed) for x in inputs]
+        got = dict(zip(("classical", "hybrid"), hybrid._train_arms(nets, inputs, train.labels, cfg)))
+    assert sorted(got) == sorted(want)
+    for name in want:
+        _assert_same_training(got[name], want[name])
+
+
+@pytest.mark.parametrize(
+    "classical_scale, hybrid_scale, epoch, steps",
+    [
+        (1.0, 1e200, 1, 30),  # only the hybrid arm: raised once the classical arm has finished
+        (1e10, 1.0, 4, 20),  # only the classical arm: raised at once
+        (1e10, 1e200, 4, 20),  # both, the hybrid arm first: still the classical arm's error
+    ],
+)
+def test_stacked_divergence_raises_what_the_arms_raise_in_order(
+    monkeypatch, classical_scale, hybrid_scale, epoch, steps
+):
+    from qkml import hybrid
+
+    # Inputs of both signs and a large scale make an arm diverge after a few epochs.
+    train, val = _wide_dataset(40, 6, seed=1), _wide_dataset(10, 6, seed=2)
+    train, val = (
+        Dataset((ds.features - 1.5) * classical_scale, ds.labels, ds.feature_names)
+        for ds in (train, val)
+    )
+    transform = hybrid.quanv_transform_batch
+    monkeypatch.setattr(
+        hybrid, "quanv_transform_batch", lambda spec, x: transform(spec, x) * hybrid_scale
+    )
+    spec = QuanvSpec(window=2, stride=2, circuit_seed=1)
+    cfg = TrainConfig(epochs=6, batch_size=8, seed=4)  # 5 steps per epoch
+    counted = []
+    gradients = hybrid._gradients
+    monkeypatch.setattr(hybrid, "_gradients", lambda *a: counted.append(1) or gradients(*a))
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=f"non-finite loss after epoch {epoch} ") as err:
+            compare_hybrid(train, val, spec, (5,), cfg)
+        assert len(counted) == steps
+        # The oracle trains the arms one after the other.
+        with pytest.raises(ValueError, match="non-finite loss") as want:
+            _oracle_arms(train, val, spec, (5,), cfg)
+    assert str(err.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rows", list(range(1, 40)) + [1112])
+def test_stacked_matmul_runs_the_2d_gemm_per_arm(rows):
+    # The stacked trainer relies on this numpy/BLAS property: a stacked
+    # matmul, its swapped-axes forms and the batch sum give each arm the
+    # bits of the 2-d operation.  If a BLAS breaks it, this names the cause.
+    rng = np.random.default_rng(rows)
+    for fan_in, fan_out in ((17, 16), (16, 16), (16, 2), (56, 16), (3, 1)):
+        a = rng.normal(size=(2, rows, fan_in))
+        w = rng.normal(size=(2, fan_in, fan_out))
+        delta = rng.normal(size=(2, rows, fan_out))
+        forward, grad = a @ w, a.swapaxes(1, 2) @ delta
+        back, bias = delta @ w.swapaxes(1, 2), delta.sum(axis=1, keepdims=True)
+        for arm in range(2):
+            assert forward[arm].tobytes() == (a[arm] @ w[arm]).tobytes()
+            assert grad[arm].tobytes() == (a[arm].T @ delta[arm]).tobytes()
+            assert back[arm].tobytes() == (delta[arm] @ w[arm].T).tobytes()
+            assert bias[arm, 0].tobytes() == delta[arm].sum(axis=0).tobytes()
