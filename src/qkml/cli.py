@@ -157,11 +157,10 @@ def _check_kernel_fits(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> N
 
 
 def cmd_ingest(args) -> int:
-    resolved, cfg_hash = resolve_config(
-        load_config(args.config), args.seed, args.synthetic
-    )
+    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
     out = Path(args.out)
     ds, summary = _build_dataset(resolved["dataset"])
+    log.info("dataset: %d rows x %d features", ds.n_rows, ds.features.shape[1])
     dsmod.save_dataset(_dataset_cache_dir(out), ds)
     summary = {"config_sha256": cfg_hash, "seed": resolved["dataset"]["seed"], **summary}
     write_json_atomic(out / "ingest_summary.json", summary)
@@ -220,18 +219,18 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
 
 
 def cmd_benchmark(args) -> int:
-    resolved, cfg_hash = resolve_config(
-        load_config(args.config), args.seed, args.synthetic
-    )
+    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
     if "model" not in resolved:
         raise ConfigError("benchmark needs a 'model' section in the config")
     out = Path(args.out)
     ds = _obtain_dataset(resolved, out)
     train, test, info = _prepare_splits(ds, resolved["dataset"])
+    n_feats, name = train.features.shape[1], resolved["model"]["name"]
+    log.info("split: %d train and %d test rows x %d features", train.n_rows, test.n_rows, n_feats)
+    log.info("training %s: %d rows x %d features", name, train.n_rows, n_feats)
     seed = resolved["dataset"]["seed"]
-    preds, train_preds, model_info = _train_and_predict(
-        resolved["model"], train, test, seed
-    )
+    preds, train_preds, model_info = _train_and_predict(resolved["model"], train, test, seed)
+    log.info("predicted %d test and %d train rows", test.n_rows, train.n_rows)
     cm = metrics.confusion_matrix(test.labels, preds)
     report = metrics.report_from_confusion(cm)
     rendered = metrics.render_report(report)
@@ -260,15 +259,15 @@ def cmd_kernel(args) -> int:
             f"map={meta['feature_map']['kind']})"
         )
         return 0
-    resolved, cfg_hash = resolve_config(
-        load_config(args.config), args.seed, args.synthetic
-    )
+    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
     log.debug("kernel export under config %s", cfg_hash)
     out = Path(args.out)
     ds = _obtain_dataset(resolved, out)
     train, _, _ = _prepare_splits(ds, resolved["dataset"])
     spec = _feature_map_spec(resolved.get("model"), train.features.shape[1])
     _check_kernel_fits(spec, train.n_rows)
+    log.info("gram: %d rows on %d qubits, %d bytes", train.n_rows, spec.num_qubits,
+             8 * train.n_rows**2)
     gram = qkernel.gram_matrix(spec, train.features)
     export = Path(args.export) if args.export else out / "gram.qkgm"
     sidecar = qkernel.save_gram(

@@ -15,7 +15,9 @@ partitions the split nodes' row ranges in place.
 
 The forest draws one RNG per tree, seeded ``seed + tree_index`` (the
 bootstrap sample is drawn first, then per-split feature subsets in node
-pre-order), so a forest is a pure function of its inputs too.
+pre-order), so a forest is a pure function of its inputs too.  Each
+tree's subsets are drawn ``_BLOCK`` nodes ahead in one ``integers`` call
+(``_subsets``), the very sets per-node ``rng.choice`` calls would give.
 
 Prediction flattens each ``TreeNode`` tree into a node table (parallel
 feature, threshold, child and class arrays) and moves all rows down it
@@ -209,6 +211,40 @@ def _best_splits(uniq, codes, flat, at, size, ones, feats, min_leaf):
     return best, best_feat, best_thr
 
 
+# Subsets drawn ahead per generator call; a larger block saves few calls.
+_BLOCK = 32
+
+
+def _subsets(rngs, d, mtry, count):
+    """The next ``count`` sorted sets per-node ``choice(d, mtry, replace=False)``
+    calls on each generator of ``rngs`` give, as a (len(rngs), count, mtry) array.
+
+    One ``integers`` call per generator makes choice's bounded draws in its
+    order: Floyd's algorithm (bounds d - mtry ... d - 1, a repeat replaced
+    by its bound), then a shuffle (mtry - 1 ... 1); past 10,000 features
+    with mtry > d // 50, swaps (d - 1 ... d - mtry) into arange(d)'s tail."""
+    tail = d > 10_000 and mtry > d // 50
+    highs = np.arange(d - 1, d - mtry - 1, -1) if tail else np.r_[d - mtry:d, mtry - 1:0:-1]
+    draws = np.concatenate([rng.integers(0, highs, (count, len(highs)), endpoint=True)
+                            for rng in rngs])
+    out, step = np.empty((len(draws), mtry), dtype=np.int64), max(1, 2**20 // d)
+    for lo in range(0, len(draws), step):
+        v, o = draws[lo:lo + step], out[lo:lo + step]
+        r = np.arange(len(v))
+        if tail:
+            perm = np.tile(np.arange(d), (len(v), 1))
+            for s, i in enumerate(highs):
+                perm[r, i], perm[r, v[:, s]] = perm[r, v[:, s]], perm[r, i]
+            o[:] = perm[:, d - mtry:]
+        else:
+            taken = np.zeros((len(v), d), dtype=bool)
+            for k, j in enumerate(highs[:mtry]):
+                o[:, k] = np.where(taken[r, v[:, k]], j, v[:, k])
+                taken[r, o[:, k]] = True
+    # Sorted so the lowest-index tie rule survives subsetting.
+    return np.sort(out, 1).reshape(len(rngs), count, mtry)
+
+
 def _attach(node, frame, side):
     """Put a finished subtree in slot ``side`` of ``frame``, then build each
     ancestor whose two slots are now full.  A frame is [left, right,
@@ -226,14 +262,16 @@ def _grow(x, y, rows, config, rngs, mtry):
 
     ``rngs`` holds each tree's generator for its ``mtry`` feature draws,
     or is None when every split considers all features.  Each step scores
-    the next node of every tree that draws, so its draws come in pre-order
-    as in a depth-first build, and all open nodes of a tree that does not.
+    the next node of every tree that draws, so its subsets, drawn in blocks
+    from its own stream (``_subsets``), are those of per-node ``rng.choice``
+    in a depth-first build; and all open nodes of a tree that does not.
     A node is a range of its tree's row, partitioned in place on a split.
     """
-    (n_trees, n), d = rows.shape, x.shape[1]
+    (n_trees, n), d, block = rows.shape, x.shape[1], _BLOCK
     uniq, codes = _ranks(x.T, y)
     flat, values = rows.ravel(), x.T.ravel()  # values[f * n + i] = x[i, f]
     stacks = [[] for _ in range(n_trees)]
+    drawn, step = np.empty((n_trees, block, mtry if rngs else 0), dtype=np.int64), 0
 
     def settle(t, a, m, ones, depth, frame, side):
         # Node of tree t: m samples from flat[a], `ones` of class 1.
@@ -251,8 +289,12 @@ def _grow(x, y, rows, config, rngs, mtry):
             feats = np.tile(np.arange(d), (len(nodes), 1))
         else:
             nodes = [stack.pop() for stack in stacks if stack]
-            # Sorted so the lowest-index tie rule survives subsetting.
-            feats = np.sort([rngs[nd[0]].choice(d, size=mtry, replace=False) for nd in nodes], 1)
+            ts = [node[0] for node in nodes]
+            # A tree draws at every step until its stack empties, so the
+            # trees still drawing all run out of subsets together.
+            if step % block == 0:
+                drawn[ts] = _subsets([rngs[t] for t in ts], d, mtry, block)
+            feats, step = drawn[ts, step % block], step + 1
         at, size, ones = np.array([node[1:4] for node in nodes]).T
         best, feat, thr = _best_splits(uniq, codes, flat, at, size, ones, feats,
                                        config.min_samples_leaf)
@@ -280,13 +322,8 @@ def _grow(x, y, rows, config, rngs, mtry):
     return [root[0] for root in roots]
 
 
-def train_tree(
-    features,
-    labels,
-    config: TreeConfig = TreeConfig(),
-    feature_subset_seed: Optional[int] = None,
-    mtry: Optional[int] = None,
-) -> TreeNode:
+def train_tree(features, labels, config: TreeConfig = TreeConfig(),
+               feature_subset_seed: Optional[int] = None, mtry: Optional[int] = None) -> TreeNode:
     """Grow one tree.  ``mtry``/``feature_subset_seed`` enable per-split
     feature subsampling (used by the forest); left unset, every split
     considers all features."""
@@ -299,44 +336,32 @@ def train_tree(
 
 
 def _node_table(tree: TreeNode):
-    """Breadth-first parallel arrays of ``tree``.
+    """Breadth-first parallel arrays of ``tree``, and its depth.
 
-    Returns (feature, threshold, left, right, class).  A leaf's children
-    are the leaf itself, so rows that reach a leaf early stay there while
-    deeper rows finish.
+    Returns (feature, threshold, left, right, class, depth).  A leaf's
+    children are the leaf itself, so rows that reach a leaf early stay
+    there while deeper rows finish.
     """
-    nodes = [tree]
-    feature, threshold, left, right = [], [], [], []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
+    nodes, depth, table = [tree], [0], []
+    for i, node in enumerate(nodes):  # the loop reaches the nodes it appends
         if node.is_leaf:
-            feature.append(0)
-            threshold.append(0.0)
-            left.append(i)
-            right.append(i)
+            table.append((0, 0.0, i, i, node.predicted_class))
         else:
-            feature.append(node.feature_index)
-            threshold.append(node.threshold)
-            left.append(len(nodes))
-            right.append(len(nodes) + 1)
+            table.append((node.feature_index, node.threshold, len(nodes), len(nodes) + 1,
+                          node.predicted_class))
             nodes += (node.left, node.right)
-        i += 1
-    return (
-        np.array(feature, dtype=np.intp),
-        np.array(threshold, dtype=np.float64),
-        np.array(left, dtype=np.intp),
-        np.array(right, dtype=np.intp),
-        np.array([node.predicted_class for node in nodes], dtype=np.int64),
-    )
+            depth += (depth[i] + 1,) * 2
+    types = (np.intp, np.float64, np.intp, np.intp, np.int64)
+    # Breadth-first order ends at the deepest level.
+    return (*(np.array(col, dtype=t) for col, t in zip(zip(*table), types)), depth[-1])
 
 
 def _route(tree: TreeNode, x: np.ndarray) -> np.ndarray:
     """Predicted class of every row of the 2-d matrix ``x``."""
-    feature, threshold, left, right, cls = _node_table(tree)
+    feature, threshold, left, right, cls, depth = _node_table(tree)
     rows = np.arange(x.shape[0])
     at = np.zeros(x.shape[0], dtype=np.intp)
-    for _ in range(tree_depth(tree)):
+    for _ in range(depth):
         at = np.where(x[rows, feature[at]] <= threshold[at], left[at], right[at])
     return cls[at]
 
@@ -363,20 +388,12 @@ def tree_depth(tree: TreeNode) -> int:
     return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
 
 
-def train_forest(
-    features,
-    labels,
-    tree_config: TreeConfig = TreeConfig(),
-    forest_config: ForestConfig = ForestConfig(),
-) -> ForestModel:
+def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
+                 forest_config: ForestConfig = ForestConfig()) -> ForestModel:
     """Bag ``n_trees`` trees over bootstrap samples."""
     x, y = _check_xy(features, labels)
     n, d = x.shape
-    mtry = forest_config.mtry
-    if mtry is None:
-        mtry = int(math.ceil(math.sqrt(d)))
-    mtry = min(mtry, d)
-
+    mtry = min(d, forest_config.mtry or int(math.ceil(math.sqrt(d))))
     rngs = [np.random.default_rng(forest_config.seed + t) for t in range(forest_config.n_trees)]
     rows = np.empty((forest_config.n_trees, n), dtype=np.int32)
     for t, rng in enumerate(rngs):
@@ -403,71 +420,51 @@ def predict_forest(model: ForestModel, row) -> int:
 
 
 def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {
-            "counts": list(node.class_counts),
-            "class": node.predicted_class,
-        }
-    return {
-        "counts": list(node.class_counts),
-        "class": node.predicted_class,
-        "feature": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+    doc = {"counts": list(node.class_counts), "class": node.predicted_class}
+    if not node.is_leaf:
+        doc.update(feature=node.feature_index, threshold=node.threshold,
+                   left=_node_to_dict(node.left), right=_node_to_dict(node.right))
+    return doc
 
 
 def _node_from_dict(doc: dict) -> TreeNode:
-    counts = tuple(int(c) for c in doc["counts"])
+    counts, cls = tuple(int(c) for c in doc["counts"]), int(doc["class"])
     if "feature" not in doc:
-        return TreeNode(class_counts=counts, predicted_class=int(doc["class"]))
-    return TreeNode(
-        class_counts=counts,
-        predicted_class=int(doc["class"]),
-        feature_index=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
+        return TreeNode(counts, cls)
+    return TreeNode(counts, cls, int(doc["feature"]), float(doc["threshold"]),
+                    _node_from_dict(doc["left"]), _node_from_dict(doc["right"]))
 
 
-def tree_to_text(tree: TreeNode) -> str:
-    return json.dumps(
-        {"format": "qkml-tree", "version": 1, "root": _node_to_dict(tree)},
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def tree_from_text(text: str) -> TreeNode:
-    doc = json.loads(text)
-    if doc.get("format") != "qkml-tree" or doc.get("version") != 1:
-        raise ValueError("not a qkml-tree version 1 document")
-    return _node_from_dict(doc["root"])
-
-
-def forest_to_text(model: ForestModel) -> str:
-    doc = {
-        "format": "qkml-forest",
-        "version": 1,
-        "tree_config": asdict(model.tree_config),
-        "forest_config": asdict(model.forest_config),
-        "trees": [_node_to_dict(t) for t in model.trees],
-    }
+def _to_text(kind: str, **fields) -> str:
+    doc = {"format": f"qkml-{kind}", "version": 1, **fields}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def forest_from_text(text: str) -> ForestModel:
+def _from_text(text: str, kind: str) -> dict:
     doc = json.loads(text)
-    if doc.get("format") != "qkml-forest" or doc.get("version") != 1:
-        raise ValueError("not a qkml-forest version 1 document")
-    tc = doc["tree_config"]
-    fc = doc["forest_config"]
+    if doc.get("format") != f"qkml-{kind}" or doc.get("version") != 1:
+        raise ValueError(f"not a qkml-{kind} version 1 document")
+    return doc
+
+
+def tree_to_text(tree: TreeNode) -> str:
+    return _to_text("tree", root=_node_to_dict(tree))
+
+
+def tree_from_text(text: str) -> TreeNode:
+    return _node_from_dict(_from_text(text, "tree")["root"])
+
+
+def forest_to_text(model: ForestModel) -> str:
+    return _to_text("forest", tree_config=asdict(model.tree_config),
+                    forest_config=asdict(model.forest_config),
+                    trees=[_node_to_dict(t) for t in model.trees])
+
+
+def forest_from_text(text: str) -> ForestModel:
+    doc = _from_text(text, "forest")
+    tc, fc = doc["tree_config"], doc["forest_config"]
     require_fields(TreeConfig, tc)
     require_fields(ForestConfig, fc)
-    return ForestModel(
-        trees=tuple(_node_from_dict(t) for t in doc["trees"]),
-        tree_config=TreeConfig(**tc),
-        forest_config=ForestConfig(**fc),
-    )
+    return ForestModel(tuple(_node_from_dict(t) for t in doc["trees"]),
+                       TreeConfig(**tc), ForestConfig(**fc))

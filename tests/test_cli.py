@@ -2,6 +2,9 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from qkml.config import ConfigError, resolve_config
 from qkml.dataset import Dataset
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURE_CSV = DATA / "startups_12.csv"
 
 
@@ -332,6 +336,41 @@ def test_hybrid_logs_each_stage_with_its_sizes(tmp_path, caplog):
         "quanv: 40 rows x 1 windows of 2 qubits",
         "stacked training: 2 arms, input widths 2 and 2, 1 steps per epoch, 2 epochs",
     ]
+
+
+def _stage_logs(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "qkml"]
+
+
+def test_ingest_benchmark_and_kernel_log_each_stage_with_its_sizes(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="qkml")
+    out = str(tmp_path / "out")
+    assert main(["ingest", "--config", _moons_dt_config(tmp_path), "--out", out]) == 0
+    assert _stage_logs(caplog) == ["dataset: 300 rows x 2 features"]
+    caplog.clear()
+    assert main(["benchmark", "--config", _moons_dt_config(tmp_path), "--out", out]) == 0
+    assert _stage_logs(caplog) == [
+        "split: 240 train and 60 test rows x 2 features",
+        "training dt: 240 rows x 2 features",
+        "predicted 60 test and 240 train rows",
+    ]
+    caplog.clear()
+    assert main(["kernel", "--config", _kernel_config(tmp_path), "--out", out]) == 0
+    assert _stage_logs(caplog) == ["gram: 8 rows on 2 qubits, 512 bytes"]
+
+
+@pytest.mark.parametrize("level,logged", [(None, False), ("INFO", True)])
+def test_stage_logs_reach_stderr_only_at_info(tmp_path, level, logged):
+    env = {k: v for k, v in os.environ.items() if k != "QKML_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if level:
+        env["QKML_LOG"] = level
+    argv = ["benchmark", "--config", _moons_dt_config(tmp_path), "--out", str(tmp_path / "o")]
+    done = subprocess.run([sys.executable, "-m", "qkml.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert ("INFO qkml: training dt: 240 rows x 2 features" in done.stderr) == logged
+    assert "INFO" not in done.stdout
 
 
 # -- report --------------------------------------------------------------------

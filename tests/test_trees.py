@@ -553,6 +553,80 @@ def test_min_samples_split_above_two_matches_oracle(split, leaf):
         )
 
 
+# -- feature subsets drawn in blocks against per-node rng.choice -------------
+
+
+def _assert_subsets_equal_choice(seeds, d, mtry, count, blocks=3):
+    """Blocks of ``trees._subsets`` over one generator per seed equal the
+    sorted ``rng.choice`` sets of twin generators, which then make the same
+    next draw."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    twins = [np.random.default_rng(s) for s in seeds]
+    for _ in range(blocks):
+        got = trees._subsets(rngs, d, mtry, count)
+        assert got.shape == (len(seeds), count, mtry)
+        for sets, twin in zip(got, twins):
+            want = [sorted(twin.choice(d, size=mtry, replace=False)) for _ in range(count)]
+            assert sets.tolist() == want
+    for rng, twin in zip(rngs, twins):
+        assert rng.integers(2**62) == twin.integers(2**62)
+
+
+@pytest.mark.parametrize("d", range(2, 41))
+def test_block_subsets_equal_per_node_choice(d):
+    # Floyd's algorithm and its shuffle: every d here is under 10,000.
+    for mtry in range(1, d):
+        _assert_subsets_equal_choice([d, 1000 + mtry, 7], d, mtry, count=5)
+
+
+@pytest.mark.parametrize("d,mtry,count", [
+    (10001, 201, 120),   # tail swaps, over several row chunks
+    (10001, 5000, 2),
+    (10001, 10000, 2),
+    (12000, 300, 3),
+    (20000, 401, 3),     # just past d // 50: tail swaps
+    (20000, 400, 3),     # at d // 50: still Floyd's algorithm
+    (10000, 201, 3),     # 10,000 features: still Floyd's algorithm
+    (9000, 3, 300),      # Floyd's algorithm over several row chunks
+])
+def test_block_subsets_equal_per_node_choice_past_10000_features(d, mtry, count):
+    _assert_subsets_equal_choice([d + mtry, 5], d, mtry, count, blocks=2)
+
+
+@pytest.mark.parametrize("block", [1, 3, trees._BLOCK])
+def test_subset_blocks_refilled_mid_tree_match_oracle(monkeypatch, block):
+    monkeypatch.setattr(trees, "_BLOCK", block)
+    calls = []
+    subsets = trees._subsets
+
+    def record(rngs, d, mtry, count):
+        calls.append(len(rngs))
+        return subsets(rngs, d, mtry, count)
+
+    monkeypatch.setattr(trees, "_subsets", record)
+    rng = np.random.default_rng(360 + block)
+    x, y = _tied_xy(rng, 400, 6)
+    tcfg = TreeConfig(max_depth=12)
+    for bootstrap in (True, False):
+        fcfg = ForestConfig(n_trees=5, mtry=2, bootstrap=bootstrap, seed=block)
+        _forest_and_oracle(x, y, tcfg, fcfg)
+    tree = train_tree(x, y, tcfg, feature_subset_seed=block, mtry=3)
+    _assert_same_tree(tree, helpers.train_tree_loops(x, y, tcfg, feature_subset_seed=block, mtry=3))
+    # Every node that is not settled at once draws a subset: each split,
+    # and each leaf that found no split.
+    assert sum(not n.is_leaf for n in _walk(tree)) > 64
+    # Blocks ran out mid-tree, so later steps drew new ones.
+    assert len(calls) > 3 and sum(calls) > 2 * 5 + 1
+
+
+def test_node_table_depth_is_tree_depth():
+    rng = np.random.default_rng(370)
+    x, y = _tied_xy(rng, 150, 4)
+    forest = train_forest(x, y, TreeConfig(max_depth=7), ForestConfig(n_trees=9, seed=370))
+    for tree in (*forest.trees, _leaf_tree(1), train_tree(x, y, TreeConfig(max_depth=1))):
+        assert trees._node_table(tree)[-1] == tree_depth(tree)
+
+
 def _score_nodes(rng, x, y, n_nodes, k, min_leaf, max_size=40):
     """Score several nodes of rows drawn from (x, y) in one call; returns
     each node's rows and features with the (score, feature, threshold)."""
