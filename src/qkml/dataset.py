@@ -3,17 +3,20 @@
 The pipeline is declarative: a FeatureConfig lists the engineered
 columns in output order. Three feature types exist:
 
-* ``numeric`` -- parse one cell as a float after stripping currency
-  punctuation (``$``, thousands separators, surrounding space); a bare
-  ``-`` or empty cell counts as blank.
-* ``duration_days`` -- calendar-day difference between two date cells
-  (ISO ``YYYY-MM-DD`` first, ``MM/DD/YYYY`` as fallback).
+* ``numeric`` -- a float, once ``$``, commas and spaces are removed; an
+  empty cell or ``-`` is blank, and a cell that is not a finite float
+  (``oops``, ``nan``, ``inf``, ``1e400``) is unparseable.
+* ``duration_days`` -- calendar days from a start to an end date cell,
+  each ``%Y-%m-%d`` or else ``%m/%d/%Y`` as ``strptime`` reads them
+  (``3/4/2001`` is 4 March 2001); a blank cell makes the duration blank.
 * ``frequency`` -- relative frequency of the cell's value within the
   filtered table (blank is its own category).
 
 Blank cells follow the per-feature policy: ``zero`` substitutes 0.0 and
 ``drop`` removes the row.  Cells that are present but unparseable always
-drop the row; dropped rows are counted in the returned summary.
+drop the row.  The summary counts each dropped row once, under its first
+failing feature.  Each source column is parsed once, as a whole: one
+comprehension per column, one numpy conversion per date column.
 
 Company outcome labels: status ``acquired``/``ipo`` map to class 1
 (exit), ``closed`` to class 0; anything else is removed by
@@ -26,7 +29,9 @@ import csv
 import json
 import logging
 import math
+import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -191,28 +196,21 @@ class FeatureConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "FeatureConfig":
-        specs = []
-        for item in doc.get("features", []):
-            kind = item["type"]
-            name = item.get("name") or (
-                item["column"] + "_freq" if kind == "frequency" else item["column"]
+        specs = tuple(
+            FeatureSpec(
+                type=item["type"],
+                name=item.get("name")
+                or item["column"] + ("_freq" if item["type"] == "frequency" else ""),
+                blank=item.get("blank", BLANK_ZERO),
+                column=item.get("column"),
+                start=item.get("start"),
+                end=item.get("end"),
             )
-            specs.append(
-                FeatureSpec(
-                    type=kind,
-                    name=name,
-                    blank=item.get("blank", BLANK_ZERO),
-                    column=item.get("column"),
-                    start=item.get("start"),
-                    end=item.get("end"),
-                )
-            )
+            for item in doc.get("features", [])
+        )
         if not specs:
             raise ValueError("feature config lists no features")
-        return FeatureConfig(
-            status_column=doc.get("status_column", "status"),
-            features=tuple(specs),
-        )
+        return FeatureConfig(doc.get("status_column", "status"), specs)
 
     @staticmethod
     def from_json(text: str) -> "FeatureConfig":
@@ -221,41 +219,20 @@ class FeatureConfig:
 
 def default_feature_config() -> FeatureConfig:
     """17-column default for the startup-investments export schema."""
-    numeric_zero = [
-        "funding_rounds",
-        "seed",
-        "venture",
-        "equity_crowdfunding",
-        "convertible_note",
-        "debt_financing",
-        "angel",
-        "grant",
-        "private_equity",
-        "round_A",
-        "round_B",
-        "round_C",
-        "round_D",
-    ]
+    numeric_zero = (
+        "funding_rounds seed venture equity_crowdfunding convertible_note debt_financing "
+        "angel grant private_equity round_A round_B round_C round_D"
+    ).split()
     doc = {
         "status_column": "status",
         "features": (
             [{"type": "numeric", "column": "funding_total_usd", "blank": "drop"}]
             + [{"type": "numeric", "column": c, "blank": "zero"} for c in numeric_zero]
             + [
-                {
-                    "type": "duration_days",
-                    "name": "days_founded_to_first_funding",
-                    "start": "founded_at",
-                    "end": "first_funding_at",
-                    "blank": "drop",
-                },
-                {
-                    "type": "duration_days",
-                    "name": "days_first_to_last_funding",
-                    "start": "first_funding_at",
-                    "end": "last_funding_at",
-                    "blank": "drop",
-                },
+                {"type": "duration_days", "name": "days_founded_to_first_funding",
+                 "start": "founded_at", "end": "first_funding_at", "blank": "drop"},
+                {"type": "duration_days", "name": "days_first_to_last_funding",
+                 "start": "first_funding_at", "end": "last_funding_at", "blank": "drop"},
                 {"type": "frequency", "column": "market"},
             ]
         ),
@@ -263,27 +240,18 @@ def default_feature_config() -> FeatureConfig:
     return FeatureConfig.from_dict(doc)
 
 
-def _parse_number(cell: str):
-    """float value, or None when blank, or raise on garbage."""
-    text = cell.strip().replace("$", "").replace(",", "").replace(" ", "")
-    if text in ("", "-"):
-        return None
-    return float(text)
+# ASCII digits only ([0-9], not \d), and no year 0000, which numpy takes
+# but ``date`` and ``strptime`` refuse.
+_ISO = re.compile(r"(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_MDY = re.compile(r"([0-9]{1,2})/([0-9]{1,2})/((?!0000)[0-9]{4})")
 
 
 def _parse_date(cell: str):
+    """One date cell as a ``date``, None when blank; raises when unparseable."""
     text = cell.strip()
     if not text:
         return None
-    # ASCII YYYY-MM-DD without strptime, which costs most of feature
-    # engineering.  An impossible date falls through to the loop below,
-    # which raises for it as before.
-    if (
-        len(text) == 10
-        and text.isascii()
-        and text[4] == text[7] == "-"
-        and (text[:4] + text[5:7] + text[8:]).isdigit()
-    ):
+    if _ISO.fullmatch(text):  # without strptime; an impossible date falls through
         try:
             return date(int(text[:4]), int(text[5:7]), int(text[8:]))
         except ValueError:
@@ -296,90 +264,118 @@ def _parse_date(cell: str):
     raise ValueError(f"unparseable date {cell!r}")
 
 
-def engineer_features(
-    table: RawTable, config: FeatureConfig
-) -> Tuple[Dataset, dict]:
+# Cell status codes, in rising precedence for a duration's two cells.
+_OK, _BLANK, _BAD = 0, 1, 2
+_EPOCH = date(1970, 1, 1).toordinal()
+
+
+def _numeric_column(cells) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, status codes) of one numeric column.
+
+    Blank cells read 0.0; a cell that is not a finite float is bad.
+    """
+    texts = [c.strip().replace("$", "").replace(",", "").replace(" ", "") for c in cells]
+    blank = np.array([t in ("", "-") for t in texts], dtype=bool)
+    present = [t for t in texts if t not in ("", "-")]
+    try:
+        floats = [float(t) for t in present]
+    except ValueError:
+        floats = [_float_or_nan(t) for t in present]
+    values = np.zeros(len(texts))
+    values[~blank] = floats
+    return values, np.where(blank, _BLANK, np.where(np.isfinite(values), _OK, _BAD))
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _mdy_as_iso(text: str):
+    """A M/D/YYYY cell rewritten as YYYY-MM-DD, else None."""
+    mdy = _MDY.fullmatch(text)
+    return f"{mdy[3]}-{mdy[1]:0>2}-{mdy[2]:0>2}" if mdy else None
+
+
+def _date_column(cells) -> Tuple[np.ndarray, np.ndarray]:
+    """(days since 1970-01-01, status codes) of one date column.
+
+    Both formats go through one numpy conversion; other cells, or the
+    whole column if numpy refuses an impossible date, go through
+    ``_parse_date`` one by one.
+    """
+    texts = [c.strip() for c in cells]
+    iso = [t if _ISO.fullmatch(t) else _mdy_as_iso(t) for t in texts]
+    fast = np.array([t is not None for t in iso], dtype=bool)
+    blank = np.array([not t for t in texts], dtype=bool)
+    days = np.zeros(len(texts), dtype=np.int64)
+    try:
+        days[fast] = np.array([t for t in iso if t], dtype="datetime64[D]").astype(np.int64)
+    except ValueError:  # e.g. 2021-02-30
+        fast[:] = False
+    status = np.where(blank, _BLANK, _OK)
+    for i in np.flatnonzero(~fast & ~blank):
+        try:
+            days[i] = _parse_date(texts[i]).toordinal() - _EPOCH
+        except ValueError:
+            status[i] = _BAD
+    return days, status
+
+
+def engineer_features(table: RawTable, config: FeatureConfig) -> Tuple[Dataset, dict]:
     """Build the numeric matrix and labels from a filtered table.
 
-    Returns the dataset plus a summary counting rows dropped for blanks
-    (per the drop policy) and for unparseable cells.
+    Each source column is parsed once, as a whole.  Returns the dataset
+    plus a summary counting the dropped rows; a row is counted once,
+    under its first blank (per the drop policy) or unparseable feature.
     """
-    status_col = table.column_index(config.status_column)
-    col_idx = {}
-    for spec in config.features:
-        for name in filter(None, (spec.column, spec.start, spec.end)):
-            col_idx[name] = table.column_index(name)
-
-    freq_maps = {}
+    sources = [config.status_column] + [
+        n for spec in config.features for n in (spec.column, spec.start, spec.end) if n
+    ]
+    col_idx = {name: table.column_index(name) for name in sources}
     n_total = len(table.rows)
-    for spec in config.features:
+    columns = list(zip(*table.rows)) or [()] * len(table.header)
+    statuses = [s.strip().lower() for s in columns[col_idx[config.status_column]]]
+    unmapped = [s for s in statuses if s not in KEPT_STATUSES]
+    if unmapped:
+        raise ValueError(f"status {unmapped[0]!r} survived filtering but has no label mapping")
+    labels = np.array([s in STATUS_EXIT for s in statuses], dtype=np.int64)
+
+    date_names = {n for s in config.features if s.type == "duration_days" for n in (s.start, s.end)}
+    dates = {name: _date_column(columns[col_idx[name]]) for name in date_names}
+    x = np.zeros((n_total, len(config.features)))
+    codes = np.zeros(x.shape, dtype=np.int8)
+    for j, spec in enumerate(config.features):
         if spec.type == "frequency":
-            counts = {}
-            for row in table.rows:
-                key = row[col_idx[spec.column]].strip()
-                counts[key] = counts.get(key, 0) + 1
-            freq_maps[spec.name] = {
-                k: v / n_total for k, v in counts.items()
-            }
-
-    rows_out = []
-    labels = []
-    dropped_blank = 0
-    dropped_bad = 0
-    for row in table.rows:
-        status = row[status_col].strip().lower()
-        if status in STATUS_EXIT:
-            label = 1
-        elif status in STATUS_CLOSED:
-            label = 0
+            keys = [c.strip() for c in columns[col_idx[spec.column]]]
+            freq = {k: v / n_total for k, v in Counter(keys).items()}
+            x[:, j] = [freq[k] for k in keys]
+        elif spec.type == "numeric":
+            x[:, j], codes[:, j] = _numeric_column(columns[col_idx[spec.column]])
         else:
-            raise ValueError(
-                f"status {status!r} survived filtering but has no label mapping"
-            )
-        values = []
-        drop_row = False
-        for spec in config.features:
-            if spec.type == "frequency":
-                values.append(freq_maps[spec.name][row[col_idx[spec.column]].strip()])
-                continue
-            try:
-                if spec.type == "numeric":
-                    v = _parse_number(row[col_idx[spec.column]])
-                else:
-                    start = _parse_date(row[col_idx[spec.start]])
-                    end = _parse_date(row[col_idx[spec.end]])
-                    v = (
-                        None
-                        if start is None or end is None
-                        else float((end - start).days)
-                    )
-            except ValueError:
-                dropped_bad += 1
-                drop_row = True
-                break
-            if v is None:
-                if spec.blank == BLANK_DROP:
-                    dropped_blank += 1
-                    drop_row = True
-                    break
-                v = 0.0
-            values.append(v)
-        if drop_row:
-            continue
-        rows_out.append(values)
-        labels.append(label)
+            (start, start_code), (end, end_code) = dates[spec.start], dates[spec.end]
+            codes[:, j] = np.maximum(start_code, end_code)
+            x[:, j] = np.where(codes[:, j] == _OK, end - start, 0)
+        if spec.blank == BLANK_ZERO:
+            codes[codes[:, j] == _BLANK, j] = _OK
 
-    if not rows_out:
+    first = codes[np.arange(n_total), (codes != _OK).argmax(axis=1)]
+    keep = first == _OK
+    dropped_blank = int(np.count_nonzero(first == _BLANK))
+    dropped_bad = int(np.count_nonzero(first == _BAD))
+    log.info(
+        "feature engineering kept %d of %d rows (dropped %d blank, %d unparseable)",
+        np.count_nonzero(keep), n_total, dropped_blank, dropped_bad,
+    )
+    if not keep.any():
         raise ValueError(
             f"feature engineering dropped all {n_total} rows "
             f"(blank: {dropped_blank}, unparseable: {dropped_bad})"
         )
     names = tuple(spec.name for spec in config.features)
-    ds = Dataset(
-        np.asarray(rows_out, dtype=np.float64),
-        np.asarray(labels, dtype=np.int64),
-        names,
-    )
+    ds = Dataset(x[keep], labels[keep], names)
     summary = {
         "rows_in": n_total,
         "rows_out": ds.n_rows,

@@ -10,8 +10,10 @@ Gram, the strptime date parser, the random-partner SMO
 loop whose dual ``qkml.accel.smo_solve`` must match or beat, a
 dot-product Z expectation, and
 the one-feature-at-a-time tree builder and per-row tree walk that
-``qkml.trees`` must match node for node, and the dense-net training loop
-that ``qkml.hybrid`` must match bit for bit.
+``qkml.trees`` must match node for node, the dense-net training loop
+that ``qkml.hybrid`` must match bit for bit, and the row-by-row feature
+engineering that ``qkml.dataset.engineer_features`` must match byte for
+byte.
 """
 
 import itertools
@@ -295,6 +297,110 @@ def parse_date_strptime(cell):
         except ValueError:
             continue
     raise ValueError(f"unparseable date {cell!r}")
+
+
+# -- feature-engineering oracle -----------------------------------------------
+# The row-by-row loop that ``dataset.engineer_features`` replaced by
+# column-wise parsing: every feature of every row, in spec order, through
+# the one-cell parsers below.  The column-wise version must give the same
+# features bytes, labels and summary, and raise the same errors.
+
+
+def parse_number_cell(cell):
+    """A numeric cell as a finite float; None when blank, raises otherwise."""
+    text = cell.strip().replace("$", "").replace(",", "").replace(" ", "")
+    if text in ("", "-"):
+        return None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {cell!r}")
+    return value
+
+
+def engineer_features_rows(table, config):
+    """``dataset.engineer_features`` one row and one feature at a time."""
+    status_col = table.column_index(config.status_column)
+    col_idx = {}
+    for spec in config.features:
+        for name in filter(None, (spec.column, spec.start, spec.end)):
+            col_idx[name] = table.column_index(name)
+
+    freq_maps = {}
+    n_total = len(table.rows)
+    for spec in config.features:
+        if spec.type == "frequency":
+            counts = {}
+            for row in table.rows:
+                key = row[col_idx[spec.column]].strip()
+                counts[key] = counts.get(key, 0) + 1
+            freq_maps[spec.name] = {k: v / n_total for k, v in counts.items()}
+
+    rows_out = []
+    labels = []
+    dropped_blank = 0
+    dropped_bad = 0
+    for row in table.rows:
+        status = row[status_col].strip().lower()
+        if status in dataset.STATUS_EXIT:
+            label = 1
+        elif status in dataset.STATUS_CLOSED:
+            label = 0
+        else:
+            raise ValueError(
+                f"status {status!r} survived filtering but has no label mapping"
+            )
+        values = []
+        drop_row = False
+        for spec in config.features:
+            if spec.type == "frequency":
+                values.append(freq_maps[spec.name][row[col_idx[spec.column]].strip()])
+                continue
+            try:
+                if spec.type == "numeric":
+                    v = parse_number_cell(row[col_idx[spec.column]])
+                else:
+                    start = parse_date_strptime(row[col_idx[spec.start]])
+                    end = parse_date_strptime(row[col_idx[spec.end]])
+                    v = (
+                        None
+                        if start is None or end is None
+                        else float((end - start).days)
+                    )
+            except ValueError:
+                dropped_bad += 1
+                drop_row = True
+                break
+            if v is None:
+                if spec.blank == dataset.BLANK_DROP:
+                    dropped_blank += 1
+                    drop_row = True
+                    break
+                v = 0.0
+            values.append(v)
+        if drop_row:
+            continue
+        rows_out.append(values)
+        labels.append(label)
+
+    if not rows_out:
+        raise ValueError(
+            f"feature engineering dropped all {n_total} rows "
+            f"(blank: {dropped_blank}, unparseable: {dropped_bad})"
+        )
+    names = tuple(spec.name for spec in config.features)
+    ds = dataset.Dataset(
+        np.asarray(rows_out, dtype=np.float64),
+        np.asarray(labels, dtype=np.int64),
+        names,
+    )
+    summary = {
+        "rows_in": n_total,
+        "rows_out": ds.n_rows,
+        "dropped_blank": dropped_blank,
+        "dropped_unparseable": dropped_bad,
+        "feature_names": list(names),
+    }
+    return ds, summary
 
 
 def z_expectation_dot(amps, qubit):

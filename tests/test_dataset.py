@@ -1,8 +1,10 @@
 """CSV ingestion, status filtering, feature engineering, split, scale."""
 
 import itertools
+import logging
 import math
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,8 +488,7 @@ def _date_or_error(parse, cell):
         return type(exc), str(exc)
 
 
-def test_iso_date_fast_path_agrees_with_strptime():
-    """The same date, or the same error, as strptime over every format."""
+def _date_cells():
     cells = [
         "2020-02-30", "2020-13-01", "2020-1-5", "2020-01-0\uff15", "+020-01-05",
         "20200105", "2020-W01-1", "01/05/2020", " 2020-01-05 ", "\t2020-01-05",
@@ -501,7 +502,251 @@ def test_iso_date_fast_path_agrees_with_strptime():
     days = ("05", "5", "00", "29", "31", "32", "0x")
     for y, m, d in itertools.product(years, months, days):
         cells += [f"{y}-{m}-{d}", f"{m}/{d}/{y}"]
-    for cell in cells:
+    return cells
+
+
+def test_iso_date_fast_path_agrees_with_strptime():
+    """The same date, or the same error, as strptime over every format."""
+    for cell in _date_cells():
         want = _date_or_error(helpers.parse_date_strptime, cell)
         assert _date_or_error(dataset._parse_date, cell) == want, cell
     assert dataset._parse_date("2020-01-05") == date(2020, 1, 5)
+
+
+# -- column-wise feature engineering against the row-by-row oracle ----------
+
+_MDY_CELLS = [
+    "3/4/2001", "03/04/2001", "12/31/1999 ", "2/29/2021", "02/29/2024", "01/01/0000",
+    "13/01/2001", "0/1/2001", "1/32/2001", "001/01/2001", "\u0661/1/2001", "1/1/01",
+]
+
+
+def _date_code(cell):
+    """(days since 1970-01-01, status code) of one cell through ``_parse_date``."""
+    try:
+        day = dataset._parse_date(cell)
+    except ValueError:
+        return 0, dataset._BAD
+    if day is None:
+        return 0, dataset._BLANK
+    return day.toordinal() - date(1970, 1, 1).toordinal(), dataset._OK
+
+
+def test_date_column_agrees_with_parse_date():
+    """Alone, together (numpy refuses the column) and with only dates that
+    parse (numpy takes every ISO and M/D/Y cell), each cell matches."""
+    cells = _date_cells() + _MDY_CELLS
+    valid = [c for c in cells if _date_code(c)[1] != dataset._BAD]
+    assert len(valid) > 40
+    for column in [cells, valid] + [[c] for c in cells]:
+        days, codes = dataset._date_column(column)
+        got = [(int(d) if c == dataset._OK else 0, int(c)) for d, c in zip(days, codes)]
+        assert got == [_date_code(c) for c in column], column[:3]
+
+
+_GEN_HEADER = ("status", "total", "seed", "founded", "first", "last", "market")
+_GEN_STATUSES = ["acquired", "ipo", " Closed ", "IPO", "closed"]
+_GEN_NUMBERS = ["12", "0", "3.5", "-7", "$1,234", " 1,234 ", "1e3", "-0", "+5", "\t9\n",
+                "1_000", "\u0661\u0662"]
+_GEN_NUMBERS_ODD = ["", "-", " - ", "  ", "$", "$-", "oops", "1,2.3.4", "nan", "inf",
+                    "-inf", "1e400", "1 e 3"]
+_GEN_DATES = ["2010-01-01", "2012-07-15", "3/4/2001", "03/04/2001", "12/31/1999",
+              " 2011-05-06 ", "2020-02-29", "9999-12-31", "0001-01-01"]
+_GEN_DATES_ODD = ["", " ", "2010-1-5", "2010-01-0\uff15", "2010-1-05", "0000-01-01",
+                  "01/01/0000", "13/01/2001", "0/1/2001", "2020-01-\u0665\u0665",
+                  "garbage", "-001-01-01", "20100105"]
+_GEN_IMPOSSIBLE = ["2021-02-30", "2010-04-31", "2/30/2021"]
+_GEN_MARKETS = ["web", "web\x00", "web\x00\x00", " web ", "", "bio", "Bio"]
+
+
+def _gen_config(blank):
+    return FeatureConfig.from_dict({"status_column": "status", "features": [
+        {"type": "numeric", "column": "total", "blank": blank},
+        {"type": "duration_days", "name": "d1", "start": "founded", "end": "first",
+         "blank": blank},
+        {"type": "numeric", "column": "seed", "blank": blank},
+        {"type": "duration_days", "name": "d2", "start": "first", "end": "last",
+         "blank": blank},
+        {"type": "frequency", "column": "market"},
+    ]})
+
+
+def _gen_table(seed, n_rows=120):
+    """Mostly good cells, with odd ones at a rate that varies by seed; odd
+    seeds add dates numpy refuses, which sends a column one cell at a time."""
+    rng = np.random.default_rng(seed)
+    odd_rate = (0.03, 0.1, 0.25)[seed % 3]
+    dates_odd = _GEN_DATES_ODD + (_GEN_IMPOSSIBLE if seed % 2 else [])
+
+    def pick(good, odd):
+        pool = odd if rng.random() < odd_rate else good
+        return pool[rng.integers(len(pool))]
+
+    rows = []
+    for _ in range(n_rows):
+        dates = [pick(_GEN_DATES, dates_odd) for _ in range(3)]
+        rows.append((
+            _GEN_STATUSES[rng.integers(len(_GEN_STATUSES))],
+            pick(_GEN_NUMBERS, _GEN_NUMBERS_ODD),
+            pick(_GEN_NUMBERS, _GEN_NUMBERS_ODD),
+            *dates,
+            _GEN_MARKETS[rng.integers(len(_GEN_MARKETS))],
+        ))
+    return RawTable(header=_GEN_HEADER, rows=tuple(rows))
+
+
+def _engineering(fn, table, config):
+    """Everything a caller can see of one run: bytes, summary, or the error."""
+    try:
+        ds, summary = fn(table, config)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return (ds.features.tobytes(), ds.features.shape, ds.labels.tobytes(),
+            ds.labels.dtype, ds.feature_names, summary)
+
+
+def _assert_same_as_oracle(table, config):
+    got = _engineering(engineer_features, table, config)
+    assert got == _engineering(helpers.engineer_features_rows, table, config)
+    return got
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("blank", ["zero", "drop"])
+def test_engineer_matches_row_oracle_on_generated_tables(seed, blank):
+    got = _assert_same_as_oracle(_gen_table(seed), _gen_config(blank))
+    summary = got[-1]
+    assert isinstance(summary, dict)  # not every row dropped
+    assert summary["dropped_unparseable"] > 0
+    assert (summary["dropped_blank"] > 0) == (blank == "drop")
+
+
+def test_engineer_matches_row_oracle_on_the_fixture_csv():
+    table, _ = filter_status(load_csv(Path(__file__).parent / "data" / "startups_12.csv"))
+    _assert_same_as_oracle(table, default_feature_config())
+
+
+def test_engineer_counts_a_row_once_under_its_first_failing_feature():
+    good = ("closed", "10", "1", "2010-01-01", "2010-07-01", "2011-01-01", "web")
+    rows = [
+        ("acquired", "", "oops", "2010-01-01", "2010-07-01", "2011-01-01", "web"),
+        ("acquired", "oops", "", "2010-01-01", "2010-07-01", "2011-01-01", "web"),
+        ("acquired", "10", "1", "", "2010-02-30", "2011-01-01", "web"),
+        ("acquired", "10", "oops", "2010-01-01", "", "2011-01-01", "web"),
+        ("acquired", "nan", "inf", "bad", "", "", "web"),
+        good,
+    ]
+    table = RawTable(header=_GEN_HEADER, rows=tuple(rows))
+    ds, summary = engineer_features(table, _gen_config("drop"))
+    # Rows 1 and 4 fail first on a blank; rows 2, 3 and 5 on a bad cell.
+    # Row 3's duration has a blank start and a bad end: it counts as bad.
+    assert (summary["dropped_blank"], summary["dropped_unparseable"]) == (2, 3)
+    assert ds.n_rows == 1
+    _assert_same_as_oracle(table, _gen_config("drop"))
+    # With blanks read as 0, rows 1 and 4 fail on their bad seed instead.
+    _, summary = engineer_features(table, _gen_config("zero"))
+    assert (summary["dropped_blank"], summary["dropped_unparseable"]) == (0, 5)
+    _assert_same_as_oracle(table, _gen_config("zero"))
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                                  "1e400", "$1e400", "-1e999"])
+@pytest.mark.parametrize("blank", ["zero", "drop"])
+def test_engineer_non_finite_number_is_unparseable(cell, blank):
+    rows = [
+        ("acquired", "10", cell, "2010-01-01", "2010-07-01", "2011-01-01", "web"),
+        ("closed", "20", "5", "2010-01-01", "2010-07-01", "2011-01-01", "web"),
+    ]
+    table = RawTable(header=_GEN_HEADER, rows=tuple(rows))
+    ds, summary = engineer_features(table, _gen_config(blank))
+    assert summary["dropped_unparseable"] == 1 and ds.n_rows == 1
+    assert np.isfinite(ds.features).all()
+    _assert_same_as_oracle(table, _gen_config(blank))
+
+
+def test_engineer_logs_rows_in_out_and_drops(caplog):
+    caplog.set_level(logging.INFO, logger="qkml.dataset")
+    table = _eng_table(
+        [
+            ("acquired", "", "1", "2010-01-01", "2010-07-01", "web"),
+            ("closed", "10", "1", "2010-13-45", "2010-07-01", "web"),
+            ("closed", "10", "1", "2010-01-01", "2010-07-01", "web"),
+            ("ipo", "10", "", "2010-01-01", "2010-07-01", "bio"),
+        ]
+    )
+    engineer_features(table, _eng_config())
+    lines = [r.getMessage() for r in caplog.records if r.name == "qkml.dataset"]
+    assert lines == ["feature engineering kept 2 of 4 rows (dropped 1 blank, 1 unparseable)"]
+
+
+def _count_date_parses(monkeypatch):
+    calls = []
+    parse = dataset._parse_date
+    monkeypatch.setattr(dataset, "_parse_date", lambda cell: calls.append(cell) or parse(cell))
+    return calls
+
+
+@pytest.mark.parametrize("form", ["iso", "mdy"])
+def test_engineer_parses_iso_and_mdy_columns_without_parse_date(monkeypatch, form):
+    calls = _count_date_parses(monkeypatch)
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(50):
+        y, m, d = (int(v) for v in (rng.integers(1990, 2015), rng.integers(1, 13),
+                                    rng.integers(1, 29)))
+        cell = f"{y}-{m:02d}-{d:02d}" if form == "iso" else f"{m}/{d:02d}/{y}"
+        rows.append(("closed" if i % 3 else "acquired", "1", "" if i % 7 else "2",
+                     cell, "" if i == 5 else cell, cell, "web"))
+    table = RawTable(header=_GEN_HEADER, rows=tuple(rows))
+    engineer_features(table, _gen_config("zero"))
+    assert calls == []
+
+
+def test_engineer_parses_each_odd_date_cell_once(monkeypatch):
+    """The column ``first`` feeds both durations and is parsed once: k odd
+    cells there cost k calls to ``_parse_date``, and blanks cost none."""
+    odd = ["2010-1-5", "2010-01-0\uff15", "20100105", "2010-1-05", "junk"]
+    rows = []
+    for i in range(40):
+        first = odd[i // 8] if i % 8 == 0 else ("" if i % 5 == 1 else "2010-03-04")
+        rows.append(("closed", "1", "1", "2009-01-01", first, "2012-12-12", "web"))
+    table = RawTable(header=_GEN_HEADER, rows=tuple(rows))
+    calls = _count_date_parses(monkeypatch)
+    engineer_features(table, _gen_config("zero"))
+    assert sorted(calls) == sorted(odd)
+    monkeypatch.undo()
+    _assert_same_as_oracle(table, _gen_config("zero"))
+
+
+def _error_of(fn, table, config):
+    with pytest.raises(ValueError) as info:
+        fn(table, config)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([], "feature engineering dropped all 0 rows (blank: 0, unparseable: 0)"),
+        (
+            [
+                ("acquired", "", "1", "2010-01-01", "2010-07-01", "web"),
+                ("closed", "junk", "1", "2010-01-01", "2010-07-01", "web"),
+            ],
+            "feature engineering dropped all 2 rows (blank: 1, unparseable: 1)",
+        ),
+        (
+            [
+                ("acquired", "junk", "1", "2010-01-01", "2010-07-01", "web"),
+                ("operating", "10", "1", "2010-01-01", "2010-07-01", "web"),
+                ("running", "10", "1", "2010-01-01", "2010-07-01", "web"),
+            ],
+            "status 'operating' survived filtering but has no label mapping",
+        ),
+    ],
+    ids=["empty", "all-dropped", "unlabelled-status"],
+)
+def test_engineer_edge_errors_unchanged(rows, message):
+    table = _eng_table(rows)
+    assert _error_of(engineer_features, table, _eng_config()) == message
+    assert _error_of(helpers.engineer_features_rows, table, _eng_config()) == message
