@@ -293,11 +293,13 @@ def cmd_hybrid(args) -> int:
     width = hmod.quanv_output_width(quanv, n_feats)
     log.info("quanv: %d rows x %d windows of %d qubits",
              train.n_rows + test.n_rows, width // quanv.window, quanv.window)
+    steps = -(-train.n_rows // tcfg.batch_size)
     log.info("stacked training: 2 arms, input widths %d and %d, %d steps per epoch, %d epochs",
-             n_feats, width, -(-train.n_rows // tcfg.batch_size), tcfg.epochs)
+             n_feats, width, steps, tcfg.epochs)
     started = time.monotonic()
     arms = hmod.compare_hybrid(train, test, quanv, hcfg["hidden"], tcfg)
     wall = time.monotonic() - started
+    log.info("quanv and stacked training took %.3f s for %d steps", wall, steps * tcfg.epochs)
     write_text_atomic(out / "curves.csv", hmod.curves_csv(arms))
     manifest = {
         "config_sha256": cfg_hash,

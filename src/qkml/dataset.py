@@ -65,9 +65,7 @@ class RawTable:
         try:
             return self.header.index(name)
         except ValueError:
-            raise ValueError(
-                f"column {name!r} not found; available: {list(self.header)}"
-            ) from None
+            raise ValueError(f"column {name!r} not found; available: {list(self.header)}") from None
 
 
 def check_labels(labels) -> np.ndarray:
@@ -93,13 +91,9 @@ class Dataset:
         if x.ndim != 2:
             raise ValueError(f"features must be 2-d, got shape {x.shape}")
         if y.shape != (x.shape[0],):
-            raise ValueError(
-                f"labels shape {y.shape} does not match {x.shape[0]} rows"
-            )
+            raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
         if x.shape[1] != len(self.feature_names):
-            raise ValueError(
-                f"{len(self.feature_names)} names for {x.shape[1]} columns"
-            )
+            raise ValueError(f"{len(self.feature_names)} names for {x.shape[1]} columns")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
@@ -123,42 +117,31 @@ def load_csv(path) -> RawTable:
         except StopIteration:
             raise ValueError(f"{path}: empty CSV, no header row") from None
         header = tuple(h.strip() for h in header)
-        rows = []
-        for lineno, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: data row {lineno} has {len(row)} cells, "
-                    f"header has {len(header)}"
-                )
-            rows.append(tuple(row))
-    return RawTable(header=header, rows=tuple(rows))
+        rows = tuple(map(tuple, reader))
+    if set(map(len, rows)) - {len(header)}:
+        lineno, row = next((i, r) for i, r in enumerate(rows, 1) if len(r) != len(header))
+        raise ValueError(
+            f"{path}: data row {lineno} has {len(row)} cells, header has {len(header)}"
+        )
+    return RawTable(header=header, rows=rows)
 
 
-def filter_status(
-    table: RawTable, status_column: str = "status"
-) -> Tuple[RawTable, dict]:
+def filter_status(table: RawTable, status_column: str = "status") -> Tuple[RawTable, dict]:
     """Keep rows whose status maps to a known outcome.
 
     Returns the filtered table plus a summary with per-status counts
     (statuses compared case-insensitively after stripping).
     """
     col = table.column_index(status_column)
-    by_status = {}
-    kept = []
-    for row in table.rows:
-        status = row[col].strip().lower()
-        by_status[status] = by_status.get(status, 0) + 1
-        if status in KEPT_STATUSES:
-            kept.append(row)
+    statuses = [row[col].strip().lower() for row in table.rows]
+    kept = [row for row, status in zip(table.rows, statuses) if status in KEPT_STATUSES]
     summary = {
         "total": len(table.rows),
         "kept": len(kept),
-        "by_status": dict(sorted(by_status.items())),
+        "by_status": dict(sorted(Counter(statuses).items())),
     }
     if not kept:
-        warnings.warn(
-            f"status filter kept 0 of {len(table.rows)} rows", stacklevel=2
-        )
+        warnings.warn(f"status filter kept 0 of {len(table.rows)} rows", stacklevel=2)
     log.info("status filter kept %d of %d rows", len(kept), len(table.rows))
     return RawTable(header=table.header, rows=tuple(kept)), summary
 
@@ -210,6 +193,10 @@ class FeatureConfig:
         )
         if not specs:
             raise ValueError("feature config lists no features")
+        names = [spec.name for spec in specs]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"feature config names the feature {name!r} more than once")
         return FeatureConfig(doc.get("status_column", "status"), specs)
 
     @staticmethod
@@ -390,10 +377,7 @@ def engineer_features(table: RawTable, config: FeatureConfig) -> Tuple[Dataset, 
 
 
 def train_test_split(
-    ds: Dataset,
-    test_fraction: float,
-    seed: int,
-    stratify: bool = False,
+    ds: Dataset, test_fraction: float, seed: int, stratify: bool = False
 ) -> Tuple[Dataset, Dataset]:
     """Shuffle rows with the seeded generator, slice the test block.
 
@@ -409,8 +393,7 @@ def train_test_split(
         raise ValueError("need at least 2 rows to split")
     rng = np.random.default_rng(seed)
     if stratify:
-        test_idx = []
-        train_idx = []
+        test_idx, train_idx = [], []
         for cls in (0, 1):
             members = np.flatnonzero(ds.labels == cls)
             if members.size == 0:
@@ -464,11 +447,8 @@ def fit_scaler(ds: Dataset, mode: str = MINMAX_PI) -> ScalerParams:
     if keep.size < x.shape[1]:
         keep_set = set(keep.tolist())
         dropped = [n for i, n in enumerate(ds.feature_names) if i not in keep_set]
-        warnings.warn(
-            f"dropping constant feature column(s): {dropped}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"dropping constant feature column(s): {dropped}", RuntimeWarning,
+                      stacklevel=2)
     if keep.size == 0:
         raise ValueError("every feature column is constant; nothing to scale")
     return ScalerParams(
@@ -529,11 +509,7 @@ def select_features(ds: Dataset, k: int = 8) -> np.ndarray:
 
 def take_features(ds: Dataset, indices) -> Dataset:
     idx = [int(i) for i in indices]
-    return Dataset(
-        ds.features[:, idx],
-        ds.labels,
-        tuple(ds.feature_names[i] for i in idx),
-    )
+    return Dataset(ds.features[:, idx], ds.labels, tuple(ds.feature_names[i] for i in idx))
 
 
 # -- cache files used by the CLI ---------------------------------------------
@@ -562,9 +538,7 @@ def load_dataset(directory) -> Dataset:
     directory = Path(directory)
     feat_path = directory / "features.npy"
     if not feat_path.exists():
-        raise ValueError(
-            f"no cached dataset under {directory} (run the ingest command first)"
-        )
+        raise ValueError(f"no cached dataset under {directory} (run the ingest command first)")
     features = np.load(feat_path)
     labels = np.load(directory / "labels.npy")
     names = tuple(json.loads((directory / "feature_names.json").read_text()))

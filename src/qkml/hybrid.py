@@ -14,18 +14,22 @@ The classifier is a fully connected ReLU network with a 2-way softmax
 head, trained by mini-batch SGD on cross-entropy from a seeded
 Xavier-uniform init and seeded epoch shuffles.  ``compare_hybrid`` trains
 its two arms as one stack of nets on the same minibatches, so each step
-runs one forward pass and one backprop for both.  numpy runs a stacked
+runs one forward pass and one backprop for both.  The parameters of both
+arms are views of one flat buffer and their gradients views of a second,
+written with ``out=``, so the update is one call.  numpy runs a stacked
 matmul as the same gemm per arm that a 2-d matmul runs; the first layer
 keeps one matrix per arm, as the input widths differ and a product
-zero-padded to a common width does not keep every bit.  So each arm is
-bit for bit what ``train_dense``, the one-arm case, gives it alone, and a
-diverging arm raises what it raises alone: the classical arm at once,
-the hybrid arm once the classical arm has finished.
+zero-padded to a common width does not keep every bit.  The head's max,
+label pick and argmax go column by column, exact for every width.  So
+each arm is bit for bit what ``train_dense``, the one-arm case, gives it
+alone, and a diverging arm raises what it raises alone: the classical
+arm at once, the hybrid arm once the classical arm has finished.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -135,11 +139,18 @@ def init_dense(sizes, seed: int = 0) -> DenseNet:
 
 
 def _stack(nets):
-    """Copies of the weights and biases of k nets alike past the input, as one
-    stack: a list of first matrices, then (k, fan_in, fan_out) and (k, 1, fan_out) arrays."""
-    weights = [[net.weights[0].copy() for net in nets]]
-    weights += [np.stack(layer) for layer in zip(*(net.weights[1:] for net in nets))]
-    return weights, [np.stack(layer)[:, None] for layer in zip(*(net.biases for net in nets))]
+    """Copies of the weights and biases of k nets alike past the input, as views
+    of one flat buffer.  Returns (weights, biases, buffer): weights lists the k
+    first matrices, then one (k, fan_in, fan_out) array per later layer, and
+    biases holds one (k, 1, fan_out) array per layer."""
+    parts = [net.weights[0] for net in nets]
+    parts += [np.stack(layer) for layer in zip(*(net.weights[1:] for net in nets))]
+    parts += [np.stack(layer)[:, None] for layer in zip(*(net.biases for net in nets))]
+    flat = np.concatenate([p.ravel() for p in parts])
+    ends = itertools.accumulate(p.size for p in parts)
+    views = [flat[end - p.size : end].reshape(p.shape) for p, end in zip(parts, ends)]
+    k, first_bias = len(nets), len(parts) - len(nets[0].biases)
+    return [views[:k]] + views[k:first_bias], views[first_bias:], flat
 
 
 def _unstack(weights, biases, arm: int):
@@ -150,7 +161,9 @@ def _unstack(weights, biases, arm: int):
 def _forward(weights, biases, xs) -> list:
     """Activations of every layer of a stack, input first; ReLU hidden, linear
     head.  ``xs`` lists each arm's input rows, later activations are (k, rows, width)."""
-    z = np.array([x @ w for x, w in zip(xs, weights[0])])
+    z = np.empty((len(xs), xs[0].shape[0], biases[0].shape[-1]))
+    for x, w, out in zip(xs, weights[0], z):
+        np.matmul(x, w, out=out)
     acts = [xs]
     for i, b in enumerate(biases):
         if i:
@@ -166,37 +179,47 @@ def _log_sum_exp(logits: np.ndarray):
     # Exact in any order, and many times faster than numpy's row-by-row max of a short axis.
     m = functools.reduce(np.maximum, [logits[..., j : j + 1] for j in range(logits.shape[-1])])
     expd = np.exp(logits - m)
-    total = expd.sum(axis=-1, keepdims=True)
+    # Not column by column: from 8 terms on, numpy sums an axis pairwise.
+    total = np.add.reduce(expd, axis=-1, keepdims=True)
     return m + np.log(total), expd, total
 
 
 def _evaluate(weights, biases, xs, y) -> list:
     """Each arm's (mean cross-entropy, accuracy) from one forward pass.
     Accuracy is the argmax of the probabilities, not of the logits: the
-    division can round two classes equal, and a tie goes to class 0."""
+    division can round two classes equal, and a tie goes to the first class,
+    as does a row of NaN probabilities."""
     logits = _forward(weights, biases, xs)[-1]
     lse, expd, total = _log_sum_exp(logits)
-    losses = lse[:, :, 0] - logits[:, np.arange(y.shape[0]), y]
-    hits = (expd / total).argmax(axis=-1) == y
-    return [(float(np.mean(loss)), float(hit.mean())) for loss, hit in zip(losses, hits)]
+    probs = expd / total
+    picked, best, cls = logits[..., 0], probs[..., 0], np.zeros(probs.shape[:-1], np.int64)
+    for j in range(1, logits.shape[-1]):  # column by column, exact for every width
+        picked = np.where(y == j, logits[..., j], picked)
+        better = probs[..., j] > best
+        best, cls = np.where(better, probs[..., j], best), np.where(better, j, cls)
+    # The row sum of a 2-d array and np.mean of each row round alike.
+    losses = np.add.reduce(lse[..., 0] - picked, axis=-1) / y.shape[0]
+    hits = np.count_nonzero(cls == y, axis=-1) / y.shape[0]
+    return list(zip(losses.tolist(), hits.tolist()))
 
 
-def _gradients(weights, biases, xs, onehot):
-    """(weight grads, bias grads) of each arm's mean cross-entropy on one
-    batch, laid out as the stack; ``onehot`` is the batch's one-hot labels."""
+def _gradients(weights, biases, xs, onehot, grads_w, grads_b):
+    """Write the weight and bias grads of each arm's mean cross-entropy on one
+    batch into ``grads_w`` and ``grads_b``, laid out as the stack; ``onehot``
+    is the batch's one-hot labels."""
     acts = _forward(weights, biases, xs)
     # From the log-sum-exp, not the probabilities (they round differently).
-    delta = np.exp(acts[-1] - _log_sum_exp(acts[-1])[0]) - onehot
+    delta = np.exp(acts[-1] - _log_sum_exp(acts[-1])[0])
+    delta -= onehot
     delta /= onehot.shape[0]
-    grads_w, grads_b = [None] * len(biases), [None] * len(biases)
     for layer in range(len(biases) - 1, 0, -1):
-        grads_w[layer] = acts[layer].swapaxes(1, 2) @ delta
-        grads_b[layer] = delta.sum(axis=1, keepdims=True)
-        # acts[layer] = relu(z) is > 0 exactly where z is.
-        delta = (delta @ weights[layer].swapaxes(1, 2)) * (acts[layer] > 0.0)
-    grads_w[0] = [x.T @ d for x, d in zip(xs, delta)]
-    grads_b[0] = delta.sum(axis=1, keepdims=True)
-    return grads_w, grads_b
+        np.matmul(acts[layer].swapaxes(1, 2), delta, out=grads_w[layer])
+        np.add.reduce(delta, axis=1, keepdims=True, out=grads_b[layer])
+        delta = delta @ weights[layer].swapaxes(1, 2)
+        delta *= acts[layer] > 0.0  # acts[layer] = relu(z) is > 0 exactly where z is
+    for x, d, g in zip(xs, delta, grads_w[0]):
+        np.matmul(x.T, d, out=g)
+    np.add.reduce(delta, axis=1, keepdims=True, out=grads_b[0])
 
 
 def _rows(features) -> np.ndarray:
@@ -205,7 +228,7 @@ def _rows(features) -> np.ndarray:
 
 def predict_proba(net: DenseNet, features) -> np.ndarray:
     """Row-wise softmax over the head logits."""
-    _, expd, total = _log_sum_exp(_forward(*_stack([net]), [_rows(features)])[-1][0])
+    _, expd, total = _log_sum_exp(_forward(*_stack([net])[:2], [_rows(features)])[-1][0])
     return expd / total
 
 
@@ -215,13 +238,15 @@ def predict_classes(net: DenseNet, features) -> np.ndarray:
 
 def cross_entropy(net: DenseNet, features, labels) -> float:
     """Mean softmax cross-entropy, computed in log-sum-exp form."""
-    return _evaluate(*_stack([net]), [_rows(features)], check_labels(labels))[0][0]
+    return _evaluate(*_stack([net])[:2], [_rows(features)], check_labels(labels))[0][0]
 
 
 def loss_and_gradients(net: DenseNet, features, labels):
     """(loss, weight grads, bias grads) for one batch."""
     x, y = _rows(features), check_labels(labels)
-    grads_w, grads_b = _unstack(*_gradients(*_stack([net]), [x], np.eye(net.sizes[-1])[y]), 0)
+    grads_w, grads_b, _ = _stack([net])  # a fresh buffer per call, overwritten
+    _gradients(*_stack([net])[:2], [x], np.eye(net.sizes[-1])[y], grads_w, grads_b)
+    grads_w, grads_b = _unstack(grads_w, grads_b, 0)
     return cross_entropy(net, x, y), list(grads_w), list(grads_b)
 
 
@@ -272,8 +297,8 @@ def _train_arms(nets, inputs, labels, config: TrainConfig, val_inputs=None, val_
     sets = [(xs, y)]
     if val_inputs is not None:
         sets.append(([_rows(x) for x in val_inputs], check_labels(val_labels)))
-    weights, biases = _stack(nets)
-    params = weights[0] + weights[1:] + biases
+    weights, biases, params = _stack(nets)
+    grads_w, grads_b, grads = _stack(nets)  # the same layout, overwritten each step
     onehot = np.eye(nets[0].sizes[-1])[y]
     rng = np.random.default_rng(config.seed)
     curves = [[] for _ in nets]  # per arm, one (loss, acc[, val loss, val acc]) per epoch
@@ -281,12 +306,11 @@ def _train_arms(nets, inputs, labels, config: TrainConfig, val_inputs=None, val_
     n, step = y.shape[0], config.batch_size
     for epoch in range(1, config.epochs + 1):
         perm = rng.permutation(n)
-        shuffled, hot = [x[perm] for x in xs], onehot[perm]
+        shuffled, hot = [x.take(perm, axis=0) for x in xs], onehot.take(perm, axis=0)
         for lo in range(0, n, step):
             batch = [x[lo : lo + step] for x in shuffled]
-            grads_w, grads_b = _gradients(weights, biases, batch, hot[lo : lo + step])
-            for p, g in zip(params, grads_w[0] + grads_w[1:] + grads_b):
-                p -= config.learning_rate * g
+            _gradients(weights, biases, batch, hot[lo : lo + step], grads_w, grads_b)
+            params -= np.multiply(grads, config.learning_rate, out=grads)
         for arm, row in enumerate(zip(*(_evaluate(weights, biases, *s) for s in sets))):
             if arm in diverged or not np.isfinite(row[0][0]):
                 diverged.setdefault(arm, epoch)

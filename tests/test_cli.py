@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -75,6 +76,17 @@ def test_ingest_missing_status_column(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"dataset": {"csv": str(bad)}})
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "'status' not found" in capsys.readouterr().err
+
+
+def test_ingest_refuses_a_repeated_feature_name_before_writing(tmp_path, capsys):
+    features = [{"type": "frequency", "column": c, "name": "f"} for c in ("market", "seed")]
+    fc = tmp_path / "features.json"
+    fc.write_text(json.dumps({"features": features}))
+    cfg = _write_config(tmp_path, {"dataset": {"csv": str(FIXTURE_CSV), "feature_config": str(fc)}})
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: feature config names the feature 'f' more than once" in capsys.readouterr().err
+    assert not out.exists() or not any(out.rglob("*"))
 
 
 # -- benchmark -----------------------------------------------------------------
@@ -332,10 +344,13 @@ def test_hybrid_logs_each_stage_with_its_sizes(tmp_path, caplog):
     out = tmp_path / "out"
     assert main(["hybrid", "--config", _hybrid_config(tmp_path, epochs=2), "--out", str(out)]) == 0
     stages = [r.getMessage() for r in caplog.records if r.name == "qkml"]
-    assert stages == [
+    assert stages[:2] == [
         "quanv: 40 rows x 1 windows of 2 qubits",
         "stacked training: 2 arms, input widths 2 and 2, 1 steps per epoch, 2 epochs",
     ]
+    # The wall time is not deterministic; the step count is.
+    assert len(stages) == 3
+    assert re.fullmatch(r"quanv and stacked training took \d+\.\d{3} s for 2 steps", stages[2])
 
 
 def _stage_logs(caplog):

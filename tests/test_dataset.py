@@ -64,6 +64,29 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(_write(tmp_path, ""))
 
 
+def test_load_csv_errors_name_the_first_ragged_row_and_the_empty_file(tmp_path):
+    # The messages are pinned byte for byte, row number included.
+    text = "a,b\n1,2\n1\n1,2\n1,2,3\n"
+    p = _write(tmp_path, text)
+    with pytest.raises(ValueError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: data row 2 has 1 cells, header has 2"
+    # A quoted newline keeps a record on one data row.
+    p = _write(tmp_path, 'a,b\n"x\ny",2\n1,2,3\n', name="q.csv")
+    with pytest.raises(ValueError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: data row 2 has 3 cells, header has 2"
+    p = _write(tmp_path, "", name="empty.csv")
+    with pytest.raises(ValueError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: empty CSV, no header row"
+
+
+def test_load_csv_header_only_has_no_rows(tmp_path):
+    table = load_csv(_write(tmp_path, "a,b\n"))
+    assert table.header == ("a", "b") and table.rows == ()
+
+
 def test_load_csv_strips_bom_and_header_space(tmp_path):
     p = tmp_path / "bom.csv"
     p.write_bytes(b"\xef\xbb\xbfa, b \n1,2\n")
@@ -250,6 +273,22 @@ def test_feature_config_validation():
         FeatureConfig.from_dict(
             {"features": [{"type": "duration_days", "name": "d"}]}
         )
+
+
+def test_feature_config_rejects_a_repeated_name():
+    features = [
+        {"type": "frequency", "column": "x", "name": "f"},
+        {"type": "numeric", "column": "y"},
+        {"type": "frequency", "column": "z", "name": "f"},
+    ]
+    with pytest.raises(ValueError, match="names the feature 'f' more than once"):
+        FeatureConfig.from_dict({"features": features})
+    # A derived name counts too: a frequency feature on `x` is named `x_freq`.
+    with pytest.raises(ValueError, match="'x_freq' more than once"):
+        FeatureConfig.from_dict({"features": [
+            {"type": "frequency", "column": "x"},
+            {"type": "numeric", "column": "y", "name": "x_freq"},
+        ]})
 
 
 def test_default_config_has_17_features():

@@ -1,5 +1,6 @@
 """Quanvolutional preprocessing and the dense classifier head."""
 
+import itertools
 import math
 
 import numpy as np
@@ -478,6 +479,65 @@ def test_public_dense_functions_equal_oracle(hidden):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("hidden", [(), (6,)])
+@pytest.mark.parametrize("width", range(2, 12))
+def test_dense_functions_equal_oracle_for_every_head_width(width, hidden):
+    # The head's max, label pick and argmax run column by column, and its
+    # softmax sum is numpy's axis sum, which turns pairwise from 8 terms on.
+    rng = np.random.default_rng(width * 10 + len(hidden))
+    x = rng.normal(scale=2.0, size=(37, 5))
+    y = (x[:, 0] + 0.5 * rng.normal(size=37) > 0).astype(np.int64)  # labels stay 0/1
+    net = init_dense((5,) + hidden + (width,), seed=width)
+    assert predict_proba(net, x).tobytes() == helpers.predict_proba_oracle(net, x).tobytes()
+    assert predict_classes(net, x).tolist() == helpers.predict_classes_oracle(net, x).tolist()
+    assert repr(cross_entropy(net, x, y)) == repr(helpers.cross_entropy_oracle(net, x, y))
+    loss, gw, gb = loss_and_gradients(net, x, y)
+    loss_o, gw_o, gb_o = helpers.loss_and_gradients_oracle(net, x, y)
+    assert repr(loss) == repr(loss_o)
+    for a, b in zip(gw + gb, gw_o + gb_o):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    cfg = TrainConfig(epochs=3, learning_rate=0.3, batch_size=8, seed=width)
+    _assert_same_training(
+        train_dense(net, x, y, cfg, x[:11] * 1.5, y[:11]),
+        helpers.train_dense_oracle(net, x, y, cfg, x[:11] * 1.5, y[:11]),
+    )
+
+
+def test_overflowing_validation_logits_keep_the_oracle_accuracy():
+    # Validation rows scaled to 1e308 overflow the hidden layer, so their
+    # logits are inf or NaN and their probabilities all NaN; numpy's argmax
+    # puts such a row in class 0, and so must the column-wise argmax.  The
+    # train loss stays finite, so training runs on.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(30, 4))
+    y = (x[:, 0] > 0).astype(np.int64)
+    xv = rng.normal(size=(12, 4))
+    yv = np.zeros(12, dtype=np.int64)  # a row put in class 1 would cost a hit
+    net = init_dense((4, 8, 2), seed=2)
+    cfg = TrainConfig(epochs=3, batch_size=7, seed=1)
+    with np.errstate(all="ignore"):
+        xv *= 1e308
+        got = train_dense(net, x, y, cfg, xv, yv)
+        want = helpers.train_dense_oracle(net, x, y, cfg, xv, yv)
+        nan_rows = np.isnan(helpers.predict_proba_oracle(got[0], xv)).all(axis=1)
+    assert 0 < nan_rows.sum() < 12
+    assert all(map(math.isfinite, got[1].train_loss))
+    assert all(map(math.isnan, got[1].val_loss))
+    _assert_same_training(got, want)
+
+
+def test_loss_and_gradients_returns_fresh_arrays_per_call():
+    rng = np.random.default_rng(4)
+    net = init_dense((3, 5, 2), seed=4)
+    x1, x2 = rng.normal(size=(9, 3)), rng.normal(size=(6, 3))
+    y1, y2 = rng.integers(0, 2, size=9), rng.integers(0, 2, size=6)
+    _, gw1, gb1 = loss_and_gradients(net, x1, y1)
+    loss_and_gradients(net, x2, y2)
+    _, gw_o, gb_o = helpers.loss_and_gradients_oracle(net, x1, y1)
+    for a, b in zip(gw1 + gb1, gw_o + gb_o):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_all_zero_net_ties_every_logit_to_class_zero():
     # With every weight and bias zero the hidden layer outputs 0 for any
     # input, and one full batch of one row per class has a zero gradient,
@@ -665,3 +725,25 @@ def test_stacked_matmul_runs_the_2d_gemm_per_arm(rows):
             assert grad[arm].tobytes() == (a[arm].T @ delta[arm]).tobytes()
             assert back[arm].tobytes() == (delta[arm] @ w[arm].T).tobytes()
             assert bias[arm, 0].tobytes() == delta[arm].sum(axis=0).tobytes()
+        # The trainer keeps its weights in, and writes its first-layer outputs
+        # and its gradients with out= into, C-contiguous views of one flat
+        # buffer; an offset of one float leaves them 8-byte aligned only.
+        shapes = [w.shape, (2, rows, fan_out), w.shape, (2, 1, fan_out)]
+        sizes = [math.prod(shape) for shape in shapes]
+        flat = np.full(1 + sum(sizes), np.nan)
+        ends = itertools.accumulate(sizes, initial=1)
+        w_view, out, grad_out, bias_out = (
+            flat[lo : lo + n].reshape(shape) for shape, n, lo in zip(shapes, sizes, ends)
+        )
+        w_view[...] = w
+        for arm in range(2):
+            np.matmul(a[arm], w_view[arm], out=out[arm])
+            np.matmul(a[arm].T, delta[arm], out=grad_out[arm])
+        assert out.tobytes() == forward.tobytes()
+        assert grad_out.tobytes() == grad.tobytes()
+        np.matmul(a.swapaxes(1, 2), delta, out=grad_out)
+        assert grad_out.tobytes() == grad.tobytes()
+        assert (a @ w_view).tobytes() == forward.tobytes()
+        assert (delta @ w_view.swapaxes(1, 2)).tobytes() == back.tobytes()
+        np.add.reduce(delta, axis=1, keepdims=True, out=bias_out)
+        assert bias_out.tobytes() == bias.tobytes()
