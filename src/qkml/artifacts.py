@@ -1,4 +1,4 @@
-"""Deterministic artifact writing, and the casting rule for config values.
+"""Deterministic artifact writing, model documents, and the config casting rule.
 
 Every file the CLI produces goes through a temp-file-then-rename in the
 destination directory, so a crash never leaves a half-written artifact
@@ -43,6 +43,19 @@ def canonical_json(obj) -> str:
 
 def write_json_atomic(path, obj) -> Path:
     return write_text_atomic(path, canonical_json(obj))
+
+
+def to_document(kind: str, **fields) -> str:
+    doc = {"format": f"qkml-{kind}", "version": 1, **fields}
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def from_document(text: str, kind: str) -> dict:
+    doc = json.loads(text)
+    if not (isinstance(doc, dict) and doc.get("format") == f"qkml-{kind}"
+            and doc.get("version") == 1):
+        raise ValueError(f"not a qkml-{kind} version 1 document")
+    return doc
 
 
 def config_sha256(obj) -> str:

@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -179,25 +179,39 @@ class FeatureConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "FeatureConfig":
-        specs = tuple(
-            FeatureSpec(
-                type=item["type"],
-                name=item.get("name")
-                or item["column"] + ("_freq" if item["type"] == "frequency" else ""),
-                blank=item.get("blank", BLANK_ZERO),
-                column=item.get("column"),
-                start=item.get("start"),
-                end=item.get("end"),
-            )
-            for item in doc.get("features", [])
-        )
+        """Refuses unknown keys, and items that are not objects or have no
+        type, or no name and no column; item values go through cast_value."""
+        if not isinstance(doc, dict):
+            raise ValueError("feature config must be a JSON object")
+        unknown = set(doc) - {"status_column", "features"}
+        if unknown:
+            raise ValueError(f"unknown key(s) in the feature config: {sorted(unknown)}")
+        items, kinds, specs = doc.get("features", []), get_type_hints(FeatureSpec), []
+        if not isinstance(items, list):
+            raise ValueError(f"features must be a list, got {items!r}")
+        for i, item in enumerate(items):
+            where = f"features[{i}]"
+            if not isinstance(item, dict):
+                raise ValueError(f"{where} must be a JSON object, got {item!r}")
+            unknown = set(item) - set(kinds)
+            if unknown:
+                raise ValueError(f"unknown key(s) in {where}: {sorted(unknown)}")
+            item = {key: cast_value(kinds[key], v, f"{where}.{key}") for key, v in item.items()}
+            if "type" not in item:
+                raise ValueError(f"{where} has no 'type'")
+            if not item.get("name"):
+                if not item.get("column"):
+                    raise ValueError(f"{where} has no 'name' and no 'column' to derive one from")
+                item["name"] = item["column"] + ("_freq" if item["type"] == "frequency" else "")
+            specs.append(FeatureSpec(**item))
         if not specs:
             raise ValueError("feature config lists no features")
         names = [spec.name for spec in specs]
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"feature config names the feature {name!r} more than once")
-        return FeatureConfig(doc.get("status_column", "status"), specs)
+        status = cast_value(str, doc.get("status_column", "status"), "status_column")
+        return FeatureConfig(status, tuple(specs))
 
     @staticmethod
     def from_json(text: str) -> "FeatureConfig":

@@ -13,7 +13,8 @@ and raises.
 
 Gram matrices can be exported to a small binary container (magic
 ``QKGM``) with a JSON sidecar carrying the feature-map description and
-content hashes, so a cached kernel can be verified before reuse.
+content hashes, so a cached kernel can be verified before reuse: one
+read, hashed, then the header check ``load_gram`` runs too.
 """
 
 from __future__ import annotations
@@ -142,14 +143,6 @@ def matrix_sha256(rows: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta")
 
@@ -188,10 +181,8 @@ def save_gram(
     return sidecar
 
 
-def load_gram(path) -> GramMatrix:
-    """Read a QKGM container (no sidecar verification)."""
-    path = Path(path)
-    raw = path.read_bytes()
+def _row_count(path: Path, raw: bytes) -> int:
+    """Row count of the QKGM bytes ``raw`` after checking magic, version and length."""
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a QKGM file (bad magic {raw[:4]!r})")
     (version,) = struct.unpack_from("<I", raw, 4)
@@ -204,8 +195,15 @@ def load_gram(path) -> GramMatrix:
             f"{path}: truncated or padded QKGM file "
             f"({len(raw)} bytes, expected {expected})"
         )
-    entries = np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, n)
-    return GramMatrix(entries)
+    return n
+
+
+def load_gram(path) -> GramMatrix:
+    """Read a QKGM container (no sidecar verification)."""
+    path = Path(path)
+    raw = path.read_bytes()
+    n = _row_count(path, raw)
+    return GramMatrix(np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, n))
 
 
 def verify_gram(path) -> dict:
@@ -219,15 +217,16 @@ def verify_gram(path) -> dict:
     if not sidecar.exists():
         raise ValueError(f"{path}: missing sidecar {sidecar.name}")
     meta = json.loads(sidecar.read_text())
-    actual = _file_sha256(path)
+    raw = path.read_bytes()
+    actual = hashlib.sha256(raw).hexdigest()
     if actual != meta.get("file_sha256"):
         raise ValueError(
             f"{path}: hash mismatch (sidecar {meta.get('file_sha256')}, "
             f"file {actual})"
         )
-    gram = load_gram(path)
-    if gram.size != meta.get("n"):
+    n = _row_count(path, raw)
+    if n != meta.get("n"):
         raise ValueError(
-            f"{path}: sidecar row count {meta.get('n')} != container {gram.size}"
+            f"{path}: sidecar row count {meta.get('n')} != container {n}"
         )
     return meta

@@ -13,7 +13,6 @@ and ties at exactly 0 resolve to class 1.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence, Tuple, Union
@@ -21,7 +20,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import accel
-from .artifacts import cast_fields, require_fields
+from .artifacts import cast_fields, from_document, require_fields, to_document
 from .dataset import check_labels
 from .qkernel import GramMatrix, matrix_sha256
 
@@ -272,29 +271,25 @@ def dual_objective(
 
 def model_to_text(model: SvmModel) -> str:
     """Serialize to a JSON document (floats survive exactly via repr)."""
-    doc = {
-        "format": "qkml-svm",
-        "version": 1,
-        "config": asdict(model.config),
-        "alphas": model.alphas.tolist(),
-        "bias": model.bias,
-        "signed_labels": model.signed_labels.tolist(),
-        "support_indices": model.support_indices.tolist(),
-        "label_map": {str(k): v for k, v in LABEL_MAP.items()},
-        "kernel_sha256": model.kernel_sha256,
-        "train_features": (
+    return to_document(
+        "svm",
+        config=asdict(model.config),
+        alphas=model.alphas.tolist(),
+        bias=model.bias,
+        signed_labels=model.signed_labels.tolist(),
+        support_indices=model.support_indices.tolist(),
+        label_map={str(k): v for k, v in LABEL_MAP.items()},
+        kernel_sha256=model.kernel_sha256,
+        train_features=(
             None
             if model.train_features is None
             else model.train_features.tolist()
         ),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    )
 
 
 def model_from_text(text: str) -> SvmModel:
-    doc = json.loads(text)
-    if doc.get("format") != "qkml-svm" or doc.get("version") != 1:
-        raise ValueError("not a qkml-svm version 1 document")
+    doc = from_document(text, "svm")
     cfg = doc["config"]
     # Documents written before class weights existed lack that key.
     require_fields(SvmConfig, cfg, optional=("class_weight",))

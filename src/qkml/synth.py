@@ -2,6 +2,7 @@
 
 Every generator is a pure function of (n, noise, seed) built on
 ``np.random.default_rng``, so repeated calls reproduce the same rows.
+The two-class ones take their class sizes and labels from ``_two_classes``.
 """
 
 from __future__ import annotations
@@ -15,13 +16,18 @@ from .dataset import Dataset
 _NAMES_2D = ("x0", "x1")
 
 
-def make_moons(n: int, noise: float = 0.2, seed: int = 0) -> Dataset:
-    """Two interleaving half-circles with isotropic gaussian noise."""
+def _two_classes(n: int):
+    """Class sizes n // 2 and n - n // 2 and labels, class 0 first; n >= 2."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    rng = np.random.default_rng(seed)
     n0 = n // 2
-    n1 = n - n0
+    return n0, n - n0, np.repeat(np.array([0, 1], dtype=np.int64), [n0, n - n0])
+
+
+def make_moons(n: int, noise: float = 0.2, seed: int = 0) -> Dataset:
+    """Two interleaving half-circles with isotropic gaussian noise."""
+    n0, n1, labels = _two_classes(n)
+    rng = np.random.default_rng(seed)
     t0 = np.linspace(0.0, math.pi, n0)
     t1 = np.linspace(0.0, math.pi, n1)
     pts = np.vstack(
@@ -31,23 +37,18 @@ def make_moons(n: int, noise: float = 0.2, seed: int = 0) -> Dataset:
         ]
     )
     pts += rng.normal(scale=noise, size=pts.shape)
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     return Dataset(pts, labels, _NAMES_2D)
 
 
 def make_rings(n: int, noise: float = 0.08, seed: int = 0) -> Dataset:
     """Two concentric circles (class 0 inner, radius 0.5; class 1 outer,
     radius 1.0) with radial gaussian noise."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n0, n1, labels = _two_classes(n)
     rng = np.random.default_rng(seed)
-    n0 = n // 2
-    n1 = n - n0
     radii = np.concatenate([np.full(n0, 0.5), np.full(n1, 1.0)])
     radii = radii + rng.normal(scale=noise, size=n)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
     pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     return Dataset(pts, labels, _NAMES_2D)
 
 
@@ -75,18 +76,14 @@ def make_xor(n: int = 4, noise: float = 0.0, seed: int = 0) -> Dataset:
 
 def make_blobs(n: int, noise: float = 0.5, seed: int = 0) -> Dataset:
     """Two gaussian clusters centred at (-1.5, -1.5) and (1.5, 1.5)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n0, n1, labels = _two_classes(n)
     rng = np.random.default_rng(seed)
-    n0 = n // 2
-    n1 = n - n0
     pts = np.vstack(
         [
             rng.normal(loc=-1.5, scale=noise, size=(n0, 2)),
             rng.normal(loc=1.5, scale=noise, size=(n1, 2)),
         ]
     )
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     return Dataset(pts, labels, _NAMES_2D)
 
 

@@ -16,8 +16,8 @@ partitions the split nodes' row ranges in place.
 The forest draws one RNG per tree, seeded ``seed + tree_index`` (the
 bootstrap sample is drawn first, then per-split feature subsets in node
 pre-order), so a forest is a pure function of its inputs too.  Each
-tree's subsets are drawn ``_BLOCK`` nodes ahead in one ``integers`` call
-(``_subsets``), the very sets per-node ``rng.choice`` calls would give.
+tree's subsets are drawn ``_BLOCK`` nodes ahead (``_subsets``) in one
+``integers`` call, or by ``rng.choice`` in numpy's tail-shuffle regime.
 
 Prediction flattens each ``TreeNode`` tree into a node table (parallel
 feature, threshold, child and class arrays) and moves all rows down it
@@ -27,14 +27,13 @@ exact vote ties return class 0, as do count ties inside a leaf.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .artifacts import cast_fields, require_fields
+from .artifacts import cast_fields, from_document, require_fields, to_document
 from .dataset import check_labels
 
 
@@ -221,22 +220,18 @@ def _subsets(rngs, d, mtry, count):
 
     One ``integers`` call per generator makes choice's bounded draws in its
     order: Floyd's algorithm (bounds d - mtry ... d - 1, a repeat replaced
-    by its bound), then a shuffle (mtry - 1 ... 1); past 10,000 features
-    with mtry > d // 50, swaps (d - 1 ... d - mtry) into arange(d)'s tail."""
-    tail = d > 10_000 and mtry > d // 50
-    highs = np.arange(d - 1, d - mtry - 1, -1) if tail else np.r_[d - mtry:d, mtry - 1:0:-1]
-    draws = np.concatenate([rng.integers(0, highs, (count, len(highs)), endpoint=True)
-                            for rng in rngs])
-    out, step = np.empty((len(draws), mtry), dtype=np.int64), max(1, 2**20 // d)
-    for lo in range(0, len(draws), step):
-        v, o = draws[lo:lo + step], out[lo:lo + step]
-        r = np.arange(len(v))
-        if tail:
-            perm = np.tile(np.arange(d), (len(v), 1))
-            for s, i in enumerate(highs):
-                perm[r, i], perm[r, v[:, s]] = perm[r, v[:, s]], perm[r, i]
-            o[:] = perm[:, d - mtry:]
-        else:
+    by its bound), then a shuffle (mtry - 1 ... 1).  Past 10,000 features
+    with mtry > d // 50 choice shuffles arange(d)'s tail, and runs per node."""
+    if d > 10_000 and mtry > d // 50:
+        out = np.array([rng.choice(d, mtry, replace=False) for rng in rngs for _ in range(count)])
+    else:
+        highs = np.r_[d - mtry:d, mtry - 1:0:-1]
+        draws = np.concatenate([rng.integers(0, highs, (count, len(highs)), endpoint=True)
+                                for rng in rngs])
+        out, step = np.empty((len(draws), mtry), dtype=np.int64), max(1, 2**20 // d)
+        for lo in range(0, len(draws), step):
+            v, o = draws[lo:lo + step], out[lo:lo + step]
+            r = np.arange(len(v))
             taken = np.zeros((len(v), d), dtype=bool)
             for k, j in enumerate(highs[:mtry]):
                 o[:, k] = np.where(taken[r, v[:, k]], j, v[:, k])
@@ -383,9 +378,7 @@ def predict_tree(tree: TreeNode, row) -> int:
 
 
 def tree_depth(tree: TreeNode) -> int:
-    if tree.is_leaf:
-        return 0
-    return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
+    return _node_table(tree)[-1]
 
 
 def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
@@ -435,34 +428,22 @@ def _node_from_dict(doc: dict) -> TreeNode:
                     _node_from_dict(doc["left"]), _node_from_dict(doc["right"]))
 
 
-def _to_text(kind: str, **fields) -> str:
-    doc = {"format": f"qkml-{kind}", "version": 1, **fields}
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _from_text(text: str, kind: str) -> dict:
-    doc = json.loads(text)
-    if doc.get("format") != f"qkml-{kind}" or doc.get("version") != 1:
-        raise ValueError(f"not a qkml-{kind} version 1 document")
-    return doc
-
-
 def tree_to_text(tree: TreeNode) -> str:
-    return _to_text("tree", root=_node_to_dict(tree))
+    return to_document("tree", root=_node_to_dict(tree))
 
 
 def tree_from_text(text: str) -> TreeNode:
-    return _node_from_dict(_from_text(text, "tree")["root"])
+    return _node_from_dict(from_document(text, "tree")["root"])
 
 
 def forest_to_text(model: ForestModel) -> str:
-    return _to_text("forest", tree_config=asdict(model.tree_config),
+    return to_document("forest", tree_config=asdict(model.tree_config),
                     forest_config=asdict(model.forest_config),
                     trees=[_node_to_dict(t) for t in model.trees])
 
 
 def forest_from_text(text: str) -> ForestModel:
-    doc = _from_text(text, "forest")
+    doc = from_document(text, "forest")
     tc, fc = doc["tree_config"], doc["forest_config"]
     require_fields(TreeConfig, tc)
     require_fields(ForestConfig, fc)

@@ -632,6 +632,13 @@ def predict_tree_walk(tree, row) -> int:
     return node.predicted_class
 
 
+def tree_depth_recursive(tree) -> int:
+    """Edges on the longest root-to-leaf path, by recursion."""
+    if tree.is_leaf:
+        return 0
+    return 1 + max(tree_depth_recursive(tree.left), tree_depth_recursive(tree.right))
+
+
 def predict_forest_walk(model, row) -> int:
     votes = sum(predict_tree_walk(t, row) for t in model.trees)
     return 1 if 2 * votes > len(model.trees) else 0

@@ -89,6 +89,24 @@ def test_ingest_refuses_a_repeated_feature_name_before_writing(tmp_path, capsys)
     assert not out.exists() or not any(out.rglob("*"))
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"features": [{"column": "market"}]}, "features[0] has no 'type'"),
+    ({"features": ["market"]}, "features[0] must be a JSON object, got 'market'"),
+    ({"features": [{"type": "frequency", "column": "market", "blnak": "drop"}]},
+     "unknown key(s) in features[0]: ['blnak']"),
+    ({"features": [{"type": "frequency", "column": "market"}], "blnak": "drop"},
+     "unknown key(s) in the feature config: ['blnak']"),
+], ids=["no-type", "string-item", "item-key", "top-level-key"])
+def test_ingest_refuses_a_malformed_feature_config_before_writing(tmp_path, capsys, doc, message):
+    fc = tmp_path / "features.json"
+    fc.write_text(json.dumps(doc))
+    cfg = _write_config(tmp_path, {"dataset": {"csv": str(FIXTURE_CSV), "feature_config": str(fc)}})
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- benchmark -----------------------------------------------------------------
 
 

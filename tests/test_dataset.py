@@ -291,6 +291,40 @@ def test_feature_config_rejects_a_repeated_name():
         ]})
 
 
+_ONE = {"type": "numeric", "column": "x"}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"features": [_ONE], "blnak": "drop"}, "unknown key(s) in the feature config: ['blnak']"),
+    ({"features": [_ONE, {"type": "numeric", "column": "y", "blnak": "drop"}]},
+     "unknown key(s) in features[1]: ['blnak']"),
+    ({"features": [_ONE, "y"]}, "features[1] must be a JSON object, got 'y'"),
+    ({"features": [_ONE, {"column": "y"}]}, "features[1] has no 'type'"),
+    ({"features": [{"type": "duration_days", "start": "a", "end": "b"}]},
+     "features[0] has no 'name' and no 'column' to derive one from"),
+    ({"features": [{"type": "numeric", "column": 3}]}, "features[0].column must be a string or null, got 3"),
+    ({"features": [{**_ONE, "blank": None}]}, "features[0].blank must be a string, got None"),
+    ({"features": [_ONE], "status_column": 1}, "status_column must be a string, got 1"),
+    ({"features": {"type": "numeric"}}, "features must be a list, got {'type': 'numeric'}"),
+    (["features"], "feature config must be a JSON object"),
+], ids=["top-level-key", "item-key", "item-not-object", "no-type", "no-name", "column-int",
+        "blank-null", "status-int", "features-object", "doc-list"])
+def test_feature_config_refuses_a_malformed_document(doc, message):
+    with pytest.raises(ValueError) as err:
+        FeatureConfig.from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_feature_config_derives_names_and_keeps_cast_values():
+    cfg = FeatureConfig.from_dict({"features": [
+        {"type": "frequency", "column": "m"}, {**_ONE, "name": ""},
+        {"type": "duration_days", "name": "d", "start": "a", "end": "b", "blank": "drop"},
+    ]})
+    assert [s.name for s in cfg.features] == ["m_freq", "x", "d"]
+    assert cfg.features[2] == dataset.FeatureSpec("duration_days", "d", "drop", None, "a", "b")
+    assert cfg.status_column == "status"
+
+
 def test_default_config_has_17_features():
     cfg = default_feature_config()
     assert len(cfg.features) == 17

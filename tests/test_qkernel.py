@@ -1,5 +1,7 @@
 """Fidelity kernel entries, Gram assembly, and the QKGM container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,23 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
     good.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(ValueError, match="truncated"):
         qkernel.load_gram(good)
+
+
+def test_verify_gram_peak_memory_stays_near_the_file_size(tmp_path):
+    # One read of the container, hashed and header-checked, not a load
+    # and copy of the matrix: the peak stays under 1.5 times the file.
+    entries = np.random.default_rng(29).uniform(size=(600, 600))
+    path = tmp_path / "kernel.qkgm"
+    qkernel.save_gram(path, qkernel.GramMatrix(entries), FeatureMapSpec(ANGLE_Y, 1))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        qkernel.verify_gram(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 16 + 8 * 600 * 600
+    assert peak < 1.5 * size
 
 
 def test_verify_requires_sidecar(tmp_path):

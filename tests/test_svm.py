@@ -365,6 +365,12 @@ def test_model_from_text_rejects_other_documents():
         svm.model_from_text('{"format": "something-else", "version": 1}')
 
 
+@pytest.mark.parametrize("text", ["[]", "3"])
+def test_model_from_text_rejects_json_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match="^not a qkml-svm version 1 document$"):
+        svm.model_from_text(text)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         svm.SvmConfig(c=0.0)

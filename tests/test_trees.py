@@ -624,7 +624,17 @@ def test_node_table_depth_is_tree_depth():
     x, y = _tied_xy(rng, 150, 4)
     forest = train_forest(x, y, TreeConfig(max_depth=7), ForestConfig(n_trees=9, seed=370))
     for tree in (*forest.trees, _leaf_tree(1), train_tree(x, y, TreeConfig(max_depth=1))):
-        assert trees._node_table(tree)[-1] == tree_depth(tree)
+        assert trees._node_table(tree)[-1] == tree_depth(tree) == helpers.tree_depth_recursive(tree)
+
+
+def test_tree_depth_of_a_2399_level_chain():
+    # Alternating labels on one sorted column: each split cuts off the
+    # lowest row, so the tree is a chain one level per row.  A recursive
+    # depth would pass Python's recursion limit.
+    x, y = np.arange(2400.0)[:, None], np.arange(2400) % 2
+    tree = train_tree(x, y, TreeConfig(max_depth=100000))
+    assert tree_depth(tree) == 2399
+    assert predict_tree_batch(tree, x).tolist() == y.tolist()
 
 
 def _score_nodes(rng, x, y, n_nodes, k, min_leaf, max_size=40):
@@ -744,3 +754,10 @@ def test_serialization_rejects_foreign_documents():
         tree_from_text('{"format": "other", "version": 1, "root": {}}')
     with pytest.raises(ValueError, match="qkml-forest"):
         forest_from_text('{"format": "qkml-forest", "version": 2, "trees": []}')
+
+
+@pytest.mark.parametrize("text", ["[]", "3"])
+@pytest.mark.parametrize("read,kind", [(tree_from_text, "tree"), (forest_from_text, "forest")])
+def test_serialization_rejects_json_that_is_not_an_object(read, kind, text):
+    with pytest.raises(ValueError, match=f"^not a qkml-{kind} version 1 document$"):
+        read(text)
