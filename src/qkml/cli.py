@@ -176,8 +176,9 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
     name = model_cfg["name"]
     if name == "dt":
         tree = trees.train_tree(train.features, train.labels, _typed(trees.TreeConfig, model_cfg))
-        pred = trees.predict_tree_batch(tree, np.vstack([test.features, train.features]))
-        return pred[: test.n_rows], pred[test.n_rows :], {"depth": trees.tree_depth(tree)}
+        table = trees._node_table(tree)  # one table for both the rows and the depth
+        pred = trees._route(table, np.vstack([test.features, train.features]))
+        return pred[: test.n_rows], pred[test.n_rows :], {"depth": table[-1]}
     if name == "rf":
         fcfg = _typed(trees.ForestConfig, model_cfg, seed=seed)
         forest = trees.train_forest(

@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .artifacts import cast_value
+from .artifacts import cast_fields, cast_value
 
 log = logging.getLogger("qkml.dataset")
 
@@ -162,6 +162,7 @@ class FeatureSpec:
     end: Optional[str] = None
 
     def __post_init__(self):
+        cast_fields(self)
         if self.type not in ("numeric", "duration_days", "frequency"):
             raise ValueError(f"unknown feature type {self.type!r}")
         if self.blank not in (BLANK_ZERO, BLANK_DROP):

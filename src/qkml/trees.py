@@ -11,7 +11,10 @@ Training grows all of a forest's trees in lockstep (``_grow``), and
 ``train_tree`` is the one-tree case.  Each step sorts the rows of every
 (node, feature) candidate by a key of dense value rank and label, at
 most ``_CHUNK`` at once, scores every new value's position, and
-partitions the split nodes' row ranges in place.
+partitions the split nodes' row ranges in place.  The grower writes the
+forest's node table (``_table``: parallel feature, threshold, child and
+class arrays, breadth first), and the ``TreeNode`` trees are built from
+it (``_build``).
 
 The forest draws one RNG per tree, seeded ``seed + tree_index`` (the
 bootstrap sample is drawn first, then per-split feature subsets in node
@@ -19,16 +22,16 @@ pre-order), so a forest is a pure function of its inputs too.  Each
 tree's subsets are drawn ``_BLOCK`` nodes ahead (``_subsets``) in one
 ``integers`` call, or by ``rng.choice`` in numpy's tail-shuffle regime.
 
-Prediction flattens each ``TreeNode`` tree into a node table (parallel
-feature, threshold, child and class arrays) and moves all rows down it
-together, one array step per level.  The forest is a majority vote;
-exact vote ties return class 0, as do count ties inside a leaf.
+Prediction routes every (tree, row) pair down one node table together,
+one array step per level: the table ``train_forest`` kept, or one
+stacked from the trees (``_node_table``).  The forest is a majority
+vote; exact vote ties return class 0, as do count ties inside a leaf.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,7 +67,7 @@ class TreeConfig:
         cast_fields(self, max_depth=1, min_samples_split=2, min_samples_leaf=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     """Internal node (feature_index/threshold/children) or leaf.
 
@@ -100,6 +103,9 @@ class ForestModel:
     trees: tuple
     tree_config: TreeConfig
     forest_config: ForestConfig
+    # The trees' _node_table as train_forest grew it; None, as after
+    # dataclasses.replace, stacks it from the trees at predict.
+    table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
 
 def _check_xy(features, labels):
@@ -118,12 +124,8 @@ def _check_xy(features, labels):
     return x, y
 
 
-def _leaf(ones: int, zeros: int) -> TreeNode:
-    return TreeNode((zeros, ones), int(ones > zeros))  # count tie -> class 0
-
-
-def _node_impurity(zeros: int, ones: int) -> float:
-    n = float(zeros + ones)
+def _node_impurity(zeros, ones):
+    n = zeros + ones
     return 1.0 - (zeros * zeros + ones * ones) / (n * n)
 
 
@@ -197,10 +199,10 @@ def _best_splits(uniq, codes, flat, at, size, ones, feats, min_leaf):
         lo_ones = (cum[e] - cum[starts[seg]]).astype(np.float64)
         score = (_weighted_gini(pl, lo_ones) + _weighted_gini(nf - pl, ones[node] - lo_ones)) / nf
         # A later run holds later features, so it must beat the best so far.
-        new = np.r_[True, node[1:] != node[:-1]]
+        new = np.concatenate(([True], node[1:] != node[:-1]))
         low = np.minimum.reduceat(score, np.flatnonzero(new))[np.cumsum(new) - 1]
         win = np.flatnonzero(score == low)
-        win = win[np.r_[True, node[win[1:]] != node[win[:-1]]]]
+        win = win[np.concatenate(([True], node[win[1:]] != node[win[:-1]]))]
         win = win[score[win] < best[node[win]]]
         g = node[win]
         best[g] = score[win]
@@ -240,81 +242,121 @@ def _subsets(rngs, d, mtry, count):
     return np.sort(out, 1).reshape(len(rngs), count, mtry)
 
 
-def _attach(node, frame, side):
-    """Put a finished subtree in slot ``side`` of ``frame``, then build each
-    ancestor whose two slots are now full.  A frame is [left, right,
-    parent frame, slot in it, class counts, feature, threshold]; a tree's
-    root goes to a one-slot frame."""
-    frame[side] = node
-    while len(frame) > 1 and frame[0] is not None and frame[1] is not None:
-        left, right, frame, side, counts, feat, thr = frame
-        frame[side] = TreeNode(counts, int(counts[1] > counts[0]), feat, thr, left, right)
-
-
 def _grow(x, y, rows, config, rngs, mtry):
     """Grow one tree per row of ``rows``, the (trees, n) int32 sample
-    indices into the (n, d) ``x`` and ``y``; returns their roots.
+    indices into the (n, d) ``x`` and ``y``; returns their ``_table`` and
+    its rows' (2, nodes) class counts.
 
     ``rngs`` holds each tree's generator for its ``mtry`` feature draws,
     or is None when every split considers all features.  Each step scores
     the next node of every tree that draws, so its subsets, drawn in blocks
     from its own stream (``_subsets``), are those of per-node ``rng.choice``
     in a depth-first build; and all open nodes of a tree that does not.
-    A node is a range of its tree's row, partitioned in place on a split.
+    A node is a range of its tree's row, partitioned in place on a split,
+    and an int column (id, tree, start, size, ones, depth); open nodes wait
+    in their tree's pre-order stack, a row of ``stack`` topped at ``top``.
     """
     (n_trees, n), d, block = rows.shape, x.shape[1], _BLOCK
     uniq, codes = _ranks(x.T, y)
     flat, values = rows.ravel(), x.T.ravel()  # values[f * n + i] = x[i, f]
-    stacks = [[] for _ in range(n_trees)]
+    stack, top = np.empty((6, n_trees, 8), dtype=np.int64), np.zeros(n_trees, dtype=np.intp)
     drawn, step = np.empty((n_trees, block, mtry if rngs else 0), dtype=np.int64), 0
-
-    def settle(t, a, m, ones, depth, frame, side):
-        # Node of tree t: m samples from flat[a], `ones` of class 1.
-        if ones in (0, m) or depth >= config.max_depth or m < config.min_samples_split:
-            _attach(_leaf(ones, m - ones), frame, side)
-        else:
-            stacks[t].append((t, a, m, ones, depth, frame, side))
-
-    roots = [[None] for _ in range(n_trees)]
-    for t in range(n_trees):
-        settle(t, t * n, n, int(y[rows[t]].sum()), 0, roots[t], 0)
-    while any(stacks):
+    t = np.arange(n_trees)
+    new = np.stack([t, t, t * n, np.full(n_trees, n), y[rows].sum(1), 0 * t])[..., None]
+    # Per step, copied out of the step's arrays: (size, ones) of the nodes
+    # made, and (id, feature, threshold) of the nodes split.
+    made, splits, count = [], [(np.empty(0, dtype=np.intp),) * 3], 0
+    while True:
+        # Number the new (6, nodes, sides) columns; a node that is pure,
+        # too small or at max depth is a leaf, and the others stay open.
+        new[0] = np.arange(count, count + new[0].size).reshape(new[0].shape)
+        count += new[0].size
+        made.append(new[3:5].reshape(2, -1).copy())
+        m, o, depth = new[3:]
+        open_ = (o > 0) & (o < m) & (m >= config.min_samples_split) & (depth < config.max_depth)
         if rngs is None:
-            nodes = [stack.pop() for stack in stacks for _ in range(len(stack))]
-            feats = np.tile(np.arange(d), (len(nodes), 1))
+            nodes = new[:, open_]
+            feats = np.repeat(np.arange(d)[None], nodes.shape[1], axis=0)
         else:
-            nodes = [stack.pop() for stack in stacks if stack]
-            ts = [node[0] for node in nodes]
+            if top.max() + 2 > stack.shape[2]:
+                stack = np.concatenate([stack, stack], axis=2)
+            for side in reversed(range(new.shape[2])):  # the left child pops first
+                t = new[1, open_[:, side], side]
+                stack[:, t, top[t]] = new[:, open_[:, side], side]
+                top[t] += 1
+            ts = np.flatnonzero(top)
+            top[ts] -= 1
+            nodes = stack[:, ts, top[ts]]
             # A tree draws at every step until its stack empties, so the
             # trees still drawing all run out of subsets together.
-            if step % block == 0:
+            if len(ts) and step % block == 0:
                 drawn[ts] = _subsets([rngs[t] for t in ts], d, mtry, block)
             feats, step = drawn[ts, step % block], step + 1
-        at, size, ones = np.array([node[1:4] for node in nodes]).T
+        if not nodes.shape[1]:
+            break
+        at, size, ones = nodes[2:5]
         best, feat, thr = _best_splits(uniq, codes, flat, at, size, ones, feats,
                                        config.min_samples_leaf)
-        grown = []
-        for i, (t, a, m, o, depth, frame, side) in enumerate(nodes):
-            if best[i] < _node_impurity(m - o, o):
-                grown.append(i)
-            else:
-                _attach(_leaf(o, m - o), frame, side)
-        # Rows with value <= threshold move to the front of their range.
-        size, at, feat, thr = size[grown], at[grown], feat[grown], thr[grown]
-        right_rows, right_ones = np.zeros((2, len(grown)), dtype=np.int64)
-        for lo, hi, seg, pos, starts in _chunks(size, at):
+        grown = best < _node_impurity(size - ones, ones)
+        nodes, feat, thr = nodes[:, grown], feat[grown], thr[grown]
+        # Rows with value <= threshold move to the front of their range;
+        # the children are (6, split nodes, left and right) columns.
+        new = np.repeat(nodes[..., None], 2, axis=2)
+        for lo, hi, seg, pos, starts in _chunks(nodes[3], nodes[2]):
             sample = flat[pos]
             right = values[(feat[lo:hi] * n)[seg] + sample] > thr[lo:hi][seg]
             flat[pos] = sample[np.argsort(2 * seg + right, kind="stable")]
-            right_rows[lo:hi] = np.add.reduceat(right, starts)
-            right_ones[lo:hi] = np.add.reduceat(right * y[sample], starts)
-        for i, f, th, mr, orr in zip(grown, feat.tolist(), thr.tolist(),
-                                      right_rows.tolist(), right_ones.tolist()):
-            t, a, m, o, depth, frame, side = nodes[i]
-            up = [None, None, frame, side, (m - o, o), f, th]
-            settle(t, a + m - mr, mr, orr, depth + 1, up, 1)
-            settle(t, a, m - mr, o - orr, depth + 1, up, 0)
-    return [root[0] for root in roots]
+            new[3:5, lo:hi, 1] = np.add.reduceat([right, right * y[sample]], starts, axis=1)
+        new[3:5, :, 0] -= new[3:5, :, 1]
+        new[2, :, 1] += new[3, :, 0]
+        new[5] += 1
+        splits.append((nodes[0].copy(), feat, thr))
+    counts = np.concatenate(made, axis=1)  # (size, ones), then (zeros, ones)
+    counts[0] -= counts[1]
+    table, order = _table(n_trees, (counts[1] > counts[0]).astype(np.int64),
+                          *map(np.concatenate, zip(*splits)))
+    return table, counts[:, order]
+
+
+def _table(n_trees, cls, split, feat, thr):
+    """The node table of ``n_trees`` trees, and the node in each of its
+    rows.  The nodes are numbered roots first, then two by two the
+    children of the split nodes in their order: node i predicts ``cls[i]``,
+    and node ``split[j]`` splits on ``feat[j]`` at ``thr[j]`` into nodes
+    ``n_trees + 2j`` and ``n_trees + 2j + 1``.
+
+    The table is (feature, threshold, left, right, class, roots, depth):
+    parallel arrays over the nodes breadth first, roots first, and the
+    deepest tree's depth.  A leaf's children are the leaf itself, so rows
+    that reach a leaf early stay there while deeper rows finish.
+    """
+    count, first = len(cls), n_trees + 2 * np.arange(len(split))
+    kid = np.arange(count)  # a node's first child, or the leaf itself
+    kid[split] = first
+    levels = [np.arange(n_trees)]
+    while len(levels[-1]):  # level by level; the last one is empty
+        level = levels[-1][kid[levels[-1]] != levels[-1]]
+        levels.append((kid[level][:, None] + [0, 1]).ravel())
+    order = np.concatenate(levels)
+    place, left = np.argsort(order), np.arange(count)
+    at, feature, threshold = place[split], np.zeros(count, dtype=np.intp), np.zeros(count)
+    feature[at], threshold[at], left[at] = feat, thr, place[first]
+    right = left.copy()
+    right[at] += 1
+    return (feature, threshold, left, right, cls[order], place[:n_trees], len(levels) - 2), order
+
+
+def _build(table, counts):
+    """The root ``TreeNode`` of each tree of ``table``, whose rows have the
+    (2, nodes) class ``counts``.  Children come after their parent, so one
+    backward pass builds them, in steps that bound its lists' memory."""
+    nodes, run = [None] * counts.shape[1], max(1, _CHUNK // 8)
+    for end in range(len(nodes), 0, -run):
+        cols = (col[max(0, end - run):end][::-1].tolist() for col in (*table[:3], table[4], *counts))
+        for i, f, th, lo, cls, z, o in zip(range(end - 1, -1, -1), *cols):
+            nodes[i] = (TreeNode((z, o), cls) if lo == i
+                        else TreeNode((z, o), cls, f, th, nodes[lo], nodes[lo + 1]))
+    return [nodes[r] for r in table[5].tolist()]
 
 
 def train_tree(features, labels, config: TreeConfig = TreeConfig(),
@@ -327,38 +369,37 @@ def train_tree(features, labels, config: TreeConfig = TreeConfig(),
     if mtry is not None and mtry < x.shape[1]:
         rngs = [np.random.default_rng(feature_subset_seed or 0)]
     rows = np.arange(x.shape[0], dtype=np.int32)[None]
-    return _grow(x, y, rows, config, rngs, mtry)[0]
+    return _build(*_grow(x, y, rows, config, rngs, mtry))[0]
 
 
-def _node_table(tree: TreeNode):
-    """Breadth-first parallel arrays of ``tree``, and its depth.
-
-    Returns (feature, threshold, left, right, class, depth).  A leaf's
-    children are the leaf itself, so rows that reach a leaf early stay
-    there while deeper rows finish.
-    """
-    nodes, depth, table = [tree], [0], []
+def _node_table(*trees: TreeNode):
+    """The ``_table`` of the forest ``trees``."""
+    nodes, split = list(trees), []
     for i, node in enumerate(nodes):  # the loop reaches the nodes it appends
-        if node.is_leaf:
-            table.append((0, 0.0, i, i, node.predicted_class))
-        else:
-            table.append((node.feature_index, node.threshold, len(nodes), len(nodes) + 1,
-                          node.predicted_class))
+        if not node.is_leaf:
+            split.append(i)
             nodes += (node.left, node.right)
-            depth += (depth[i] + 1,) * 2
-    types = (np.intp, np.float64, np.intp, np.intp, np.int64)
-    # Breadth-first order ends at the deepest level.
-    return (*(np.array(col, dtype=t) for col, t in zip(zip(*table), types)), depth[-1])
+    inner = [nodes[i] for i in split]
+    return _table(len(trees), np.array([node.predicted_class for node in nodes], dtype=np.int64),
+                  np.array(split, dtype=np.intp), [node.feature_index for node in inner],
+                  [node.threshold for node in inner])[0]
 
 
-def _route(tree: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Predicted class of every row of the 2-d matrix ``x``."""
-    feature, threshold, left, right, cls, depth = _node_table(tree)
-    rows = np.arange(x.shape[0])
-    at = np.zeros(x.shape[0], dtype=np.intp)
-    for _ in range(depth):
-        at = np.where(x[rows, feature[at]] <= threshold[at], left[at], right[at])
-    return cls[at]
+def _route(table, x: np.ndarray) -> np.ndarray:
+    """Votes of every row of the 2-d matrix ``x``: its predicted classes
+    summed over the trees of ``table``.  (tree, row) pairs move down the
+    table together, at most ``_CHUNK`` at once, one array step per level."""
+    feature, threshold, left, right, cls, roots, depth = table
+    n, pairs = x.shape[0], len(roots) * x.shape[0]
+    child = np.stack([right, left], axis=1).ravel()  # [2 * node + (value <= threshold)]
+    votes = np.zeros(n, dtype=np.int64)
+    for lo in range(0, pairs, _CHUNK):
+        pair = np.arange(lo, min(lo + _CHUNK, pairs))
+        row, at = pair % n, roots[pair // n]
+        for _ in range(depth):
+            at = child[2 * at + (x[row, feature[at]] <= threshold[at])]
+        votes += np.bincount(row, cls[at], n).astype(np.int64)
+    return votes
 
 
 def _rows(features) -> np.ndarray:
@@ -369,7 +410,7 @@ def _rows(features) -> np.ndarray:
 
 def predict_tree_batch(tree: TreeNode, features) -> np.ndarray:
     """Predicted class of every row of ``features`` as int64."""
-    return _route(tree, _rows(features))
+    return _route(_node_table(tree), _rows(features))
 
 
 def predict_tree(tree: TreeNode, row) -> int:
@@ -391,16 +432,15 @@ def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
     rows = np.empty((forest_config.n_trees, n), dtype=np.int32)
     for t, rng in enumerate(rngs):
         rows[t] = rng.integers(0, n, size=n) if forest_config.bootstrap else np.arange(n)
-    roots = _grow(x, y, rows, tree_config, rngs if mtry < d else None, mtry)
-    return ForestModel(tuple(roots), tree_config, forest_config)
+    table, counts = _grow(x, y, rows, tree_config, rngs if mtry < d else None, mtry)
+    model = ForestModel(tuple(_build(table, counts)), tree_config, forest_config)
+    object.__setattr__(model, "table", table)
+    return model
 
 
 def predict_forest_batch(model: ForestModel, features) -> np.ndarray:
     """Majority vote of the trees for every row of ``features``, as int64."""
-    x = _rows(features)
-    votes = np.zeros(x.shape[0], dtype=np.int64)
-    for tree in model.trees:
-        votes += _route(tree, x)
+    votes = _route(model.table or _node_table(*model.trees), _rows(features))
     # Strict majority for class 1; ties fall to class 0.
     return (2 * votes > len(model.trees)).astype(np.int64)
 

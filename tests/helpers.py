@@ -553,7 +553,7 @@ def _build_loops(x, y, depth, config, rng, mtry):
         or depth >= config.max_depth
         or n < config.min_samples_split
     ):
-        return trees._leaf(ones, zeros)
+        return trees.TreeNode((zeros, ones), int(ones > zeros))
 
     d = x.shape[1]
     if mtry is not None and mtry < d:
@@ -578,7 +578,7 @@ def _build_loops(x, y, depth, config, rng, mtry):
             best_thr = float(thr)
 
     if best_feat < 0 or not best_score < trees._node_impurity(zeros, ones):
-        return trees._leaf(ones, zeros)
+        return trees.TreeNode((zeros, ones), int(ones > zeros))
 
     mask = x[:, best_feat] <= best_thr
     left = _build_loops(x[mask], y[mask], depth + 1, config, rng, mtry)

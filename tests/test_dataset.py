@@ -303,15 +303,30 @@ _ONE = {"type": "numeric", "column": "x"}
     ({"features": [{"type": "duration_days", "start": "a", "end": "b"}]},
      "features[0] has no 'name' and no 'column' to derive one from"),
     ({"features": [{"type": "numeric", "column": 3}]}, "features[0].column must be a string or null, got 3"),
+    ({"features": [{"type": "numeric", "name": 3, "column": ["x"]}]},
+     "features[0].name must be a string, got 3"),
     ({"features": [{**_ONE, "blank": None}]}, "features[0].blank must be a string, got None"),
     ({"features": [_ONE], "status_column": 1}, "status_column must be a string, got 1"),
     ({"features": {"type": "numeric"}}, "features must be a list, got {'type': 'numeric'}"),
     (["features"], "feature config must be a JSON object"),
 ], ids=["top-level-key", "item-key", "item-not-object", "no-type", "no-name", "column-int",
-        "blank-null", "status-int", "features-object", "doc-list"])
+        "name-int", "blank-null", "status-int", "features-object", "doc-list"])
 def test_feature_config_refuses_a_malformed_document(doc, message):
     with pytest.raises(ValueError) as err:
         FeatureConfig.from_dict(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"type": "numeric", "name": 3, "column": ["x"]}, "name must be a string, got 3"),
+    ({"type": "numeric", "name": "a", "column": ["x"]}, "column must be a string or null, got ['x']"),
+    ({"type": "duration_days", "name": "d", "start": "a", "end": 2.0},
+     "end must be a string or null, got 2.0"),
+])
+def test_feature_spec_casts_its_fields_like_the_other_configs(kwargs, message):
+    # Built through the Python API, not from_dict, the spec still casts.
+    with pytest.raises(ValueError) as err:
+        dataset.FeatureSpec(**kwargs)
     assert str(err.value) == message
 
 

@@ -1,5 +1,6 @@
 """Decision tree and random forest baselines."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -410,6 +411,7 @@ def test_train_forest_matches_oracle_node_for_node(min_leaf, max_depth, mtry, bo
     assert len(forest.trees) == len(oracle.trees)
     for a, b in zip(forest.trees, oracle.trees):
         _assert_same_tree(a, b)
+    _assert_table_is_trees_table(forest)
 
 
 def test_forest_predictions_on_thresholds_match_oracle_walk():
@@ -431,6 +433,66 @@ def test_forest_predictions_on_thresholds_match_oracle_walk():
         assert predict_tree_batch(tree, probe).tolist() == [
             helpers.predict_tree_walk(tree, row) for row in probe
         ]
+
+
+def _walk_models():
+    """Trained forests, their text round trips (no stored table), and
+    hand-built leaf-only and vote-tie forests, with rows to route."""
+    rng = np.random.default_rng(380)
+    x, y = _tied_xy(rng, 150, 4)
+    trained = [train_forest(x, y, TreeConfig(max_depth=6), ForestConfig(n_trees=9, seed=380)),
+               train_forest(x, y, TreeConfig(max_depth=3), ForestConfig(n_trees=4, mtry=4)),
+               train_forest(x[:, :1], y, TreeConfig(), ForestConfig(n_trees=3, bootstrap=False))]
+    stump = train_tree(np.array([[1.0], [2.0]]), [0, 1])
+    built = [ForestModel(tuple(_leaf_tree(c) for c in (1, 0, 1)), TreeConfig(), ForestConfig()),
+             ForestModel((_leaf_tree(1), _leaf_tree(0), stump, _leaf_tree(1)),
+                         TreeConfig(), ForestConfig())]
+    probe = np.vstack([x, rng.uniform(-2.0, 2.0, size=(40, 4)), [[1.5, 0, 0, 0]]])
+    models = trained + [forest_from_text(forest_to_text(f)) for f in trained] + built
+    return models, probe
+
+
+def test_batch_predictions_match_the_walks_row_by_row():
+    models, probe = _walk_models()
+    for model in models:
+        assert predict_forest_batch(model, probe).tolist() == [
+            helpers.predict_forest_walk(model, row) for row in probe
+        ]
+        for tree in model.trees:
+            assert predict_tree_batch(tree, probe).tolist() == [
+                helpers.predict_tree_walk(tree, row) for row in probe
+            ]
+        for empty in (probe[:0], []):
+            for out in (predict_forest_batch(model, empty), predict_tree_batch(model.trees[0], empty)):
+                assert out.shape == (0,) and out.dtype == np.int64
+    # Only the trained forests carry the grower's table.
+    assert [m.table is not None for m in models] == [True] * 3 + [False] * 5
+
+
+def test_trained_forest_equals_its_text_round_trip():
+    models, _ = _walk_models()
+    for forest in models[:3]:
+        back = forest_from_text(forest_to_text(forest))
+        assert back.table is None and forest.table is not None
+        assert back == forest
+        # A copy with other trees stacks their table rather than keep a stale one.
+        assert dataclasses.replace(forest, trees=back.trees[::-1]).table is None
+
+
+def test_forest_prediction_memory_is_bounded():
+    # 51 trees route 4,400 rows, 224,400 (tree, row) pairs, in runs of at
+    # most _CHUNK pairs: ~1.2 MB.  Routing them all at once would hold
+    # several 224,400-long index arrays and peak near 11 MB.
+    x, y = _tied_xy(np.random.default_rng(390), 4400, 17)
+    forest = train_forest(x, y, forest_config=ForestConfig(n_trees=51, seed=1))
+    predict_forest_batch(forest, x)
+    tracemalloc.start()
+    try:
+        predict_forest_batch(forest, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_batch_predict_of_zero_rows_is_empty_int64():
@@ -480,9 +542,19 @@ def _assert_same_forest(forest, oracle):
         _assert_same_tree(a, b)
 
 
+def _assert_table_is_trees_table(forest):
+    """The node table the grower kept is the one stacked from its trees."""
+    got, want = forest.table, trees._node_table(*forest.trees)
+    assert len(got) == len(want) == 7 and got[-1] == want[-1]
+    for a, b in zip(got[:-1], want[:-1]):
+        assert a.dtype == b.dtype
+        assert a.tolist() == b.tolist()
+
+
 def _forest_and_oracle(x, y, tcfg, fcfg):
     forest = train_forest(x, y, tcfg, fcfg)
     _assert_same_forest(forest, helpers.train_forest_loops(x, y, tcfg, fcfg))
+    _assert_table_is_trees_table(forest)
     return forest
 
 
