@@ -3,7 +3,8 @@
 Gate application, fidelity matrices and the SMO dual solver.
 Element-wise loop versions of the gate kernels in ``tests/helpers.py``
 are the oracles they are tested against; the SMO solver is checked
-against the dual reached by the random-partner loop solver kept there.
+against the dual reached by the random-partner loop solver kept there,
+and bit for bit against the two-pass working-set selection kept there.
 """
 
 from __future__ import annotations
@@ -103,8 +104,13 @@ def apply_parity_phase_rows(states, qubits, phases):
 # product on contiguous copies of the parts.  Im comes first, so the
 # copies are dropped before the real part is allocated.  The Gram copies
 # its upper triangle onto the lower so the output is exactly symmetric
-# whichever BLAS path ran.
+# whichever BLAS path ran: each block of _MIRROR rows takes the transposed
+# strip above it as a block copy, and the lower part of its diagonal block
+# through a triangular mask, with no index arrays over the whole matrix.
 # ---------------------------------------------------------------------------
+
+_MIRROR = 64
+_BELOW = np.tri(_MIRROR, k=-1, dtype=bool)
 
 
 def fidelity_gram(states):
@@ -118,8 +124,16 @@ def fidelity_gram(states):
     imag *= imag
     g *= g
     g += imag
-    low = np.tril_indices(g.shape[0], -1)
-    g[low] = g.T[low]
+    return _mirror_upper(g)
+
+
+def _mirror_upper(g):
+    """Copy the upper triangle of the square ``g`` onto its lower, in place."""
+    for lo in range(0, g.shape[0], _MIRROR):
+        hi = lo + _MIRROR
+        g[lo:hi, :lo] = g[:lo, lo:hi].T
+        block = g[lo:hi, lo:hi]
+        np.copyto(block, block.T, where=_BELOW[:len(block), :len(block)])
     return g
 
 
@@ -141,10 +155,15 @@ def fidelity_cross(a_states, b_states):
 #
 # Selection is label-symmetric: the WSS2 pair anchored at the I_up
 # maximiser and the mirror pair anchored at the I_low minimiser are both
-# scored, the larger gain wins (exact ties: the lower (min, max) index
-# pair) and the pair is updated in ascending index order.  Flipping every
-# label swaps the two candidates, so it yields bitwise-equal alphas and
-# an exactly negated bias whenever the box is the same for both classes.
+# scored, in one pass over a (2, n) array, the larger gain wins (exact
+# ties: the lower (min, max) index pair) and the pair is updated in
+# ascending index order.  A partner t of the first anchor needs t in I_low
+# and v_t < m, the second t in I_up and v_t > M: for finite v, exactly the
+# candidates whose gap m - v_t or v_t - M is positive.  A step changes
+# alphas only at its pair, so I_up and I_low are updated there alone.
+# Flipping every label swaps the two candidates, so it yields
+# bitwise-equal alphas and an exactly negated bias whenever the box is the
+# same for both classes.
 # The box is per-sample (c_arr), which makes class weighting a caller-side
 # concern.
 # ---------------------------------------------------------------------------
@@ -157,16 +176,6 @@ def smo_iteration_bound(n):
     return max(10**7, 100 * n)
 
 
-def _wss2_partner(anchor, cand, gap, kdiag, kmat):
-    """Best second index for `anchor` over the `cand` mask, scored by the
-    second-order gain -gap^2 / a; returns (index, gain)."""
-    a = kdiag[anchor] + kdiag - 2.0 * kmat[anchor]
-    a[a <= 0.0] = _TAU
-    score = np.where(cand, -(gap * gap) / a, np.inf)
-    t = int(score.argmin())
-    return t, score[t]
-
-
 def smo_solve(kmat, y, c_arr, tol):
     """Returns (alphas, bias, iterations); iterations equals
     smo_iteration_bound(n) when the solve stopped at the bound."""
@@ -175,14 +184,14 @@ def smo_solve(kmat, y, c_arr, tol):
     alphas = np.zeros(n, dtype=np.float64)
     grad = np.full(n, -1.0)
     pos = y > 0
+    # I_low and I_up at alphas = 0, the partner sets of the two anchors.
+    sides = np.stack([~pos, pos]) & (c_arr > 0.0)
+    low, up = sides
+    gap = np.empty((2, n))
     bound = smo_iteration_bound(n)
     it = 0
     while True:
         v = -y * grad
-        below = alphas < c_arr
-        above = alphas > 0.0
-        up = np.where(pos, below, above)
-        low = np.where(pos, above, below)
         v_up = np.where(up, v, -np.inf)
         v_low = np.where(low, v, np.inf)
         i = int(v_up.argmax())
@@ -190,8 +199,16 @@ def smo_solve(kmat, y, c_arr, tol):
         m, big_m = v_up[i], v_low[j]
         if m - big_m < tol or it >= bound:
             break
-        ti, gain_i = _wss2_partner(i, low & (v < m), m - v, kdiag, kmat)
-        tj, gain_j = _wss2_partner(j, up & (v > big_m), v - big_m, kdiag, kmat)
+        # Row 0 scores the partners of i, row 1 those of j, by the
+        # second-order gain -gap^2 / a.
+        ij = np.array([i, j])
+        a = kdiag[ij, None] + kdiag - 2.0 * kmat[ij]
+        a[a <= 0.0] = _TAU
+        np.subtract(m, v, out=gap[0])
+        np.subtract(v, big_m, out=gap[1])
+        score = np.where(sides & (gap > 0.0), -(gap * gap) / a, np.inf)
+        ti, tj = score.argmin(axis=1).tolist()
+        gain_i, gain_j = score[0, ti], score[1, tj]
         pair_i = (min(i, ti), max(i, ti))
         pair_j = (min(j, tj), max(j, tj))
         if gain_i < gain_j or (gain_i == gain_j and pair_i <= pair_j):
@@ -199,6 +216,9 @@ def smo_solve(kmat, y, c_arr, tol):
         else:
             p, q = pair_j
         _smo_step(p, q, kmat, kdiag, y, c_arr, alphas, grad)
+        for t in (p, q):
+            below, above = alphas[t] < c_arr[t], alphas[t] > 0.0
+            up[t], low[t] = (below, above) if pos[t] else (above, below)
         it += 1
     free = up & low
     bias = v[free].mean() if free.any() else (m + big_m) / 2.0

@@ -8,10 +8,13 @@ becomes a leaf when it is pure, too small, at max depth, or when no
 split strictly decreases impurity.
 
 Training grows all of a forest's trees in lockstep (``_grow``), and
-``train_tree`` is the one-tree case.  Each step sorts the rows of every
-(node, feature) candidate by a key of dense value rank and label, at
-most ``_CHUNK`` at once, scores every new value's position, and
-partitions the split nodes' row ranges in place.  The grower writes the
+``train_tree`` is the one-tree case.  A tree keeps its distinct samples
+(~63% of a bootstrap draw) with their multiplicities as weights, and a
+node is a range of them.  Each step sorts the samples of every (node,
+feature) candidate by a key of dense value rank, label and multiplicity,
+at most ``_CHUNK`` at once, scores every new value's position from
+weighted prefix sums, the bootstrap sample's own counts, and partitions
+the split nodes' ranges in place.  The grower writes the
 forest's node table (``_table``: parallel feature, threshold, child and
 class arrays, breadth first), and the ``TreeNode`` trees are built from
 it (``_build``).
@@ -167,36 +170,55 @@ def _ranks(cols, y):
     return np.concatenate(uniq), codes
 
 
-def _best_splits(uniq, codes, flat, at, size, ones, feats, min_leaf):
-    """Best split of each node i, the samples flat[at[i]:at[i] + size[i]],
+def _best_splits(uniq, codes, flat, mult, at, count, size, ones, feats, min_leaf):
+    """Best split of each node i, the samples flat[at[i]:at[i] + count[i]]
+    of multiplicities ``mult`` (None: 1 each), size[i] rows in all and
     ones[i] of class 1, over its k features feats[i]: (score, feature,
     threshold) arrays, with score inf where no split is admissible.
 
-    Candidate c is feature feats.flat[c] of node c // k; its rows sort by
-    c * span + code, span = 2 len(uniq), and it scores the position before
-    each new value.  A node takes its first strict minimum, feature-major."""
+    Candidate c is feature feats.flat[c] of node c // k.  Its samples sort
+    by ((c - lo) * span + code) * 2^b + multiplicity, lo the chunk's first
+    candidate, span = 2 len(uniq), b the bit length of the chunk's largest
+    multiplicity (0 at unit weights).  As c - lo < ``_CHUNK``, that key
+    fits int64 while (c - lo) * span * 2^b < 2^63.  A node scores the
+    position before each new value; it takes its first strict minimum,
+    feature-major."""
     k, n, span = feats.shape[1], codes.shape[1], 2 * len(uniq)
     codes, feats = codes.ravel(), feats.ravel()
     best = np.full(len(size), np.inf)
     best_feat, best_thr = np.zeros(len(size), dtype=np.intp), np.zeros(len(size))
-    lens = np.repeat(size, k)
-    for lo, hi, seg, pos, starts in _chunks(lens, np.repeat(at, k)):
-        key = (np.arange(lo, hi) * span)[seg] + codes[(feats[lo:hi] * n)[seg] + flat[pos]]
+    for lo, hi, seg, pos, starts in _chunks(np.repeat(count, k), np.repeat(at, k)):
+        key = seg * span + codes[(feats[lo:hi] * n)[seg] + flat[pos]]
+        if mult is not None:
+            w = mult[pos]
+            bits = int(w.max()).bit_length()
+            key <<= bits
+            key |= w
         key.sort()
-        # key >> 1 = c * len(uniq) + rank changes at each new value e; the
-        # first p = e - start rows of e's segment can go left, if each side
-        # keeps min_leaf rows.
-        e = np.flatnonzero(np.diff(key >> 1)) + 1
+        if mult is None:
+            cum = np.concatenate(([0], np.cumsum(key & 1)))
+        else:
+            w = key & ((1 << bits) - 1)
+            key >>= bits
+            # Prefix sums of rows + 2^32 class-1 rows: a difference within
+            # a node unpacks exactly, since each part is under 2^31.
+            cum = ((key & 1) << 32) + 1
+            cum *= w
+            cum = np.concatenate(([0], np.cumsum(cum)))
+        # Adjacent keys differ above the label bit at each new value e; the
+        # p rows before e in its segment can go left, if each side keeps
+        # min_leaf rows.
+        e = np.flatnonzero((key[1:] ^ key[:-1]) > 1) + 1
         seg = seg[e]
-        p = e - starts[seg]
-        keep = (p >= min_leaf) & (p <= lens[lo:hi][seg] - min_leaf)
-        e, seg, p = e[keep], seg[keep], p[keep]
+        node = (seg + lo) // k
+        left = cum[e] - cum[starts[seg]]
+        p = e - starts[seg] if mult is None else left & 0xFFFFFFFF
+        keep = (p >= min_leaf) & (p <= size[node] - min_leaf)
+        e, seg, node, p, left = e[keep], seg[keep], node[keep], p[keep], left[keep]
         if not len(e):
             continue
-        cum = np.concatenate(([0], np.cumsum(key & 1)))
-        node = (seg + lo) // k
         pl, nf = p.astype(np.float64), size[node].astype(np.float64)
-        lo_ones = (cum[e] - cum[starts[seg]]).astype(np.float64)
+        lo_ones = (left if mult is None else left >> 32).astype(np.float64)
         score = (_weighted_gini(pl, lo_ones) + _weighted_gini(nf - pl, ones[node] - lo_ones)) / nf
         # A later run holds later features, so it must beat the best so far.
         new = np.concatenate(([True], node[1:] != node[:-1]))
@@ -242,37 +264,44 @@ def _subsets(rngs, d, mtry, count):
     return np.sort(out, 1).reshape(len(rngs), count, mtry)
 
 
-def _grow(x, y, rows, config, rngs, mtry):
+def _grow(x, y, rows, mult, config, rngs, mtry):
     """Grow one tree per row of ``rows``, the (trees, n) int32 sample
     indices into the (n, d) ``x`` and ``y``; returns their ``_table`` and
-    its rows' (2, nodes) class counts.
+    its rows' (2, nodes) class counts.  ``mult`` is the rows' int32
+    multiplicities: a tree's distinct samples are the front of its row,
+    those of multiplicity above 0.  When no multiplicity is above 1 the
+    grower keeps none and counts each sample once.
 
     ``rngs`` holds each tree's generator for its ``mtry`` feature draws,
     or is None when every split considers all features.  Each step scores
     the next node of every tree that draws, so its subsets, drawn in blocks
     from its own stream (``_subsets``), are those of per-node ``rng.choice``
     in a depth-first build; and all open nodes of a tree that does not.
-    A node is a range of its tree's row, partitioned in place on a split,
-    and an int column (id, tree, start, size, ones, depth); open nodes wait
-    in their tree's pre-order stack, a row of ``stack`` topped at ``top``.
+    A node is a range of its tree's distinct samples, partitioned in place
+    (multiplicities alongside) on a split, and an int column (id, tree,
+    start, count, size, ones, depth): count samples that weigh size rows,
+    ones of class 1.  Open nodes wait in their tree's pre-order stack, a
+    row of ``stack`` topped at ``top``.
     """
     (n_trees, n), d, block = rows.shape, x.shape[1], _BLOCK
     uniq, codes = _ranks(x.T, y)
     flat, values = rows.ravel(), x.T.ravel()  # values[f * n + i] = x[i, f]
-    stack, top = np.empty((6, n_trees, 8), dtype=np.int64), np.zeros(n_trees, dtype=np.intp)
+    weights = None if mult.max() == 1 else mult.ravel()
+    stack, top = np.empty((7, n_trees, 8), dtype=np.int64), np.zeros(n_trees, dtype=np.intp)
     drawn, step = np.empty((n_trees, block, mtry if rngs else 0), dtype=np.int64), 0
     t = np.arange(n_trees)
-    new = np.stack([t, t, t * n, np.full(n_trees, n), y[rows].sum(1), 0 * t])[..., None]
+    count, ones = np.count_nonzero(mult, axis=1), np.einsum("tn,tn->t", y[rows], mult)
+    new = np.stack([t, t, t * n, count, np.full(n_trees, n), ones, 0 * t])[..., None]
     # Per step, copied out of the step's arrays: (size, ones) of the nodes
     # made, and (id, feature, threshold) of the nodes split.
-    made, splits, count = [], [(np.empty(0, dtype=np.intp),) * 3], 0
+    made, splits, total = [], [(np.empty(0, dtype=np.intp),) * 3], 0
     while True:
-        # Number the new (6, nodes, sides) columns; a node that is pure,
+        # Number the new (7, nodes, sides) columns; a node that is pure,
         # too small or at max depth is a leaf, and the others stay open.
-        new[0] = np.arange(count, count + new[0].size).reshape(new[0].shape)
-        count += new[0].size
-        made.append(new[3:5].reshape(2, -1).copy())
-        m, o, depth = new[3:]
+        new[0] = np.arange(total, total + new[0].size).reshape(new[0].shape)
+        total += new[0].size
+        made.append(new[4:6].reshape(2, -1).copy())
+        m, o, depth = new[4:]
         open_ = (o > 0) & (o < m) & (m >= config.min_samples_split) & (depth < config.max_depth)
         if rngs is None:
             nodes = new[:, open_]
@@ -294,22 +323,28 @@ def _grow(x, y, rows, config, rngs, mtry):
             feats, step = drawn[ts, step % block], step + 1
         if not nodes.shape[1]:
             break
-        at, size, ones = nodes[2:5]
-        best, feat, thr = _best_splits(uniq, codes, flat, at, size, ones, feats,
+        at, count, size, ones = nodes[2:6]
+        best, feat, thr = _best_splits(uniq, codes, flat, weights, at, count, size, ones, feats,
                                        config.min_samples_leaf)
         grown = best < _node_impurity(size - ones, ones)
         nodes, feat, thr = nodes[:, grown], feat[grown], thr[grown]
-        # Rows with value <= threshold move to the front of their range;
-        # the children are (6, split nodes, left and right) columns.
+        # Samples with value <= threshold move to the front of their range;
+        # the children are (7, split nodes, left and right) columns.
         new = np.repeat(nodes[..., None], 2, axis=2)
         for lo, hi, seg, pos, starts in _chunks(nodes[3], nodes[2]):
             sample = flat[pos]
             right = values[(feat[lo:hi] * n)[seg] + sample] > thr[lo:hi][seg]
-            flat[pos] = sample[np.argsort(2 * seg + right, kind="stable")]
-            new[3:5, lo:hi, 1] = np.add.reduceat([right, right * y[sample]], starts, axis=1)
-        new[3:5, :, 0] -= new[3:5, :, 1]
+            order = np.argsort(2 * seg + right, kind="stable")
+            flat[pos] = sample[order]
+            w = right
+            if weights is not None:
+                w = weights[pos]
+                weights[pos] = w[order]
+                w = w * right
+            new[3:6, lo:hi, 1] = np.add.reduceat([right, w, w * y[sample]], starts, axis=1)
+        new[3:6, :, 0] -= new[3:6, :, 1]
         new[2, :, 1] += new[3, :, 0]
-        new[5] += 1
+        new[6] += 1
         splits.append((nodes[0].copy(), feat, thr))
     counts = np.concatenate(made, axis=1)  # (size, ones), then (zeros, ones)
     counts[0] -= counts[1]
@@ -369,7 +404,7 @@ def train_tree(features, labels, config: TreeConfig = TreeConfig(),
     if mtry is not None and mtry < x.shape[1]:
         rngs = [np.random.default_rng(feature_subset_seed or 0)]
     rows = np.arange(x.shape[0], dtype=np.int32)[None]
-    return _build(*_grow(x, y, rows, config, rngs, mtry))[0]
+    return _build(*_grow(x, y, rows, np.ones_like(rows), config, rngs, mtry))[0]
 
 
 def _node_table(*trees: TreeNode):
@@ -429,10 +464,15 @@ def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
     n, d = x.shape
     mtry = min(d, forest_config.mtry or int(math.ceil(math.sqrt(d))))
     rngs = [np.random.default_rng(forest_config.seed + t) for t in range(forest_config.n_trees)]
-    rows = np.empty((forest_config.n_trees, n), dtype=np.int32)
-    for t, rng in enumerate(rngs):
-        rows[t] = rng.integers(0, n, size=n) if forest_config.bootstrap else np.arange(n)
-    table, counts = _grow(x, y, rows, tree_config, rngs if mtry < d else None, mtry)
+    rows = np.tile(np.arange(n, dtype=np.int32), (forest_config.n_trees, 1))
+    mult = np.ones_like(rows)
+    if forest_config.bootstrap:
+        for t, rng in enumerate(rngs):
+            # The tree's distinct samples first, then the ones not drawn.
+            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            rows[t] = np.argsort(drawn == 0, kind="stable")
+            mult[t] = drawn[rows[t]]
+    table, counts = _grow(x, y, rows, mult, tree_config, rngs if mtry < d else None, mtry)
     model = ForestModel(tuple(_build(table, counts)), tree_config, forest_config)
     object.__setattr__(model, "table", table)
     return model

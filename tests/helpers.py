@@ -7,7 +7,8 @@ exhaustive feasible-grid search of the SVM dual, element-wise loop
 versions of the gate kernels in ``qkml.accel``, the per-view parity
 phase and the layer-by-layer zz embedding, the complex-matmul fidelity
 Gram, the strptime date parser, the random-partner SMO
-loop whose dual ``qkml.accel.smo_solve`` must match or beat, a
+loop whose dual ``qkml.accel.smo_solve`` must match or beat and the
+two-pass working-set selection it must match bit for bit, a
 dot-product Z expectation, and
 the one-feature-at-a-time tree builder and per-row tree walk that
 ``qkml.trees`` must match node for node, the dense-net training loop
@@ -506,6 +507,55 @@ def _smo_loops(kmat, y, c_arr, tol, max_passes, lcg_state):
         else:
             clean = 0
     return alphas, b, sweeps
+
+
+def _wss2_partner(anchor, cand, gap, kdiag, kmat):
+    """Best second index for `anchor` over the `cand` mask, scored by the
+    second-order gain -gap^2 / a; returns (index, gain)."""
+    a = kdiag[anchor] + kdiag - 2.0 * kmat[anchor]
+    a[a <= 0.0] = accel._TAU
+    score = np.where(cand, -(gap * gap) / a, np.inf)
+    t = int(score.argmin())
+    return t, score[t]
+
+
+def smo_solve_two_pass(kmat, y, c_arr, tol):
+    """``accel.smo_solve`` with each anchor's partner scored in a pass of
+    its own and I_up, I_low rebuilt at every step: the bitwise oracle of
+    the fused selection."""
+    n = kmat.shape[0]
+    kdiag = kmat.diagonal()
+    alphas = np.zeros(n, dtype=np.float64)
+    grad = np.full(n, -1.0)
+    pos = y > 0
+    bound = accel.smo_iteration_bound(n)
+    it = 0
+    while True:
+        v = -y * grad
+        below = alphas < c_arr
+        above = alphas > 0.0
+        up = np.where(pos, below, above)
+        low = np.where(pos, above, below)
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(v_up.argmax())
+        j = int(v_low.argmin())
+        m, big_m = v_up[i], v_low[j]
+        if m - big_m < tol or it >= bound:
+            break
+        ti, gain_i = _wss2_partner(i, low & (v < m), m - v, kdiag, kmat)
+        tj, gain_j = _wss2_partner(j, up & (v > big_m), v - big_m, kdiag, kmat)
+        pair_i = (min(i, ti), max(i, ti))
+        pair_j = (min(j, tj), max(j, tj))
+        if gain_i < gain_j or (gain_i == gain_j and pair_i <= pair_j):
+            p, q = pair_i
+        else:
+            p, q = pair_j
+        accel._smo_step(p, q, kmat, kdiag, y, c_arr, alphas, grad)
+        it += 1
+    free = up & low
+    bias = v[free].mean() if free.any() else (m + big_m) / 2.0
+    return alphas, float(bias), it
 
 
 # -- tree oracles for qkml.trees ------------------------------------------------

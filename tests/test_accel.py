@@ -225,6 +225,19 @@ def test_real_gram_matches_complex_gram_on_zz_states(q, n):
     np.testing.assert_array_equal(g, g.T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+def test_gram_mirror_bytes_equal_tril_index_form(n):
+    rng = np.random.default_rng(70 + n)
+    raw = rng.normal(size=(n, n))
+    want = raw.copy()
+    low = np.tril_indices(n, -1)
+    want[low] = want.T[low]
+    assert accel._mirror_upper(raw.copy()).tobytes() == want.tobytes()
+    spec = FeatureMapSpec(ZZ, 3, repetitions=2, entanglement=RING)
+    g = accel.fidelity_gram(qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, 3))))
+    assert g.tobytes() == accel._mirror_upper(np.triu(g)).tobytes()
+
+
 def test_cross_pair_close():
     rng = np.random.default_rng(3)
     a_states = np.vstack([_random_state(rng, 3) for _ in range(5)])
@@ -273,6 +286,31 @@ def test_smo_reaches_loop_oracle_dual_within_box_balance_and_kkt():
             )
             want = _dual(kmat, y, oracle)
             assert _dual(kmat, y, alphas) >= want - 1e-9 * abs(want)
+
+
+def _zz_smo_problem(rng, n):
+    """The Gram of zz-embedded two-moons-like points and their labels."""
+    t = rng.uniform(0.0, np.pi, size=n)
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    pts = np.stack([np.cos(t) + (y < 0), np.sin(t) * y - 0.25 * (y < 0)], axis=1)
+    pts += rng.normal(scale=0.2, size=pts.shape)
+    spec = FeatureMapSpec(ZZ, 2, repetitions=2, entanglement=RING)
+    return accel.fidelity_gram(qkernel.embedding_matrix(spec, pts)), y
+
+
+def test_smo_fused_selection_bitwise_equal_two_pass_oracle():
+    rng = np.random.default_rng(8)
+    problems = [_random_smo_problem(rng, n) for n in (2, 5, 16, 40)]
+    problems += [_zz_smo_problem(rng, n) for n in (60, 200)]
+    for kmat, y in problems:
+        n = len(y)
+        for c_arr in (np.ones(n), np.where(y > 0, 1.0, 3.0), rng.uniform(0.1, 2.0, size=n)):
+            for tol in (1e-3, 1e-6):
+                alphas, bias, iterations = accel.smo_solve(kmat, y, c_arr, tol)
+                want = helpers.smo_solve_two_pass(kmat, y, c_arr, tol)
+                assert alphas.tobytes() == want[0].tobytes()
+                assert (bias, iterations) == want[1:]
+    assert iterations > 100
 
 
 def test_smo_first_step_takes_second_order_pair_lower_pair_on_tie(monkeypatch):

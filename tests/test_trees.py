@@ -603,6 +603,35 @@ def test_bootstrap_of_many_duplicate_rows_matches_oracle():
         _forest_and_oracle(x, y, tcfg, ForestConfig(n_trees=8, mtry=2, seed=leaf))
 
 
+def test_bootstrap_multiplicities_weigh_the_leaf_and_split_bounds():
+    # 24 rows drawn 24 times per tree: some sample is drawn 6 or more
+    # times, and a root of ~15 distinct samples weighs 24 rows.  The bounds
+    # lie between such counts, so a grower that counted distinct samples
+    # would leave these roots unsplit and these leaves unmade.
+    rng = np.random.default_rng(430)
+    x, y = _tied_xy(rng, 24, 3)
+    y[:12] = 1 - y[:12]  # both classes in every root
+    draws = [np.unique(np.random.default_rng(430 + t).integers(0, 24, size=24), return_counts=True)
+             for t in range(40)]
+    assert max(drawn.max() for _, drawn in draws) >= 6
+    fcfg = ForestConfig(n_trees=40, mtry=2, seed=430)
+    for split, leaf in ((20, 1), (2, 5), (18, 6)):
+        forest = _forest_and_oracle(x, y, TreeConfig(min_samples_split=split,
+                                                     min_samples_leaf=leaf), fcfg)
+        fewest = []  # per tree, the fewest distinct samples in a leaf
+        for tree, (distinct, _) in zip(forest.trees, draws):
+            leaves = [id(_leaf_of(tree, x[i])) for i in distinct]
+            fewest.append(min(leaves.count(leaf_id) for leaf_id in set(leaves)))
+        assert any(not tree.is_leaf and len(distinct) < split
+                   for tree, (distinct, _) in zip(forest.trees, draws)) or min(fewest) < leaf
+
+
+def _leaf_of(tree, row):
+    while not tree.is_leaf:
+        tree = tree.left if row[tree.feature_index] <= tree.threshold else tree.right
+    return tree
+
+
 @pytest.mark.parametrize("mtry", [5, 9])
 def test_all_feature_bootstrap_forest_grows_open_nodes_together(mtry):
     # mtry >= d draws no subsets, so every step takes all open nodes.
@@ -709,27 +738,34 @@ def test_tree_depth_of_a_2399_level_chain():
     assert predict_tree_batch(tree, x).tolist() == y.tolist()
 
 
-def _score_nodes(rng, x, y, n_nodes, k, min_leaf, max_size=40):
-    """Score several nodes of rows drawn from (x, y) in one call; returns
-    each node's rows and features with the (score, feature, threshold)."""
+def _score_nodes(rng, x, y, n_nodes, k, min_leaf, max_size=40, max_mult=1):
+    """Score several nodes of samples drawn from (x, y) in one call, each
+    sample weighing 1 to ``max_mult`` rows (no multiplicities at 1);
+    returns each node's rows, samples repeated by weight, and features,
+    with the (score, feature, threshold)."""
     uniq, codes = trees._ranks(np.ascontiguousarray(x.T), y)
-    size = rng.integers(1, max_size, size=n_nodes)
-    flat = rng.integers(0, len(y), size=size.sum()).astype(np.int32)
-    at = np.cumsum(size) - size
-    ones = np.add.reduceat(y[flat], at)
+    count = rng.integers(1, max_size, size=n_nodes)
+    flat = rng.integers(0, len(y), size=count.sum()).astype(np.int32)
+    mult = rng.integers(1, max_mult + 1, size=len(flat)).astype(np.int32) if max_mult > 1 else None
+    weight = np.ones_like(flat) if mult is None else mult
+    at = np.cumsum(count) - count
+    size, ones = np.add.reduceat([weight, weight * y[flat]], at, axis=1)
     feats = np.sort([rng.choice(x.shape[1], size=k, replace=False) for _ in range(n_nodes)], 1)
-    best = trees._best_splits(uniq, codes, flat, at, size, ones, feats, min_leaf)
-    nodes = [(flat[a:a + m], f) for a, m, f in zip(at, size, feats)]
+    best = trees._best_splits(uniq, codes, flat, mult, at, count, size, ones, feats, min_leaf)
+    nodes = [(np.repeat(flat[a:a + c], weight[a:a + c]), f) for a, c, f in zip(at, count, feats)]
     return nodes, list(zip(*best))
 
 
 def test_best_splits_of_one_column_nodes_bitwise_equal():
     rng = np.random.default_rng(6)
-    for _ in range(30):
+    for trial in range(90):
+        # Multiplicities up to 1 (none), 2 and 7.
+        max_mult = (1, 2, 7)[trial % 3]
         x = rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=(50, 1))
         y = rng.integers(0, 2, size=50).astype(np.int64)
-        min_leaf = int(rng.integers(1, 4))
-        nodes, found = _score_nodes(rng, x, y, int(rng.integers(1, 6)), 1, min_leaf)
+        min_leaf = int(rng.integers(1, 4 * max_mult))
+        nodes, found = _score_nodes(rng, x, y, int(rng.integers(1, 6)), 1, min_leaf,
+                                    max_mult=max_mult)
         for (rows, _), (score, feat, thr) in zip(nodes, found):
             best = best_root_split(x[rows], y[rows], min_leaf)
             if best is None:
@@ -740,7 +776,8 @@ def test_best_splits_of_one_column_nodes_bitwise_equal():
 
 def test_best_splits_of_column_blocks_bitwise_equal_and_ties_go_to_lowest_feature():
     rng = np.random.default_rng(7)
-    for trial in range(60):
+    for trial in range(120):
+        max_mult = (1, 6)[trial // 60]
         d = int(rng.integers(1, 7))
         x = rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=(60, d))
         if trial % 3 == 0:
@@ -748,9 +785,10 @@ def test_best_splits_of_column_blocks_bitwise_equal_and_ties_go_to_lowest_featur
         elif trial % 3 == 1:
             x[:, 0] = rng.uniform(-1.0, 1.0, size=60)
         y = rng.integers(0, 2, size=60).astype(np.int64)
-        min_leaf = int(rng.integers(1, 5))
+        min_leaf = int(rng.integers(1, 5 * max_mult))
         k = int(rng.integers(1, d + 1))
-        nodes, found = _score_nodes(rng, x, y, int(rng.integers(1, 8)), k, min_leaf)
+        nodes, found = _score_nodes(rng, x, y, int(rng.integers(1, 8)), k, min_leaf,
+                                    max_mult=max_mult)
         for (rows, feats), (score, feat, thr) in zip(nodes, found):
             best = best_root_split(x[np.ix_(rows, feats)], y[rows], min_leaf)
             if best is None:
@@ -760,8 +798,9 @@ def test_best_splits_of_column_blocks_bitwise_equal_and_ties_go_to_lowest_featur
 
 
 def test_forest_training_memory_is_bounded():
-    # 51 trees on 4,400 x 17 rows take ~7.5 MB.  An unchunked first step
-    # would sort 51 x 5 x 4,400 keys at once and peak near 70 MB.
+    # 51 trees on 4,400 x 17 rows peak at ~6.5 MB, 0.9 MB of it the int32
+    # multiplicities.  An unchunked first step would sort 51 x 5 x ~2,800
+    # distinct samples' keys at once and peak near 70 MB.
     x, y = _tied_xy(np.random.default_rng(350), 4400, 17)
     fcfg = ForestConfig(n_trees=51, seed=1)
     train_forest(x, y, forest_config=fcfg)
