@@ -16,7 +16,8 @@ command with the same config, seed and inputs reproduces every byte
 (the hybrid manifest's wall_time field is the one documented exception).
 ``--threads`` is accepted for compatibility and has no effect.
 Config values arrive cast by ``config.resolve_config``; a value it
-refuses exits 2 with a one-line ``error:`` that names the key.
+refuses exits 2 with a one-line ``error:`` that names the key, and so
+does a run that runs out of memory.
 ``QKML_LOG`` sets the log level; logs go to stderr so stdout stays
 scriptable.
 """
@@ -174,18 +175,16 @@ def cmd_ingest(args) -> int:
 def _train_and_predict(model_cfg: dict, train, test, seed: int):
     """Returns (test predictions, train predictions, model info dict)."""
     name = model_cfg["name"]
-    if name == "dt":
-        tree = trees.train_tree(train.features, train.labels, _typed(trees.TreeConfig, model_cfg))
-        table = trees._node_table(tree)  # one table for both the rows and the depth
-        pred = trees._route(table, np.vstack([test.features, train.features]))
-        return pred[: test.n_rows], pred[test.n_rows :], {"depth": table[-1]}
-    if name == "rf":
-        fcfg = _typed(trees.ForestConfig, model_cfg, seed=seed)
-        forest = trees.train_forest(
-            train.features, train.labels, _typed(trees.TreeConfig, model_cfg), fcfg
-        )
+    if name in ("dt", "rf"):
+        # dt is the one-tree forest: no bootstrap, every feature at each split.
+        fcfg = (_typed(trees.ForestConfig, model_cfg, seed=seed) if name == "rf" else
+                trees.ForestConfig(n_trees=1, mtry=train.features.shape[1], bootstrap=False))
+        tcfg = _typed(trees.TreeConfig, model_cfg)
+        forest = trees.train_forest(train.features, train.labels, tcfg, fcfg)
         pred = trees.predict_forest_batch(forest, np.vstack([test.features, train.features]))
-        return pred[: test.n_rows], pred[test.n_rows :], {"n_trees": fcfg.n_trees}
+        info = ({"n_trees": fcfg.n_trees} if name == "rf"
+                else {"depth": trees.tree_depth(forest.trees[0])})
+        return pred[: test.n_rows], pred[test.n_rows :], info
     if name == "svm":
         cfg = _typed(svmmod.SvmConfig, model_cfg)
         model = svmmod.train_svm_features(train.features, train.labels, cfg, seed)
@@ -405,6 +404,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        print(f"error: the run ran out of memory{str(exc) and ': '}{exc}", file=sys.stderr)
         return 2
 
 

@@ -8,14 +8,14 @@ becomes a leaf when it is pure, too small, at max depth, or when no
 split strictly decreases impurity.
 
 Training grows all of a forest's trees in lockstep (``_grow``), and
-``train_tree`` is the one-tree case.  A tree keeps its distinct samples
-(~63% of a bootstrap draw) with their multiplicities as weights, and a
-node is a range of them.  Each step sorts the samples of every (node,
-feature) candidate by a key of dense value rank, label and multiplicity,
-at most ``_CHUNK`` at once, scores every new value's position from
-weighted prefix sums, the bootstrap sample's own counts, and partitions
-the split nodes' ranges in place.  The grower writes the
-forest's node table (``_table``: parallel feature, threshold, child and
+``train_tree`` is ``train_forest``'s one-tree case: no bootstrap, so
+multiplicity 1 per sample.  A tree keeps its distinct samples (~63% of a
+bootstrap draw) with their multiplicities as weights, and a node is a
+range of them.  Each step sorts the samples of every (node, feature)
+candidate by a key of dense value rank, label and multiplicity, at most
+``_CHUNK`` at once, scores every new value's position from weighted
+prefix sums, the bootstrap sample's own counts, and partitions the split
+nodes' ranges in place.  The grower writes the forest's node table (``_table``: parallel feature, threshold, child and
 class arrays, breadth first), and the ``TreeNode`` trees are built from
 it (``_build``).
 
@@ -172,39 +172,34 @@ def _ranks(cols, y):
 
 def _best_splits(uniq, codes, flat, mult, at, count, size, ones, feats, min_leaf):
     """Best split of each node i, the samples flat[at[i]:at[i] + count[i]]
-    of multiplicities ``mult`` (None: 1 each), size[i] rows in all and
-    ones[i] of class 1, over its k features feats[i]: (score, feature,
-    threshold) arrays, with score inf where no split is admissible.
+    of multiplicities ``mult``, size[i] rows in all and ones[i] of class 1,
+    over its k features feats[i]: (score, feature, threshold) arrays, with
+    score inf where no split is admissible.
 
     Candidate c is feature feats.flat[c] of node c // k.  Its samples sort
     by ((c - lo) * span + code) * 2^b + multiplicity, lo the chunk's first
     candidate, span = 2 len(uniq), b the bit length of the chunk's largest
-    multiplicity (0 at unit weights).  As c - lo < ``_CHUNK``, that key
-    fits int64 while (c - lo) * span * 2^b < 2^63.  A node scores the
-    position before each new value; it takes its first strict minimum,
-    feature-major."""
+    multiplicity.  As c - lo < ``_CHUNK``, that key fits int64 while
+    (c - lo) * span * 2^b < 2^63.  A node scores the position before each
+    new value; it takes its first strict minimum, feature-major."""
     k, n, span = feats.shape[1], codes.shape[1], 2 * len(uniq)
     codes, feats = codes.ravel(), feats.ravel()
     best = np.full(len(size), np.inf)
     best_feat, best_thr = np.zeros(len(size), dtype=np.intp), np.zeros(len(size))
     for lo, hi, seg, pos, starts in _chunks(np.repeat(count, k), np.repeat(at, k)):
         key = seg * span + codes[(feats[lo:hi] * n)[seg] + flat[pos]]
-        if mult is not None:
-            w = mult[pos]
-            bits = int(w.max()).bit_length()
-            key <<= bits
-            key |= w
+        w = mult[pos]
+        bits = int(w.max()).bit_length()
+        key <<= bits
+        key |= w
         key.sort()
-        if mult is None:
-            cum = np.concatenate(([0], np.cumsum(key & 1)))
-        else:
-            w = key & ((1 << bits) - 1)
-            key >>= bits
-            # Prefix sums of rows + 2^32 class-1 rows: a difference within
-            # a node unpacks exactly, since each part is under 2^31.
-            cum = ((key & 1) << 32) + 1
-            cum *= w
-            cum = np.concatenate(([0], np.cumsum(cum)))
+        w = key & ((1 << bits) - 1)
+        key >>= bits
+        # Prefix sums of rows + 2^32 class-1 rows: a difference within a
+        # node unpacks exactly, since each part is under 2^31.
+        cum = ((key & 1) << 32) + 1
+        cum *= w
+        cum = np.concatenate(([0], np.cumsum(cum)))
         # Adjacent keys differ above the label bit at each new value e; the
         # p rows before e in its segment can go left, if each side keeps
         # min_leaf rows.
@@ -212,13 +207,13 @@ def _best_splits(uniq, codes, flat, mult, at, count, size, ones, feats, min_leaf
         seg = seg[e]
         node = (seg + lo) // k
         left = cum[e] - cum[starts[seg]]
-        p = e - starts[seg] if mult is None else left & 0xFFFFFFFF
+        p = left & 0xFFFFFFFF
         keep = (p >= min_leaf) & (p <= size[node] - min_leaf)
         e, seg, node, p, left = e[keep], seg[keep], node[keep], p[keep], left[keep]
         if not len(e):
             continue
         pl, nf = p.astype(np.float64), size[node].astype(np.float64)
-        lo_ones = (left if mult is None else left >> 32).astype(np.float64)
+        lo_ones = (left >> 32).astype(np.float64)
         score = (_weighted_gini(pl, lo_ones) + _weighted_gini(nf - pl, ones[node] - lo_ones)) / nf
         # A later run holds later features, so it must beat the best so far.
         new = np.concatenate(([True], node[1:] != node[:-1]))
@@ -269,8 +264,8 @@ def _grow(x, y, rows, mult, config, rngs, mtry):
     indices into the (n, d) ``x`` and ``y``; returns their ``_table`` and
     its rows' (2, nodes) class counts.  ``mult`` is the rows' int32
     multiplicities: a tree's distinct samples are the front of its row,
-    those of multiplicity above 0.  When no multiplicity is above 1 the
-    grower keeps none and counts each sample once.
+    those of multiplicity above 0, and a tree without bootstrap has
+    multiplicity 1 everywhere.
 
     ``rngs`` holds each tree's generator for its ``mtry`` feature draws,
     or is None when every split considers all features.  Each step scores
@@ -286,7 +281,7 @@ def _grow(x, y, rows, mult, config, rngs, mtry):
     (n_trees, n), d, block = rows.shape, x.shape[1], _BLOCK
     uniq, codes = _ranks(x.T, y)
     flat, values = rows.ravel(), x.T.ravel()  # values[f * n + i] = x[i, f]
-    weights = None if mult.max() == 1 else mult.ravel()
+    weights = mult.ravel()
     stack, top = np.empty((7, n_trees, 8), dtype=np.int64), np.zeros(n_trees, dtype=np.intp)
     drawn, step = np.empty((n_trees, block, mtry if rngs else 0), dtype=np.int64), 0
     t = np.arange(n_trees)
@@ -336,11 +331,9 @@ def _grow(x, y, rows, mult, config, rngs, mtry):
             right = values[(feat[lo:hi] * n)[seg] + sample] > thr[lo:hi][seg]
             order = np.argsort(2 * seg + right, kind="stable")
             flat[pos] = sample[order]
-            w = right
-            if weights is not None:
-                w = weights[pos]
-                weights[pos] = w[order]
-                w = w * right
+            w = weights[pos]
+            weights[pos] = w[order]
+            w *= right
             new[3:6, lo:hi, 1] = np.add.reduceat([right, w, w * y[sample]], starts, axis=1)
         new[3:6, :, 0] -= new[3:6, :, 1]
         new[2, :, 1] += new[3, :, 0]
@@ -396,15 +389,15 @@ def _build(table, counts):
 
 def train_tree(features, labels, config: TreeConfig = TreeConfig(),
                feature_subset_seed: Optional[int] = None, mtry: Optional[int] = None) -> TreeNode:
-    """Grow one tree.  ``mtry``/``feature_subset_seed`` enable per-split
-    feature subsampling (used by the forest); left unset, every split
-    considers all features."""
+    """Grow one tree: the one tree of a forest without bootstrap.  ``mtry``
+    and ``feature_subset_seed`` (as ``ForestConfig``'s ``mtry`` and
+    ``seed``) enable per-split feature subsampling; left unset, every split
+    considers all features.  ``ForestConfig`` refuses an ``mtry`` that is
+    not an integer of at least 1 with a ValueError."""
     x, y = _check_xy(features, labels)
-    rngs = None
-    if mtry is not None and mtry < x.shape[1]:
-        rngs = [np.random.default_rng(feature_subset_seed or 0)]
-    rows = np.arange(x.shape[0], dtype=np.int32)[None]
-    return _build(*_grow(x, y, rows, np.ones_like(rows), config, rngs, mtry))[0]
+    fcfg = ForestConfig(n_trees=1, mtry=x.shape[1] if mtry is None else mtry, bootstrap=False,
+                        seed=feature_subset_seed or 0)
+    return train_forest(x, y, config, fcfg).trees[0]
 
 
 def _node_table(*trees: TreeNode):
@@ -459,7 +452,8 @@ def tree_depth(tree: TreeNode) -> int:
 
 def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
                  forest_config: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bag ``n_trees`` trees over bootstrap samples."""
+    """Bag ``n_trees`` trees over bootstrap samples, or over every row once
+    without bootstrap."""
     x, y = _check_xy(features, labels)
     n, d = x.shape
     mtry = min(d, forest_config.mtry or int(math.ceil(math.sqrt(d))))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qkml import __version__, cli, config, qkernel, trees
+from qkml import __version__, cli, config, metrics, qkernel, trees
 from qkml.cli import main
 from qkml.config import ConfigError, resolve_config
 from qkml.dataset import Dataset
@@ -210,6 +210,46 @@ def test_tree_benchmark_never_routes_one_row_at_a_time(tmp_path, monkeypatch, mo
     out = tmp_path / "out"
     assert main(["benchmark", "--config", cfg, "--out", str(out), "--synthetic", "moons"]) == 0
     assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("source", ["csv", "moons"])
+def test_dt_benchmark_reports_the_trees_depth_and_confusion(tmp_path, source):
+    out = tmp_path / "out"
+    if source == "csv":
+        cfg = _write_config(tmp_path, {"dataset": {"csv": str(FIXTURE_CSV)}, "model": {"name": "dt"}})
+        assert main(["ingest", "--config", cfg, "--out", str(out)]) == 0
+        synthetic = None
+    else:
+        cfg = _write_config(tmp_path, {"model": {"name": "dt", "max_depth": 4}})
+        synthetic = "moons"
+    argv = ["benchmark", "--config", cfg, "--out", str(out)]
+    assert main(argv + (["--synthetic", synthetic] if synthetic else [])) == 0
+    doc = json.loads((out / "report.json").read_text())
+    resolved = resolve_config(config.load_config(cfg), None, synthetic)[0]
+    train, test, _ = cli._prepare_splits(cli._obtain_dataset(resolved, out), resolved["dataset"])
+    tree = trees.train_tree(train.features, train.labels,
+                            cli._typed(trees.TreeConfig, resolved["model"]))
+    assert doc["model_info"] == {"depth": trees.tree_depth(tree)}
+    want = metrics.confusion_matrix(test.labels, trees.predict_tree_batch(tree, test.features))
+    assert doc["confusion"] == want.counts.tolist()
+
+
+@pytest.mark.parametrize("exc", ["plain", "numpy"])
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, exc):
+    def exhaust(*args):
+        if exc == "plain":
+            raise MemoryError
+        np.empty(1 << 62, dtype=np.uint8)  # 4 EiB: more than any address space maps
+
+    monkeypatch.setattr(trees, "train_forest", exhaust)
+    cfg = _write_config(tmp_path, {"model": {"name": "rf", "n_trees": 3}})
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", cfg, "--out", str(out), "--synthetic", "moons"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the run ran out of memory")
+    if exc == "numpy":
+        assert "Unable to allocate 4.00 EiB" in err[0]
+    assert not (out / "report.json").exists()
 
 
 def test_seed_flag_changes_split(tmp_path):

@@ -229,6 +229,14 @@ def test_train_tree_rejections():
         train_tree(np.array([[np.nan], [1.0]]), [0, 1])
 
 
+@pytest.mark.parametrize("mtry", [0, 2.5])
+def test_train_tree_refuses_a_bad_mtry(mtry):
+    # As ForestConfig does: a tree is the one-tree forest.
+    x, y = _random_xy(np.random.default_rng(12), 20, 3)
+    with pytest.raises(ValueError, match="mtry"):
+        train_tree(x, y, feature_subset_seed=1, mtry=mtry)
+
+
 def test_tree_config_validation():
     with pytest.raises(ValueError, match="max_depth must be an integer"):
         TreeConfig(max_depth=None)
@@ -740,26 +748,25 @@ def test_tree_depth_of_a_2399_level_chain():
 
 def _score_nodes(rng, x, y, n_nodes, k, min_leaf, max_size=40, max_mult=1):
     """Score several nodes of samples drawn from (x, y) in one call, each
-    sample weighing 1 to ``max_mult`` rows (no multiplicities at 1);
-    returns each node's rows, samples repeated by weight, and features,
-    with the (score, feature, threshold)."""
+    sample weighing 1 to ``max_mult`` rows (all 1 at ``max_mult`` 1, as in
+    a tree without bootstrap); returns each node's rows, samples repeated
+    by weight, and features, with the (score, feature, threshold)."""
     uniq, codes = trees._ranks(np.ascontiguousarray(x.T), y)
     count = rng.integers(1, max_size, size=n_nodes)
     flat = rng.integers(0, len(y), size=count.sum()).astype(np.int32)
-    mult = rng.integers(1, max_mult + 1, size=len(flat)).astype(np.int32) if max_mult > 1 else None
-    weight = np.ones_like(flat) if mult is None else mult
+    mult = rng.integers(1, max_mult + 1, size=len(flat)).astype(np.int32)
     at = np.cumsum(count) - count
-    size, ones = np.add.reduceat([weight, weight * y[flat]], at, axis=1)
+    size, ones = np.add.reduceat([mult, mult * y[flat]], at, axis=1)
     feats = np.sort([rng.choice(x.shape[1], size=k, replace=False) for _ in range(n_nodes)], 1)
     best = trees._best_splits(uniq, codes, flat, mult, at, count, size, ones, feats, min_leaf)
-    nodes = [(np.repeat(flat[a:a + c], weight[a:a + c]), f) for a, c, f in zip(at, count, feats)]
+    nodes = [(np.repeat(flat[a:a + c], mult[a:a + c]), f) for a, c, f in zip(at, count, feats)]
     return nodes, list(zip(*best))
 
 
 def test_best_splits_of_one_column_nodes_bitwise_equal():
     rng = np.random.default_rng(6)
     for trial in range(90):
-        # Multiplicities up to 1 (none), 2 and 7.
+        # Multiplicities up to 1 (unit weights), 2 and 7.
         max_mult = (1, 2, 7)[trial % 3]
         x = rng.choice([0.0, 1.0, 2.5, 3.0, 7.5], size=(50, 1))
         y = rng.integers(0, 2, size=50).astype(np.int64)
