@@ -45,16 +45,20 @@ def write_json_atomic(path, obj) -> Path:
     return write_text_atomic(path, canonical_json(obj))
 
 
-def to_document(kind: str, **fields) -> str:
-    doc = {"format": f"qkml-{kind}", "version": 1, **fields}
-    return json.dumps(doc, indent=2, sort_keys=True)
+def to_document(kind: str, version: int = 1, **fields) -> str:
+    """A qkml-``kind`` model document: indented at version 1, one compact
+    line later (flat columns, which json writes in C)."""
+    doc = {"format": f"qkml-{kind}", "version": version, **fields}
+    if version == 1:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def from_document(text: str, kind: str) -> dict:
+def from_document(text: str, kind: str, versions=(1,)) -> dict:
     doc = json.loads(text)
     if not (isinstance(doc, dict) and doc.get("format") == f"qkml-{kind}"
-            and doc.get("version") == 1):
-        raise ValueError(f"not a qkml-{kind} version 1 document")
+            and doc.get("version") in versions):
+        raise ValueError(f"not a qkml-{kind} version {' or '.join(map(str, versions))} document")
     return doc
 
 

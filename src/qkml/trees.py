@@ -15,9 +15,11 @@ range of them.  Each step sorts the samples of every (node, feature)
 candidate by a key of dense value rank, label and multiplicity, at most
 ``_CHUNK`` at once, scores every new value's position from weighted
 prefix sums, the bootstrap sample's own counts, and partitions the split
-nodes' ranges in place.  The grower writes the forest's node table (``_table``: parallel feature, threshold, child and
-class arrays, breadth first), and the ``TreeNode`` trees are built from
-it (``_build``).
+nodes' ranges in place.  The grower writes the forest's node table
+(``_table``: parallel feature, threshold, child and class arrays,
+breadth first) and each node's class counts.  That table is the trained
+model: ``ForestModel.trees`` builds the ``TreeNode`` trees from it
+(``_build``) on first read, and model text version 2 is its columns.
 
 The forest draws one RNG per tree, seeded ``seed + tree_index`` (the
 bootstrap sample is drawn first, then per-split feature subsets in node
@@ -26,9 +28,10 @@ tree's subsets are drawn ``_BLOCK`` nodes ahead (``_subsets``) in one
 ``integers`` call, or by ``rng.choice`` in numpy's tail-shuffle regime.
 
 Prediction routes every (tree, row) pair down one node table together,
-one array step per level: the table ``train_forest`` kept, or one
-stacked from the trees (``_node_table``).  The forest is a majority
-vote; exact vote ties return class 0, as do count ties inside a leaf.
+one array step per level: the table a trained or read forest keeps, or
+one stacked from hand-built trees (``_node_table``).  The forest is a
+majority vote; exact vote ties return class 0, as do count ties inside a
+leaf.
 """
 
 from __future__ import annotations
@@ -101,14 +104,32 @@ class ForestConfig:
         cast_fields(self, n_trees=1, mtry=1)
 
 
+class _Trees:
+    """``ForestModel.trees`` of a forest made from its node table: built on
+    first read and kept in the instance, which then shadows this."""
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            raise AttributeError("trees")  # so the dataclass field has no default
+        model.__dict__["trees"] = trees = tuple(_build(*model.table))
+        return trees
+
+
 @dataclass(frozen=True)
 class ForestModel:
-    trees: tuple
+    trees: tuple = _Trees()
     tree_config: TreeConfig
     forest_config: ForestConfig
-    # The trees' _node_table as train_forest grew it; None, as after
-    # dataclasses.replace, stacks it from the trees at predict.
+    # The (_table, class counts) pair a trained or read forest is; None, as
+    # after dataclasses.replace, stacks it from the trees at predict.
     table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+
+
+def _table_model(table, tree_config, forest_config) -> ForestModel:
+    """The forest of a (``_table``, class counts) pair, its trees unbuilt."""
+    model = object.__new__(ForestModel)
+    model.__dict__.update(table=table, tree_config=tree_config, forest_config=forest_config)
+    return model
 
 
 def _check_xy(features, labels):
@@ -400,17 +421,27 @@ def train_tree(features, labels, config: TreeConfig = TreeConfig(),
     return train_forest(x, y, config, fcfg).trees[0]
 
 
-def _node_table(*trees: TreeNode):
-    """The ``_table`` of the forest ``trees``."""
-    nodes, split = list(trees), []
+def _stack(roots, fields):
+    """The ``_table`` of the forest of ``roots`` and its rows' (2, nodes)
+    class counts, walked breadth first: ``fields(node)`` gives a node's
+    (class counts, class, feature, threshold, left, right), left None at
+    a leaf."""
+    nodes, rows, split = list(roots), [], []
     for i, node in enumerate(nodes):  # the loop reaches the nodes it appends
-        if not node.is_leaf:
+        rows.append(fields(node))
+        if rows[-1][4] is not None:
             split.append(i)
-            nodes += (node.left, node.right)
-    inner = [nodes[i] for i in split]
-    return _table(len(trees), np.array([node.predicted_class for node in nodes], dtype=np.int64),
-                  np.array(split, dtype=np.intp), [node.feature_index for node in inner],
-                  [node.threshold for node in inner])[0]
+            nodes += rows[-1][4:]
+    counts, cls, feat, thr, _, _ = zip(*rows) if rows else [()] * 6
+    table, order = _table(len(roots), np.array(cls, dtype=np.int64), np.array(split, dtype=np.intp),
+                          [feat[i] for i in split], [thr[i] for i in split])
+    return table, np.array(counts, dtype=np.int64).reshape(-1, 2).T[:, order]
+
+
+def _node_table(*trees: TreeNode):
+    """The ``_table`` of the forest ``trees``, and its rows' class counts."""
+    return _stack(trees, lambda n: (n.class_counts, n.predicted_class, n.feature_index,
+                                    n.threshold, n.left, n.right))
 
 
 def _route(table, x: np.ndarray) -> np.ndarray:
@@ -438,7 +469,7 @@ def _rows(features) -> np.ndarray:
 
 def predict_tree_batch(tree: TreeNode, features) -> np.ndarray:
     """Predicted class of every row of ``features`` as int64."""
-    return _route(_node_table(tree), _rows(features))
+    return _route(_node_table(tree)[0], _rows(features))
 
 
 def predict_tree(tree: TreeNode, row) -> int:
@@ -447,7 +478,7 @@ def predict_tree(tree: TreeNode, row) -> int:
 
 
 def tree_depth(tree: TreeNode) -> int:
-    return _node_table(tree)[-1]
+    return _node_table(tree)[0][-1]
 
 
 def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
@@ -466,17 +497,16 @@ def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
             drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
             rows[t] = np.argsort(drawn == 0, kind="stable")
             mult[t] = drawn[rows[t]]
-    table, counts = _grow(x, y, rows, mult, tree_config, rngs if mtry < d else None, mtry)
-    model = ForestModel(tuple(_build(table, counts)), tree_config, forest_config)
-    object.__setattr__(model, "table", table)
-    return model
+    return _table_model(_grow(x, y, rows, mult, tree_config, rngs if mtry < d else None, mtry),
+                        tree_config, forest_config)
 
 
 def predict_forest_batch(model: ForestModel, features) -> np.ndarray:
     """Majority vote of the trees for every row of ``features``, as int64."""
-    votes = _route(model.table or _node_table(*model.trees), _rows(features))
+    table = (model.table or _node_table(*model.trees))[0]
+    votes = _route(table, _rows(features))
     # Strict majority for class 1; ties fall to class 0.
-    return (2 * votes > len(model.trees)).astype(np.int64)
+    return (2 * votes > len(table[5])).astype(np.int64)
 
 
 def predict_forest(model: ForestModel, row) -> int:
@@ -486,40 +516,62 @@ def predict_forest(model: ForestModel, row) -> int:
 # -- serialization ----------------------------------------------------------
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    doc = {"counts": list(node.class_counts), "class": node.predicted_class}
-    if not node.is_leaf:
-        doc.update(feature=node.feature_index, threshold=node.threshold,
-                   left=_node_to_dict(node.left), right=_node_to_dict(node.right))
-    return doc
+def _columns(table, counts) -> dict:
+    feature, threshold, left, _, cls, roots, _ = table
+    return {"feature": feature.tolist(), "threshold": threshold.tolist(), "left": left.tolist(),
+            "class": cls.tolist(), "counts": counts.tolist(), "roots": roots.tolist()}
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
-    counts, cls = tuple(int(c) for c in doc["counts"]), int(doc["class"])
-    if "feature" not in doc:
-        return TreeNode(counts, cls)
-    return TreeNode(counts, cls, int(doc["feature"]), float(doc["threshold"]),
-                    _node_from_dict(doc["left"]), _node_from_dict(doc["right"]))
+def _read_table(doc: dict):
+    """The node table and class counts of a model document: version 1
+    nests the nodes of its ``trees``, version 2 holds ``_columns``, refused
+    unless its nodes are laid out as ``_table`` lays them out."""
+    if doc["version"] == 1:
+        return _stack(doc["trees"], lambda d: (d["counts"], d["class"], d.get("feature"),
+                                               d.get("threshold"), d.get("left"), d.get("right")))
+    cols = [np.asarray(doc[key], dtype=kind) for key, kind in
+            (("feature", np.intp), ("threshold", np.float64), ("left", np.intp), ("class", np.int64))]
+    feature, threshold, left, cls = cols
+    counts, n, n_trees = np.asarray(doc["counts"], dtype=np.int64), left.size, len(doc["roots"])
+    if counts.shape != (2, n) or any(col.shape != (n,) for col in cols):
+        raise ValueError("node table columns differ in length")
+    split = np.flatnonzero(left != np.arange(n))
+    kids = n_trees + 2 * np.arange(len(split))
+    # Roots first, then the split nodes' children two by two, each after its parent.
+    if (doc["roots"] != list(range(n_trees)) or n != n_trees + 2 * len(split)
+            or not np.array_equal(left[split], kids) or np.any(kids <= split)):
+        raise ValueError("node table is not laid out breadth first")
+    return _table(n_trees, cls, split, feature[split], threshold[split])[0], counts
 
 
 def tree_to_text(tree: TreeNode) -> str:
-    return to_document("tree", root=_node_to_dict(tree))
+    """Model text of the one-tree forest's table (see ``forest_to_text``)."""
+    return to_document("tree", 2, **_columns(*_node_table(tree)))
 
 
 def tree_from_text(text: str) -> TreeNode:
-    return _node_from_dict(from_document(text, "tree")["root"])
+    doc = from_document(text, "tree", (1, 2))
+    if doc["version"] == 1:
+        doc["trees"] = [doc["root"]]
+    (tree,) = _build(*_read_table(doc))  # one root, or a ValueError
+    return tree
 
 
 def forest_to_text(model: ForestModel) -> str:
-    return to_document("forest", tree_config=asdict(model.tree_config),
-                    forest_config=asdict(model.forest_config),
-                    trees=[_node_to_dict(t) for t in model.trees])
+    """Version 2 model text: the configs and the node table's columns as
+    flat lists over its nodes, breadth first, roots first.  ``feature`` and
+    ``threshold`` give each split (0 at a leaf); ``left`` is its left child
+    (a leaf is its own child), the right child the node after it; ``class``
+    is the predicted class, ``counts`` the class-0 then the class-1 rows of
+    each node, and ``roots`` each tree's root."""
+    table = model.table or _node_table(*model.trees)
+    return to_document("forest", 2, tree_config=asdict(model.tree_config),
+                       forest_config=asdict(model.forest_config), **_columns(*table))
 
 
 def forest_from_text(text: str) -> ForestModel:
-    doc = from_document(text, "forest")
+    doc = from_document(text, "forest", (1, 2))
     tc, fc = doc["tree_config"], doc["forest_config"]
     require_fields(TreeConfig, tc)
     require_fields(ForestConfig, fc)
-    return ForestModel(tuple(_node_from_dict(t) for t in doc["trees"]),
-                       TreeConfig(**tc), ForestConfig(**fc))
+    return _table_model(_read_table(doc), TreeConfig(**tc), ForestConfig(**fc))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -473,18 +474,69 @@ def test_batch_predictions_match_the_walks_row_by_row():
         for empty in (probe[:0], []):
             for out in (predict_forest_batch(model, empty), predict_tree_batch(model.trees[0], empty)):
                 assert out.shape == (0,) and out.dtype == np.int64
-    # Only the trained forests carry the grower's table.
-    assert [m.table is not None for m in models] == [True] * 3 + [False] * 5
+    # Trained forests and their text round trips keep a node table; the
+    # hand-built ones stack theirs at predict.
+    assert [m.table is not None for m in models] == [True] * 6 + [False] * 2
 
 
 def test_trained_forest_equals_its_text_round_trip():
     models, _ = _walk_models()
     for forest in models[:3]:
         back = forest_from_text(forest_to_text(forest))
-        assert back.table is None and forest.table is not None
+        (table, counts), (read, read_counts) = forest.table, back.table
+        assert table[-1] == read[-1] and counts.tolist() == read_counts.tolist()
+        assert all(a.tolist() == b.tolist() for a, b in zip(table[:-1], read[:-1]))
         assert back == forest
         # A copy with other trees stacks their table rather than keep a stale one.
         assert dataclasses.replace(forest, trees=back.trees[::-1]).table is None
+
+
+def test_trained_forest_predicts_without_building_its_trees(monkeypatch):
+    x, y = _tied_xy(np.random.default_rng(381), 120, 4)
+    want = predict_forest_batch(train_forest(x, y, forest_config=ForestConfig(n_trees=7)), x)
+
+    def refuse(*args):
+        raise AssertionError("TreeNodes built")
+
+    monkeypatch.setattr(trees, "_build", refuse)
+    forest = train_forest(x, y, forest_config=ForestConfig(n_trees=7))
+    assert predict_forest_batch(forest, x).tolist() == want.tolist()
+    back = forest_from_text(forest_to_text(forest))
+    assert predict_forest_batch(back, x).tolist() == want.tolist()
+    assert forest_to_text(back) == forest_to_text(forest)
+
+
+def test_lazy_forest_equals_the_forest_of_its_trees():
+    x, y = _tied_xy(np.random.default_rng(382), 120, 4)
+    tc, fc = TreeConfig(max_depth=5), ForestConfig(n_trees=5, seed=3)
+    lazy = train_forest(x, y, tc, fc)
+    built = ForestModel(lazy.trees, tc, fc)
+    assert built.table is None and lazy == built and hash(lazy) == hash(built)
+    assert lazy.trees is lazy.trees  # built once, then kept
+    assert [f.name for f in dataclasses.fields(ForestModel)] == [
+        "trees", "tree_config", "forest_config", "table"]
+    with pytest.raises(TypeError):
+        ForestModel(tree_config=tc, forest_config=fc)  # trees has no default
+
+
+def test_forest_votes_over_its_own_trees_not_n_trees():
+    # Three trees, two voting 1: a majority of the trees, not of n_trees.
+    model = ForestModel((_leaf_tree(1), _leaf_tree(0), _leaf_tree(1)), TreeConfig(),
+                        ForestConfig(n_trees=101))
+    assert predict_forest_batch(model, [[0.0], [5.0]]).tolist() == [1, 1]
+    back = forest_from_text(forest_to_text(model))
+    assert back.forest_config.n_trees == 101 and len(back.table[0][5]) == 3
+    assert predict_forest_batch(back, [[0.0], [5.0]]).tolist() == [1, 1]
+
+
+def test_replaced_trees_predict_from_the_new_trees():
+    x, y = _tied_xy(np.random.default_rng(383), 120, 4)
+    forest = train_forest(x, y, forest_config=ForestConfig(n_trees=5, seed=4))
+    for cls in (0, 1):
+        copy = dataclasses.replace(forest, trees=(_leaf_tree(cls),) * 3)
+        assert copy.table is None and len(copy.trees) == 3
+        assert predict_forest_batch(copy, x).tolist() == [cls] * len(x)
+    assert predict_forest_batch(forest, x).tolist() != [0] * len(x)
 
 
 def test_forest_prediction_memory_is_bounded():
@@ -551,10 +603,11 @@ def _assert_same_forest(forest, oracle):
 
 
 def _assert_table_is_trees_table(forest):
-    """The node table the grower kept is the one stacked from its trees."""
-    got, want = forest.table, trees._node_table(*forest.trees)
+    """The node table and class counts the grower kept are the ones
+    stacked from the trees built from them."""
+    (got, got_counts), (want, want_counts) = forest.table, trees._node_table(*forest.trees)
     assert len(got) == len(want) == 7 and got[-1] == want[-1]
-    for a, b in zip(got[:-1], want[:-1]):
+    for a, b in zip((*got[:-1], got_counts), (*want[:-1], want_counts)):
         assert a.dtype == b.dtype
         assert a.tolist() == b.tolist()
 
@@ -733,7 +786,7 @@ def test_node_table_depth_is_tree_depth():
     x, y = _tied_xy(rng, 150, 4)
     forest = train_forest(x, y, TreeConfig(max_depth=7), ForestConfig(n_trees=9, seed=370))
     for tree in (*forest.trees, _leaf_tree(1), train_tree(x, y, TreeConfig(max_depth=1))):
-        assert trees._node_table(tree)[-1] == tree_depth(tree) == helpers.tree_depth_recursive(tree)
+        assert trees._node_table(tree)[0][-1] == tree_depth(tree) == helpers.tree_depth_recursive(tree)
 
 
 def test_tree_depth_of_a_2399_level_chain():
@@ -871,11 +924,89 @@ def test_serialization_rejects_foreign_documents():
     with pytest.raises(ValueError, match="qkml-tree"):
         tree_from_text('{"format": "other", "version": 1, "root": {}}')
     with pytest.raises(ValueError, match="qkml-forest"):
-        forest_from_text('{"format": "qkml-forest", "version": 2, "trees": []}')
+        forest_from_text('{"format": "qkml-forest", "version": 3, "trees": []}')
 
 
 @pytest.mark.parametrize("text", ["[]", "3"])
 @pytest.mark.parametrize("read,kind", [(tree_from_text, "tree"), (forest_from_text, "forest")])
 def test_serialization_rejects_json_that_is_not_an_object(read, kind, text):
-    with pytest.raises(ValueError, match=f"^not a qkml-{kind} version 1 document$"):
+    with pytest.raises(ValueError, match=f"^not a qkml-{kind} version 1 or 2 document$"):
         read(text)
+
+
+def _chain():
+    """The 2,399-level chain tree of one sorted column, its rows and labels."""
+    x, y = np.arange(2400.0)[:, None], np.arange(2400) % 2
+    return train_tree(x, y, TreeConfig(max_depth=100000)), x, y
+
+
+def test_a_2399_level_chain_round_trips_through_text():
+    # Compared by text and predictions: TreeNode's generated == recurses.
+    tree, x, y = _chain()
+    text = tree_to_text(tree)
+    back = tree_from_text(text)
+    assert tree_to_text(back) == text and tree_depth(back) == 2399
+    assert predict_tree_batch(back, x).tolist() == y.tolist()
+    forest = ForestModel((tree, _leaf_tree(1), tree), TreeConfig(max_depth=100000),
+                         ForestConfig(n_trees=3))
+    text = forest_to_text(forest)
+    back = forest_from_text(text)
+    assert forest_to_text(back) == text and back.table[0][-1] == 2399
+    assert forest_to_text(ForestModel(back.trees, back.tree_config, back.forest_config)) == text
+    assert predict_forest_batch(back, x).tolist() == predict_forest_batch(forest, x).tolist()
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _fixture_xy():
+    rng = np.random.default_rng(2026)
+    return _random_xy(rng, 40, 3)
+
+
+def test_version_1_texts_load_to_the_trees_training_grows():
+    # Written by the nested version 1 codec this format replaced.
+    x, y = _fixture_xy()
+    probe = np.vstack([x, np.random.default_rng(2027).uniform(-2.0, 2.0, size=(30, 3))])
+    forest = train_forest(x, y, TreeConfig(max_depth=3), ForestConfig(n_trees=4, seed=5))
+    old = forest_from_text((DATA / "forest_v1.json").read_text())
+    assert json.loads((DATA / "forest_v1.json").read_text())["version"] == 1
+    assert old == forest and forest_to_text(old) == forest_to_text(forest)
+    assert predict_forest_batch(old, probe).tolist() == predict_forest_batch(forest, probe).tolist()
+    tree = train_tree(x, y, TreeConfig(max_depth=4))
+    old = tree_from_text((DATA / "tree_v1.json").read_text())
+    assert old == tree and tree_to_text(old) == tree_to_text(tree)
+    assert predict_tree_batch(old, probe).tolist() == predict_tree_batch(tree, probe).tolist()
+
+
+def test_version_2_text_is_the_node_table_as_flat_columns():
+    forest = train_forest(*_fixture_xy(), TreeConfig(max_depth=3), ForestConfig(n_trees=4, seed=5))
+    doc = json.loads(forest_to_text(forest))
+    (feature, threshold, left, right, cls, roots, _), counts = forest.table
+    assert doc["version"] == 2 and doc["roots"] == roots.tolist() == [0, 1, 2, 3]
+    assert doc["feature"] == feature.tolist() and doc["threshold"] == threshold.tolist()
+    assert doc["left"] == left.tolist() and doc["class"] == cls.tolist()
+    assert doc["counts"] == counts.tolist()
+    split = left != np.arange(len(left))
+    assert (right == left + split).all()
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d["class"].pop(), "differ in length"),
+    (lambda d: d["counts"].pop(), "differ in length"),
+    (lambda d: d["roots"].append(4), "breadth first"),
+    (lambda d: d["roots"].reverse(), "breadth first"),
+    (lambda d: d["left"].__setitem__(0, 5), "breadth first"),
+    # Node 2 splits into nodes 1 and 2 ahead of it: a cycle no root reaches.
+    (lambda d: d.update(feature=[0] * 3, threshold=[0.0] * 3, left=[0, 1, 1], roots=[0],
+                        counts=[[1] * 3, [0] * 3], **{"class": [0] * 3}), "breadth first"),
+])
+def test_version_2_text_refuses_a_malformed_node_table(edit, match):
+    forest = train_forest(*_fixture_xy(), TreeConfig(max_depth=3), ForestConfig(n_trees=4, seed=5))
+    doc = json.loads(forest_to_text(forest))
+    edit(doc)
+    with pytest.raises(ValueError, match=match):
+        forest_from_text(json.dumps(doc))
+    four = forest_to_text(forest).replace('"qkml-forest"', '"qkml-tree"')
+    with pytest.raises(ValueError, match="too many values"):  # a tree document holds one tree
+        tree_from_text(four)
