@@ -96,35 +96,61 @@ def apply_parity_phase_rows(states, qubits, phases):
 
 # ---------------------------------------------------------------------------
 # Fidelity matrices.  states is (n, dim) complex128 with unit rows; the
-# result holds |<s_i|s_j>|^2.  The cross kernel is one complex BLAS
-# matmul.  The Gram is built in real arithmetic from two real BLAS
-# products: Re<a|b> is the dot product of the interleaved (re, im) rows,
-# written as x @ x.T on one array so that numpy takes its symmetric
-# (syrk) path, and Im<a|b> is m - m.T with m = re @ im.T, a half-width
-# product on contiguous copies of the parts.  Im comes first, so the
-# copies are dropped before the real part is allocated.  The Gram copies
-# its upper triangle onto the lower so the output is exactly symmetric
-# whichever BLAS path ran: each block of _MIRROR rows takes the transposed
-# strip above it as a block copy, and the lower part of its diagonal block
-# through a triangular mask, with no index arrays over the whole matrix.
+# result holds |<s_i|s_j>|^2.  The cross kernel is one complex BLAS matmul
+# per block of a-rows.  The Gram is built from two real BLAS products:
+# Re<a|b> is the dot product of the interleaved (re, im) rows, x @ x.T on
+# one array so that numpy takes its symmetric (syrk) path, and Im<a|b> is
+# m - m.T with m = re @ im.T, for which the rows are rewritten in place to
+# [re | im] and back, so no copy of either part is held.  OpenBLAS picks
+# its kernels by shape, not stride, so m is one product and no block is a
+# single row (numpy's matrix-vector path): the bits are those of the
+# whole-matrix products.  The Gram copies its upper triangle onto the
+# lower so it is exactly symmetric whichever BLAS path ran: each block of
+# _MIRROR rows takes the transposed strip above it as a block copy, and
+# the lower part of its diagonal block through a triangular mask.
 # ---------------------------------------------------------------------------
 
 _MIRROR = 64
 _BELOW = np.tri(_MIRROR, k=-1, dtype=bool)
+_BLOCK = 1 << 16  # entries of a block of rows: 1 MiB of complex128
+
+
+def row_blocks(n, width):
+    """Slices of ``n`` rows of ``width`` entries, about _BLOCK entries a
+    slice; a slice has one row only when ``n`` is 1."""
+    starts = list(range(0, n - 1, max(2, _BLOCK // width))) or [0]
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
 def fidelity_gram(states):
-    states = np.ascontiguousarray(states, dtype=np.complex128)
-    re, im = states.real.copy(), states.imag.copy()
-    imag = re @ im.T
-    del re, im
-    imag = imag - imag.T
+    """The rows of ``states`` are rewritten in place while it runs and then
+    restored; a read-only or non-contiguous input is copied first."""
+    states = np.require(states, np.complex128, ["C", "W"])
+    dim = states.shape[1]
     x = states.view(np.float64)
+    _parts_apart(x, True)
+    try:
+        imag = x[:, :dim] @ x[:, dim:].T
+    finally:
+        _parts_apart(x, False)
+    imag = imag - imag.T
     g = x @ x.T
     imag *= imag
     g *= g
     g += imag
     return _mirror_upper(g)
+
+
+def _parts_apart(x, apart):
+    """Rewrite the rows of the (n, 2 * dim) float view ``x`` in place, a
+    quarter block at a time, from (re, im) pairs to [re | im] or back."""
+    dim = x.shape[1] // 2
+    halves, pairs = (np.s_[:, :dim], np.s_[:, dim:]), (np.s_[:, 0::2], np.s_[:, 1::2])
+    to, frm = (halves, pairs) if apart else (pairs, halves)
+    for rows in row_blocks(len(x), 4 * dim):
+        block = x[rows].copy()
+        for t, f in zip(to, frm):
+            x[rows][t] = block[f]
 
 
 def _mirror_upper(g):
@@ -137,9 +163,14 @@ def _mirror_upper(g):
     return g
 
 
-def fidelity_cross(a_states, b_states):
-    inner = a_states.conj() @ b_states.T
-    return inner.real**2 + inner.imag**2
+def fidelity_cross(a_states, b_states, out=None):
+    """|<a_i|b_j>|^2 into ``out`` (a new array when None), a-rows by block."""
+    out = np.empty((len(a_states), len(b_states))) if out is None else out
+    for rows in row_blocks(len(a_states), max(a_states.shape[1], len(b_states))):
+        inner = a_states[rows].conj() @ b_states.T
+        np.square(inner.real, out=out[rows])
+        out[rows] += np.square(inner.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------

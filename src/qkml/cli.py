@@ -141,8 +141,8 @@ def _feature_map_spec(model_cfg: dict, num_qubits: int) -> FeatureMapSpec:
 
 
 def _check_kernel_fits(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> None:
-    """Refuse a kernel run whose states and matrices exceed physical memory,
-    before anything is embedded."""
+    """Refuse a kernel run whose states, matrices and blocks exceed physical
+    memory, before anything is embedded."""
     need = qkernel.kernel_bytes(spec, n_train, n_test)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
@@ -183,7 +183,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         forest = trees.train_forest(train.features, train.labels, tcfg, fcfg)
         pred = trees.predict_forest_batch(forest, np.vstack([test.features, train.features]))
         info = ({"n_trees": fcfg.n_trees} if name == "rf"
-                else {"depth": trees.tree_depth(forest.trees[0])})
+                else {"depth": trees.forest_depth(forest)})
         return pred[: test.n_rows], pred[test.n_rows :], info
     if name == "svm":
         cfg = _typed(svmmod.SvmConfig, model_cfg)
@@ -204,9 +204,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         gram = qkernel.gram_from_states(train_states)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
-        cross = qkernel.cross_from_states(
-            qkernel.embedding_matrix(spec, test.features), train_states
-        )
+        cross = qkernel.cross_from_rows(spec, test.features, train_states)
         return (
             svmmod.predict(model, cross),
             svmmod.predict(model, gram.entries),

@@ -6,10 +6,11 @@ overlaps of the states are then evaluated by BLAS products
 (``accel.fidelity_gram``, ``accel.fidelity_cross``).
 ``gram_from_states`` and ``cross_from_states`` work on states already
 embedded, so one embedding of a train set feeds both its Gram matrix and
-a test-by-train cross kernel; ``gram_matrix`` and ``cross_kernel`` embed
-their rows themselves.  Entries are clamped to [0, 1]; drift beyond
-CLAMP_TOL outside that interval, or a NaN, indicates a broken embedding
-and raises.
+a test-by-train cross kernel.  ``cross_from_rows`` embeds test rows one
+block at a time against embedded train states, so the test states are
+never all held; ``gram_matrix`` and ``cross_kernel`` embed their rows
+themselves.  Entries are clamped to [0, 1]; drift beyond CLAMP_TOL
+outside that interval, or a NaN, indicates a broken embedding and raises.
 
 Gram matrices can be exported to a small binary container (magic
 ``QKGM``) with a JSON sidecar carrying the feature-map description and
@@ -67,8 +68,8 @@ def kernel_entry(spec: FeatureMapSpec, x: Sequence, x_prime: Sequence) -> float:
 
 
 def _clamp_unit(values: np.ndarray) -> np.ndarray:
-    """Clamp to [0, 1]; error out when anything drifts past CLAMP_TOL or
-    is NaN (a NaN min or max fails both comparisons)."""
+    """Clamp ``values`` to [0, 1] in place; error out when anything drifts
+    past CLAMP_TOL or is NaN (a NaN min or max fails both comparisons)."""
     low = float(values.min())
     high = float(values.max())
     if not (low >= -CLAMP_TOL and high <= 1.0 + CLAMP_TOL):
@@ -76,7 +77,7 @@ def _clamp_unit(values: np.ndarray) -> np.ndarray:
             f"fidelity outside [0, 1] beyond tolerance {CLAMP_TOL}: "
             f"range [{low}, {high}]"
         )
-    return np.clip(values, 0.0, 1.0)
+    return np.clip(values, 0.0, 1.0, out=values)
 
 
 def embedding_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> np.ndarray:
@@ -107,6 +108,17 @@ def cross_from_states(test_states: np.ndarray, train_states: np.ndarray) -> np.n
     return _clamp_unit(accel.fidelity_cross(test_states, train_states))
 
 
+def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray,
+                    train_states: np.ndarray) -> np.ndarray:
+    """Fidelities of every test row against every train state, the test
+    rows embedded and compared one block at a time."""
+    rows = check_rows(spec, rows_test)
+    out = np.empty((len(rows), len(train_states)))
+    for block in accel.row_blocks(len(rows), max(train_states.shape)):
+        accel.fidelity_cross(embedding_matrix(spec, rows[block]), train_states, out[block])
+    return _clamp_unit(out)
+
+
 def gram_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> GramMatrix:
     """All pairwise fidelities for one row set."""
     return gram_from_states(embedding_matrix(spec, rows))
@@ -116,17 +128,17 @@ def cross_kernel(
     spec: FeatureMapSpec, rows_test: np.ndarray, rows_train: np.ndarray
 ) -> np.ndarray:
     """Fidelities of every test row against every train row."""
-    return cross_from_states(
-        embedding_matrix(spec, rows_test), embedding_matrix(spec, rows_train)
-    )
+    return cross_from_rows(spec, rows_test, embedding_matrix(spec, rows_train))
 
 
 def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
-    """Bytes held by the embedded train and test states, the train Gram
-    matrix and the test-by-train cross kernel."""
-    return (16 << spec.num_qubits) * (n_train + n_test) + 8 * n_train * (
-        n_train + n_test
-    )
+    """Peak bytes of the kernel path: train states, the Gram and its
+    imaginary part, the cross kernel, one block of test rows with its
+    conjugates and products, and the embedding's own blocks."""
+    dim = 1 << spec.num_qubits
+    rows = max(b.stop - b.start for b in accel.row_blocks(n_test, max(dim, n_train)))
+    return (16 * dim * (n_train + 8 * block_rows(spec.num_qubits))
+            + 8 * n_train * (2 * n_train + n_test) + rows * (32 * dim + 24 * n_train))
 
 
 def check_psd(gram: GramMatrix) -> float:
@@ -139,7 +151,7 @@ def matrix_sha256(rows: np.ndarray) -> str:
     arr = np.ascontiguousarray(np.asarray(rows, dtype=np.float64))
     digest = hashlib.sha256()
     digest.update(str(arr.shape).encode())
-    digest.update(arr.tobytes())
+    digest.update(arr)
     return digest.hexdigest()
 
 
@@ -161,12 +173,9 @@ def save_gram(
     and the hash of the container file itself.
     """
     path = Path(path)
-    blob = (
-        _MAGIC
-        + struct.pack("<I", _VERSION)
-        + struct.pack("<Q", gram.size)
-        + gram.entries.astype("<f8").tobytes(order="C")
-    )
+    blob = bytearray(16 + 8 * gram.size**2)
+    struct.pack_into("<4sIQ", blob, 0, _MAGIC, _VERSION, gram.size)
+    np.frombuffer(blob, dtype="<f8", offset=16).reshape(gram.entries.shape)[...] = gram.entries
     write_bytes_atomic(path, blob)
     meta = {
         "format": _MAGIC.decode(),

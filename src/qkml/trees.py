@@ -481,6 +481,11 @@ def tree_depth(tree: TreeNode) -> int:
     return _node_table(tree)[0][-1]
 
 
+def forest_depth(model: ForestModel) -> int:
+    """Depth of the deepest tree, read from the forest's node table."""
+    return (model.table or _node_table(*model.trees))[0][-1]
+
+
 def train_forest(features, labels, tree_config: TreeConfig = TreeConfig(),
                  forest_config: ForestConfig = ForestConfig()) -> ForestModel:
     """Bag ``n_trees`` trees over bootstrap samples, or over every row once

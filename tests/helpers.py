@@ -6,7 +6,8 @@ closed-form product kernel for per-qubit RY embeddings, an
 exhaustive feasible-grid search of the SVM dual, element-wise loop
 versions of the gate kernels in ``qkml.accel``, the per-view parity
 phase and the layer-by-layer zz embedding, the complex-matmul fidelity
-Gram, the strptime date parser, the random-partner SMO
+Gram, the one-shot real-arithmetic Gram and cross kernel that the blocked
+``qkml.accel`` forms must match byte for byte, the strptime date parser, the random-partner SMO
 loop whose dual ``qkml.accel.smo_solve`` must match or beat and the
 two-pass working-set selection it must match bit for bit, a
 dot-product Z expectation, and
@@ -272,7 +273,9 @@ def embed_zz_layers(spec, rows):
 
 # -- fidelity and date oracles ------------------------------------------------
 # The Gram as one complex BLAS matmul: ``accel.fidelity_gram`` builds it
-# from real products and must match it to 1e-12.  The strptime loop over
+# from real products and must match it to 1e-12.  The Gram and cross
+# kernel as whole-matrix products on contiguous copies: the blocked forms
+# in ``accel`` must match their bytes.  The strptime loop over
 # every date format: ``dataset._parse_date`` must give the same date or
 # raise the same exception with the same message.
 
@@ -285,6 +288,30 @@ def fidelity_gram_complex(states):
     low = np.tril_indices(g.shape[0], -1)
     g[low] = g.T[low]
     return g
+
+
+def fidelity_gram_one_shot(states):
+    """The Gram from whole contiguous copies of the real and imaginary
+    parts, in one product each; ``accel.fidelity_gram`` must match its
+    bytes."""
+    states = np.ascontiguousarray(states, dtype=np.complex128)
+    re, im = states.real.copy(), states.imag.copy()
+    imag = re @ im.T
+    del re, im
+    imag = imag - imag.T
+    x = states.view(np.float64)
+    g = x @ x.T
+    imag *= imag
+    g *= g
+    g += imag
+    return accel._mirror_upper(g)
+
+
+def fidelity_cross_one_shot(a_states, b_states):
+    """The cross kernel as one complex matmul over every a-row;
+    ``accel.fidelity_cross`` must match its bytes."""
+    inner = a_states.conj() @ b_states.T
+    return inner.real**2 + inner.imag**2
 
 
 def parse_date_strptime(cell):

@@ -7,7 +7,8 @@ alone as a 1-row block, the pair parity phase must be byte-equal to its
 CNOT-RZ-CNOT form and to its per-view form, the Gram/cross matrices (a
 BLAS reduction)
 must match a per-pair ``np.vdot`` to 1e-12, the Gram also the complex
-matmul oracle, and the SMO solver must stay
+matmul oracle, the blocked Gram and cross kernel the one-shot products
+in ``tests/helpers.py`` byte for byte, and the SMO solver must stay
 in its box, keep sum(alpha y) = 0, close the KKT gap to its tolerance and
 reach at least the dual of the random-partner loop solver in
 ``tests/helpers.py``.
@@ -236,6 +237,62 @@ def test_gram_mirror_bytes_equal_tril_index_form(n):
     spec = FeatureMapSpec(ZZ, 3, repetitions=2, entanglement=RING)
     g = accel.fidelity_gram(qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, 3))))
     assert g.tobytes() == accel._mirror_upper(np.triu(g)).tobytes()
+
+
+def _block(width):
+    """Rows in a block of ``width`` entries a row (``accel.row_blocks``)."""
+    return max(2, accel._BLOCK // width)
+
+
+def _edge_sizes(block):
+    return [1, block - 1, block, block + 1, 2 * block + 1]
+
+
+def _unit_rows(rng, n, dim):
+    states = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("q", [1, 2, 6, 10, 13])
+def test_gram_row_rewrite_goes_apart_and_back_bytes_equal(q):
+    rng = np.random.default_rng(80 + q)
+    for n in _edge_sizes(_block(4 << q)):
+        x = rng.normal(size=(n, 2 << q))
+        before = x.copy()
+        accel._parts_apart(x, True)
+        assert x[:, : 1 << q].tobytes() == before[:, 0::2].tobytes(), n
+        assert x[:, 1 << q :].tobytes() == before[:, 1::2].tobytes(), n
+        accel._parts_apart(x, False)
+        assert x.tobytes() == before.tobytes(), n
+
+
+@pytest.mark.parametrize("q", [1, 2, 6, 10, 13])
+def test_gram_bytes_equal_one_shot_oracle(q):
+    # The edge sizes of the row rewrite, where the n x n Gram stays small
+    # (below q = 6 its blocks are thousands of rows), and a few more.
+    rng = np.random.default_rng(90 + q)
+    sizes = _edge_sizes(_block(4 << q)) + [2, 3, 37, 130, 400, 1000]
+    for n in sorted({n for n in sizes if n <= 1100 and n << q <= 1 << 20}):
+        states = _unit_rows(rng, n, 1 << q)
+        before = states.copy()
+        want = helpers.fidelity_gram_one_shot(states).tobytes()
+        assert accel.fidelity_gram(states).tobytes() == want, n
+        assert states.tobytes() == before.tobytes()
+        assert accel.fidelity_gram(np.asfortranarray(states)).tobytes() == want, n
+        states.flags.writeable = False
+        assert accel.fidelity_gram(states).tobytes() == want, n
+
+
+@pytest.mark.parametrize("q, n_b", [(1, 5), (2, 5), (6, 5), (10, 5), (13, 5), (2, 3000)])
+def test_cross_bytes_equal_one_shot_oracle(q, n_b):
+    rng = np.random.default_rng(100 + q)
+    b_states = _unit_rows(rng, n_b, 1 << q)
+    for n in _edge_sizes(_block(max(1 << q, n_b))):
+        a_states = _unit_rows(rng, n, 1 << q)
+        for a in (a_states, np.asfortranarray(a_states)):
+            for b in (b_states, np.asfortranarray(b_states)):
+                want = helpers.fidelity_cross_one_shot(a, b)
+                assert accel.fidelity_cross(a, b).tobytes() == want.tobytes(), n
 
 
 def test_cross_pair_close():

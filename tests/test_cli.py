@@ -234,6 +234,21 @@ def test_dt_benchmark_reports_the_trees_depth_and_confusion(tmp_path, source):
     assert doc["confusion"] == want.counts.tolist()
 
 
+def test_dt_benchmark_reads_the_depth_from_the_node_table(tmp_path, monkeypatch):
+    cfg = _moons_dt_config(tmp_path)
+    resolved = resolve_config(config.load_config(cfg), None, None)[0]
+    train, _, _ = cli._prepare_splits(cli._obtain_dataset(resolved, tmp_path), resolved["dataset"])
+    want = trees.tree_depth(trees.train_tree(train.features, train.labels))
+
+    def refuse(*args):
+        raise AssertionError("TreeNodes built")
+
+    monkeypatch.setattr(trees, "_build", refuse)
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["model_info"] == {"depth": want}
+
+
 @pytest.mark.parametrize("exc", ["plain", "numpy"])
 def test_out_of_memory_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, exc):
     def exhaust(*args):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkml import qkernel
+from qkml import accel, qkernel
 from qkml.feature_maps import ANGLE_Y, ZZ, FeatureMapSpec
 
 import helpers
@@ -206,6 +206,15 @@ def test_verify_gram_peak_memory_stays_near_the_file_size(tmp_path):
     assert peak < 1.5 * size
 
 
+def test_save_gram_peak_memory_stays_near_the_file_size(tmp_path):
+    # One buffer holds the header and the entries; no second copy of them.
+    gram = qkernel.GramMatrix(np.random.default_rng(31).uniform(size=(600, 600)))
+    path = tmp_path / "kernel.qkgm"
+    peak, _ = _traced_peak(qkernel.save_gram, path, gram, FeatureMapSpec(ANGLE_Y, 1))
+    assert path.stat().st_size == 16 + 8 * 600 * 600
+    assert peak < 1.5 * path.stat().st_size
+
+
 def test_verify_requires_sidecar(tmp_path):
     gram = qkernel.gram_matrix(FeatureMapSpec(ANGLE_Y, 1), np.array([[0.4]]))
     path = tmp_path / "kernel.qkgm"
@@ -337,6 +346,62 @@ def test_state_based_kernels_equal_row_based_wrappers():
 
 
 def test_kernel_bytes_counts_states_gram_and_cross():
+    # Train states, the Gram and its imaginary part, the embedding's eight
+    # blocks of 2**14 amplitudes and, with test rows, the cross kernel and
+    # one block of them (all 5 here): states, conjugates, products.
     spec = FeatureMapSpec(ZZ, 3)
-    assert qkernel.kernel_bytes(spec, 10) == 10 * 8 * 16 + 8 * 10 * 10
-    assert qkernel.kernel_bytes(spec, 10, 5) == 15 * 8 * 16 + 8 * 10 * 15
+    base = 10 * 8 * 16 + 2 * 8 * 10 * 10 + 8 * 16 * (1 << 14)
+    assert qkernel.kernel_bytes(spec, 10) == base
+    assert qkernel.kernel_bytes(spec, 10, 5) == base + 8 * 10 * 5 + 5 * (32 * 8 + 24 * 10)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes allocated while ``fn(*args)`` runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("q, n_train, n_test", [(10, 400, 278), (6, 300, 500), (2, 800, 200),
+                                                (13, 40, 30)])
+def test_streamed_kernel_path_peaks_within_kernel_bytes(q, n_train, n_test):
+    rng = np.random.default_rng(q)
+    spec = FeatureMapSpec(ZZ, q, repetitions=2)
+    train = rng.uniform(0, np.pi, size=(n_train, q))
+    test = rng.uniform(0, np.pi, size=(n_test, q))
+
+    def kernel_path():
+        states = qkernel.embedding_matrix(spec, train)
+        return qkernel.gram_from_states(states), qkernel.cross_from_rows(spec, test, states)
+
+    peak, _ = _traced_peak(kernel_path)
+    assert peak <= qkernel.kernel_bytes(spec, n_train, n_test)
+
+
+@pytest.mark.parametrize("q, n", [(10, 300), (13, 40), (6, 200), (2, 500)])
+def test_gram_from_states_holds_a_block_and_two_n_by_n_arrays(q, n):
+    # No copy of the real or imaginary parts: the rows are rewritten in
+    # place a quarter block at a time, then m and the real part are n x n.
+    states = qkernel.embedding_matrix(FeatureMapSpec(ZZ, q), np.random.default_rng(q).uniform(
+        0, np.pi, size=(n, q)))
+    peak, gram = _traced_peak(qkernel.gram_from_states, states)
+    assert peak <= 16 * accel._BLOCK + 2 * gram.entries.nbytes
+
+
+@pytest.mark.parametrize("q, n_train, n_test", [(10, 400, 278), (6, 300, 500), (2, 800, 200)])
+def test_streamed_cross_holds_one_block_and_its_output(q, n_train, n_test):
+    rng = np.random.default_rng(q)
+    spec = FeatureMapSpec(ZZ, q)
+    states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n_train, q)))
+    test = rng.uniform(0, np.pi, size=(n_test, q))
+    peak, cross = _traced_peak(qkernel.cross_from_rows, spec, test, states)
+    rows = max(b.stop - b.start for b in accel.row_blocks(n_test, max(states.shape)))
+    # A block's states and conjugates, its products and their squares, and
+    # the embedding's own blocks.
+    block = rows * (32 << q) + rows * 24 * n_train + 8 * 16 * (1 << 14)
+    assert peak <= cross.nbytes + block
+    assert cross.tobytes() == qkernel.cross_from_states(
+        qkernel.embedding_matrix(spec, test), states).tobytes()
