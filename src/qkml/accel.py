@@ -104,20 +104,17 @@ def apply_parity_phase_rows(states, qubits, phases):
 # [re | im] and back, so no copy of either part is held.  OpenBLAS picks
 # its kernels by shape, not stride, so m is one product and no block is a
 # single row (numpy's matrix-vector path): the bits are those of the
-# whole-matrix products.  The Gram copies its upper triangle onto the
-# lower so it is exactly symmetric whichever BLAS path ran: each block of
-# _MIRROR rows takes the transposed strip above it as a block copy, and
-# the lower part of its diagonal block through a triangular mask.
+# whole-matrix products.  The Gram is exactly symmetric as built: syrk
+# fills its lower triangle from its upper, and m - m.T is exactly
+# antisymmetric, since IEEE a - b is -(b - a).
 # ---------------------------------------------------------------------------
 
-_MIRROR = 64
-_BELOW = np.tri(_MIRROR, k=-1, dtype=bool)
 _BLOCK = 1 << 16  # entries of a block of rows: 1 MiB of complex128
 
 
 def row_blocks(n, width):
-    """Slices of ``n`` rows of ``width`` entries, about _BLOCK entries a
-    slice; a slice has one row only when ``n`` is 1."""
+    """The blocks of every row-blocked loop: slices of ``n`` rows of ``width``
+    entries, about _BLOCK entries a slice, one row only when ``n`` is 1."""
     starts = list(range(0, n - 1, max(2, _BLOCK // width))) or [0]
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
@@ -138,7 +135,7 @@ def fidelity_gram(states):
     imag *= imag
     g *= g
     g += imag
-    return _mirror_upper(g)
+    return g
 
 
 def _parts_apart(x, apart):
@@ -151,16 +148,6 @@ def _parts_apart(x, apart):
         block = x[rows].copy()
         for t, f in zip(to, frm):
             x[rows][t] = block[f]
-
-
-def _mirror_upper(g):
-    """Copy the upper triangle of the square ``g`` onto its lower, in place."""
-    for lo in range(0, g.shape[0], _MIRROR):
-        hi = lo + _MIRROR
-        g[lo:hi, :lo] = g[:lo, lo:hi].T
-        block = g[lo:hi, lo:hi]
-        np.copyto(block, block.T, where=_BELOW[:len(block), :len(block)])
-    return g
 
 
 def fidelity_cross(a_states, b_states, out=None):

@@ -25,6 +25,7 @@ scriptable.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
 import sys
@@ -322,9 +323,9 @@ def cmd_hybrid(args) -> int:
 
 
 def cmd_report(args) -> int:
-    import json
-
     doc = json.loads(Path(args.input).read_text())
+    if not (isinstance(doc, dict) and "confusion" in doc):
+        raise ValueError(f"{args.input}: not a qkml report (no 'confusion' entry)")
     cm = metrics.ConfusionMatrix(np.asarray(doc["confusion"], dtype=np.int64))
     print(metrics.render_report(metrics.report_from_confusion(cm)), end="")
     return 0

@@ -37,9 +37,10 @@ from typing import Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import accel
 from .artifacts import cast_fields, cast_value
 from .dataset import Dataset, check_labels
-from .statevector import Circuit, block_rows, cnot, ry, ry_layer_rows, run_circuit_rows
+from .statevector import Circuit, cnot, ry, ry_layer_rows, run_circuit_rows
 from .statevector import run_circuit  # not called here; tracing tools patch it by module and name
 from .statevector import z_expectation_rows, zero_rows
 
@@ -100,13 +101,11 @@ def quanv_transform_batch(spec: QuanvSpec, features) -> np.ndarray:
     mix = build_quanv_circuit(spec)
     windows = sliding_window_view(x, w, axis=1)[:, :: spec.stride].reshape(-1, w)
     out = np.empty((windows.shape[0], w), dtype=np.float64)
-    step = block_rows(w)
-    for lo in range(0, windows.shape[0], step):
-        block = windows[lo : lo + step]
-        states = zero_rows(block.shape[0], w)
-        ry_layer_rows(states, block)
+    for block in accel.row_blocks(len(windows), 4 << w):
+        states = zero_rows(block.stop - block.start, w)
+        ry_layer_rows(states, windows[block])
         run_circuit_rows(mix, states)
-        out[lo : lo + step] = z_expectation_rows(states)
+        out[block] = z_expectation_rows(states)
     return out.reshape(x.shape[0], width)
 
 

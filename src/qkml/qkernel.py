@@ -1,7 +1,7 @@
 """Fidelity kernel: k(x, x') = |<phi(x')|phi(x)>|^2 over feature-map states.
 
 ``embedding_matrix`` simulates the feature map for a whole row matrix, a
-block of rows at a time (``statevector.block_rows``); all pairwise
+block of rows at a time (``accel.row_blocks``); all pairwise
 overlaps of the states are then evaluated by BLAS products
 (``accel.fidelity_gram``, ``accel.fidelity_cross``).
 ``gram_from_states`` and ``cross_from_states`` work on states already
@@ -32,7 +32,6 @@ import numpy as np
 from . import accel
 from .artifacts import write_bytes_atomic, write_text_atomic
 from .feature_maps import FeatureMapSpec, check_rows, embed, embed_rows
-from .statevector import block_rows
 
 CLAMP_TOL = 1e-9
 PSD_TOL = -1e-8
@@ -87,9 +86,8 @@ def embedding_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> np.ndarray:
     if n == 0:
         raise ValueError("no rows to embed")
     out = np.empty((n, 1 << spec.num_qubits), dtype=np.complex128)
-    step = block_rows(spec.num_qubits)
-    for lo in range(0, n, step):
-        out[lo : lo + step] = embed_rows(spec, rows[lo : lo + step])
+    for block in accel.row_blocks(n, 4 << spec.num_qubits):
+        out[block] = embed_rows(spec, rows[block])
     return out
 
 
@@ -136,9 +134,14 @@ def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
     imaginary part, the cross kernel, one block of test rows with its
     conjugates and products, and the embedding's own blocks."""
     dim = 1 << spec.num_qubits
-    rows = max(b.stop - b.start for b in accel.row_blocks(n_test, max(dim, n_train)))
-    return (16 * dim * (n_train + 8 * block_rows(spec.num_qubits))
+    rows = _largest_block(n_test, max(dim, n_train))
+    embed = max(_largest_block(n, 4 * dim) for n in (n_train, rows))
+    return (16 * dim * (n_train + 8 * embed)
             + 8 * n_train * (2 * n_train + n_test) + rows * (32 * dim + 24 * n_train))
+
+
+def _largest_block(n, width):
+    return max(b.stop - b.start for b in accel.row_blocks(n, width))
 
 
 def check_psd(gram: GramMatrix) -> float:
@@ -194,6 +197,8 @@ def _row_count(path: Path, raw: bytes) -> int:
     """Row count of the QKGM bytes ``raw`` after checking magic, version and length."""
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a QKGM file (bad magic {raw[:4]!r})")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated QKGM header ({len(raw)} bytes, expected 16)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported QKGM version {version}")
@@ -218,24 +223,25 @@ def load_gram(path) -> GramMatrix:
 def verify_gram(path) -> dict:
     """Check the container against its sidecar hashes; returns metadata.
 
-    Raises ValueError on a missing sidecar, hash mismatch or malformed
-    container, so any tampered byte is caught before the matrix is used.
+    Raises ValueError on a missing or malformed sidecar, hash mismatch or
+    malformed container, so any tampered byte is caught before use.
     """
     path = Path(path)
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise ValueError(f"{path}: missing sidecar {sidecar.name}")
     meta = json.loads(sidecar.read_text())
+    fm = meta.get("feature_map") if isinstance(meta, dict) else None
+    if not (isinstance(fm, dict) and isinstance(fm.get("kind"), str)
+            and {"file_sha256", "n"} <= meta.keys()):
+        raise ValueError(f"{sidecar}: not a QKGM sidecar with file_sha256, n and a feature_map kind")
     raw = path.read_bytes()
     actual = hashlib.sha256(raw).hexdigest()
-    if actual != meta.get("file_sha256"):
+    if actual != meta["file_sha256"]:
         raise ValueError(
-            f"{path}: hash mismatch (sidecar {meta.get('file_sha256')}, "
-            f"file {actual})"
+            f"{path}: hash mismatch (sidecar {meta['file_sha256']}, file {actual})"
         )
     n = _row_count(path, raw)
-    if n != meta.get("n"):
-        raise ValueError(
-            f"{path}: sidecar row count {meta.get('n')} != container {n}"
-        )
+    if n != meta["n"]:
+        raise ValueError(f"{path}: sidecar row count {meta['n']} != container {n}")
     return meta

@@ -155,17 +155,14 @@ def single_qubit_matrix(gate: Gate) -> np.ndarray:
         return np.array(
             [[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=np.complex128
         )
-    half = gate.angle / 2.0
-    c = math.cos(half)
-    s = math.sin(half)
-    if gate.kind == RX:
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
     if gate.kind == RY:
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+        return ry_matrices(gate.angle)
     if gate.kind == RZ:
-        return np.array(
-            [[complex(c, -s), 0.0], [0.0, complex(c, s)]], dtype=np.complex128
-        )
+        return np.diag(rz_phases(gate.angle))
+    if gate.kind == RX:
+        half = gate.angle / 2.0
+        c, s = math.cos(half), math.sin(half)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
     raise ValueError(f"{gate.kind} has no single-qubit matrix")
 
 
@@ -213,16 +210,7 @@ def z_expectation(state: StateVector, qubit: int) -> float:
 # row ends up bit for bit equal to the same gates run by ``run_circuit`` on
 # that row alone (``accel`` notes the one exception for phase shortcuts,
 # the sign of an exact zero).  Callers simulate long row sets in blocks of
-# ``block_rows`` rows.
-
-# Amplitudes per block: 256 KiB of complex128 whatever the register width,
-# which bounds the temporaries of the gate kernels.
-BLOCK_AMPLITUDES = 1 << 14
-
-
-def block_rows(num_qubits: int) -> int:
-    """Rows per block for registers of this width (at least one)."""
-    return max(1, BLOCK_AMPLITUDES >> num_qubits)
+# ``accel.row_blocks`` at 4 entries an amplitude (2^14 amplitudes, 256 KiB).
 
 
 def zero_rows(rows: int, num_qubits: int) -> np.ndarray:
@@ -235,8 +223,8 @@ def zero_rows(rows: int, num_qubits: int) -> np.ndarray:
 
 
 def ry_matrices(angles) -> np.ndarray:
-    """RY unitaries, shape ``angles.shape + (2, 2)``, entry for entry as
-    ``single_qubit_matrix`` builds one."""
+    """RY unitaries, shape ``angles.shape + (2, 2)``; ``single_qubit_matrix``
+    builds its RY from this and its RZ from ``rz_phases``."""
     half = np.asarray(angles, dtype=np.float64) / 2.0
     c = np.cos(half)
     s = np.sin(half)

@@ -292,8 +292,9 @@ def fidelity_gram_complex(states):
 
 def fidelity_gram_one_shot(states):
     """The Gram from whole contiguous copies of the real and imaginary
-    parts, in one product each; ``accel.fidelity_gram`` must match its
-    bytes."""
+    parts, in one product each, its lower triangle copied from its upper
+    through index arrays; ``accel.fidelity_gram`` must match its bytes,
+    so it is exactly symmetric with no mirror pass of its own."""
     states = np.ascontiguousarray(states, dtype=np.complex128)
     re, im = states.real.copy(), states.imag.copy()
     imag = re @ im.T
@@ -304,7 +305,9 @@ def fidelity_gram_one_shot(states):
     imag *= imag
     g *= g
     g += imag
-    return accel._mirror_upper(g)
+    low = np.tril_indices(len(g), -1)
+    g[low] = g.T[low]
+    return g
 
 
 def fidelity_cross_one_shot(a_states, b_states):

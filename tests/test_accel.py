@@ -226,17 +226,25 @@ def test_real_gram_matches_complex_gram_on_zz_states(q, n):
     np.testing.assert_array_equal(g, g.T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+_GRAM_SIZES = [1, 2, 63, 64, 65, 130, 141]
+
+
+@pytest.mark.parametrize("n", _GRAM_SIZES[:-1])
 def test_gram_mirror_bytes_equal_tril_index_form(n):
+    # The Gram is exactly symmetric as built, with no mirror pass.  Each
+    # case takes the sizes from n up to the next case's, 1-140 in all.
     rng = np.random.default_rng(70 + n)
-    raw = rng.normal(size=(n, n))
-    want = raw.copy()
-    low = np.tril_indices(n, -1)
-    want[low] = want.T[low]
-    assert accel._mirror_upper(raw.copy()).tobytes() == want.tobytes()
-    spec = FeatureMapSpec(ZZ, 3, repetitions=2, entanglement=RING)
-    g = accel.fidelity_gram(qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, 3))))
-    assert g.tobytes() == accel._mirror_upper(np.triu(g)).tobytes()
+    sizes = range(n, _GRAM_SIZES[_GRAM_SIZES.index(n) + 1])
+    for q in (1, 2, 6, 10):
+        spec = FeatureMapSpec(ZZ, q, repetitions=2, entanglement=RING)
+        zz = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(sizes[-1], q)))
+        for states in (_unit_rows(rng, sizes[-1], 1 << q), zz):
+            for m in sizes:
+                g = accel.fidelity_gram(states[:m])
+                want = g.copy()
+                low = np.tril_indices(m, -1)
+                want[low] = want.T[low]
+                assert g.tobytes() == want.tobytes()
 
 
 def _block(width):

@@ -1,9 +1,11 @@
 """End-to-end command-line runs (in-process)."""
 
+import hashlib
 import json
 import logging
 import os
 import re
+import struct
 import subprocess
 import sys
 import typing
@@ -347,6 +349,51 @@ def test_kernel_tamper_fails_verify(tmp_path, capsys):
     assert "hash mismatch" in capsys.readouterr().err
 
 
+_ONE_BY_ONE = b"QKGM" + struct.pack("<IQd", 1, 1, 1.0)
+
+
+def _sidecar_of(blob, **changes):
+    meta = {"file_sha256": hashlib.sha256(blob).hexdigest(), "n": 1,
+            "feature_map": {"kind": "zz"}}
+    return {**meta, **changes}
+
+
+def _short(size):
+    blob = b"QKGM" + bytes(size - 4)
+    return pytest.param(blob, _sidecar_of(blob), "truncated QKGM header", id=f"{size}-byte file")
+
+
+def _bad_sidecar(meta, case):
+    return pytest.param(_ONE_BY_ONE, meta, "gram.qkgm.meta: not a QKGM sidecar", id=case)
+
+
+@pytest.mark.parametrize("blob, meta, message", [
+    *map(_short, (4, 7, 8, 15)),
+    _bad_sidecar([1], "sidecar list"),
+    _bad_sidecar({k: v for k, v in _sidecar_of(_ONE_BY_ONE).items() if k != "feature_map"},
+                 "no feature_map"),
+    _bad_sidecar(_sidecar_of(_ONE_BY_ONE, feature_map="zz"), "feature_map string"),
+    _bad_sidecar(_sidecar_of(_ONE_BY_ONE, feature_map={"kind": 3}), "kind number"),
+    _bad_sidecar({"n": 1, "feature_map": {"kind": "zz"}}, "no file_sha256"),
+])
+def test_kernel_verify_exits_two_on_malformed_input(tmp_path, capsys, blob, meta, message):
+    path = tmp_path / "gram.qkgm"
+    path.write_bytes(blob)
+    (tmp_path / "gram.qkgm.meta").write_text(json.dumps(meta))
+    assert main(["kernel", "--verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert message in err
+
+
+def test_kernel_verify_accepts_a_hand_built_container(tmp_path, capsys):
+    path = tmp_path / "gram.qkgm"
+    path.write_bytes(_ONE_BY_ONE)
+    (tmp_path / "gram.qkgm.meta").write_text(json.dumps(_sidecar_of(_ONE_BY_ONE)))
+    assert main(["kernel", "--verify", str(path)]) == 0
+    assert capsys.readouterr().out == f"verify: ok ({path}, n=1, map=zz)\n"
+
+
 def test_kernel_export_deterministic_across_threads(tmp_path):
     cfg = _kernel_config(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -470,6 +517,15 @@ def test_report_rerenders_stored_results(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--input", str(out / "report.json")]) == 0
     assert capsys.readouterr().out == (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("text", ["{}", "[1]"])
+def test_report_exits_two_on_a_document_that_is_not_a_report(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: not a qkml report (no 'confusion' entry)\n"
 
 
 # -- argument and config validation ---------------------------------------------

@@ -141,10 +141,10 @@ def _per_window_path(spec, x):
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6])
 def test_batch_bytes_equal_per_window_path(monkeypatch, window, stride, layers):
-    from qkml import statevector as sv
+    from qkml import accel
 
     # Five windows per block, so blocks end inside rows.
-    monkeypatch.setattr(sv, "BLOCK_AMPLITUDES", 5 << window)
+    monkeypatch.setattr(accel, "_BLOCK", 5 * (4 << window))
     rng = np.random.default_rng(window * 9 + stride * 3 + layers)
     x = rng.uniform(0, math.pi, size=(4, window + 5))
     x[0, :2] = 0.0

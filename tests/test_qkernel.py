@@ -275,14 +275,13 @@ def test_embedding_matrix_bytes_equal_gate_path(kind, q, entanglement, reps):
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
 def test_embedding_matrix_bytes_equal_across_block_edges(monkeypatch, n):
     from qkml import feature_maps as fm
-    from qkml import statevector as sv
 
     rng = np.random.default_rng(n)
     x = rng.uniform(0, np.pi, size=(n, 3))
     spec = FeatureMapSpec(ZZ, 3, repetitions=2, entanglement="ring")
     whole = fm.embed_rows(spec, x)
-    monkeypatch.setattr(sv, "BLOCK_AMPLITUDES", 64 << 3)
-    assert sv.block_rows(3) == 64
+    monkeypatch.setattr(accel, "_BLOCK", 64 * (4 << 3))
+    assert accel.row_blocks(129, 4 << 3)[0] == slice(0, 64)
     assert qkernel.embedding_matrix(spec, x).tobytes() == whole.tobytes()
 
 
@@ -345,14 +344,40 @@ def test_state_based_kernels_equal_row_based_wrappers():
     assert cross.tobytes() == qkernel.cross_kernel(spec, test, train).tobytes()
 
 
+def _largest_block(n, width):
+    return max(b.stop - b.start for b in accel.row_blocks(n, width))
+
+
 def test_kernel_bytes_counts_states_gram_and_cross():
     # Train states, the Gram and its imaginary part, the embedding's eight
-    # blocks of 2**14 amplitudes and, with test rows, the cross kernel and
-    # one block of them (all 5 here): states, conjugates, products.
+    # blocks (one of all 10 rows here) and, with test rows, the cross
+    # kernel and one block of them (all 5 here): states, conjugates,
+    # products.
     spec = FeatureMapSpec(ZZ, 3)
-    base = 10 * 8 * 16 + 2 * 8 * 10 * 10 + 8 * 16 * (1 << 14)
+    embed = _largest_block(10, 4 << 3)
+    assert embed == 10
+    base = 10 * 8 * 16 + 2 * 8 * 10 * 10 + 8 * 16 * 8 * embed
     assert qkernel.kernel_bytes(spec, 10) == base
     assert qkernel.kernel_bytes(spec, 10, 5) == base + 8 * 10 * 5 + 5 * (32 * 8 + 24 * 10)
+
+
+@pytest.mark.parametrize("q", range(1, 14))
+def test_embedding_and_quanv_blocks_hold_two_to_the_14_amplitudes(monkeypatch, q):
+    # Up to 13 qubits both loops hold 2^14 amplitudes a block; the rule is
+    # written out here apart from accel.row_blocks.
+    from qkml import hybrid
+
+    rule = max(1, 2**14 >> q)
+    x = np.random.default_rng(q).uniform(0, np.pi, size=(3 * rule, q))
+    sizes = []
+    embed_rows, zero_rows = qkernel.embed_rows, hybrid.zero_rows
+    monkeypatch.setattr(qkernel, "embed_rows",
+                        lambda spec, rows: sizes.append(len(rows)) or embed_rows(spec, rows))
+    monkeypatch.setattr(hybrid, "zero_rows",
+                        lambda rows, width: sizes.append(rows) or zero_rows(rows, width))
+    qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, q), x)
+    hybrid.quanv_transform_batch(hybrid.QuanvSpec(window=q, stride=q, layers=0), x)
+    assert sizes == [rule] * 6
 
 
 def _traced_peak(fn, *args):
@@ -366,7 +391,7 @@ def _traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("q, n_train, n_test", [(10, 400, 278), (6, 300, 500), (2, 800, 200),
-                                                (13, 40, 30)])
+                                                (13, 40, 30), (3, 3, 1000)])
 def test_streamed_kernel_path_peaks_within_kernel_bytes(q, n_train, n_test):
     rng = np.random.default_rng(q)
     spec = FeatureMapSpec(ZZ, q, repetitions=2)
@@ -398,10 +423,10 @@ def test_streamed_cross_holds_one_block_and_its_output(q, n_train, n_test):
     states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n_train, q)))
     test = rng.uniform(0, np.pi, size=(n_test, q))
     peak, cross = _traced_peak(qkernel.cross_from_rows, spec, test, states)
-    rows = max(b.stop - b.start for b in accel.row_blocks(n_test, max(states.shape)))
+    rows = _largest_block(n_test, max(states.shape))
     # A block's states and conjugates, its products and their squares, and
     # the embedding's own blocks.
-    block = rows * (32 << q) + rows * 24 * n_train + 8 * 16 * (1 << 14)
+    block = rows * (32 << q) + rows * 24 * n_train + 8 * 16 * (_largest_block(rows, 4 << q) << q)
     assert peak <= cross.nbytes + block
     assert cross.tobytes() == qkernel.cross_from_states(
         qkernel.embedding_matrix(spec, test), states).tobytes()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qkml import accel
 from qkml import statevector as sv
 
 import helpers
@@ -180,13 +181,18 @@ def test_statevector_amplitudes_read_only():
 # -- row blocks ------------------------------------------------------------------
 
 
-def test_zero_rows_and_block_rows():
+def test_zero_rows_and_block_rows(monkeypatch):
     block = sv.zero_rows(3, 2)
     assert block.tobytes() == np.stack([sv.init_zero(2).amplitudes] * 3).tobytes()
     with pytest.raises(ValueError):
         sv.zero_rows(1, sv.MAX_QUBITS + 1)
-    assert sv.block_rows(1) * 2 == sv.BLOCK_AMPLITUDES
-    assert sv.block_rows(sv.MAX_QUBITS) == 1
+    # Registers are blocked at 4 entries an amplitude: 2^13 one-qubit rows;
+    # two rows at the widest, one only when there is one.
+    assert accel.row_blocks(1 << 14, 4 << 1) == [slice(0, 1 << 13), slice(1 << 13, 1 << 14)]
+    assert accel.row_blocks(3, 4 << sv.MAX_QUBITS) == [slice(0, 3)]
+    assert accel.row_blocks(1, 4 << sv.MAX_QUBITS) == [slice(0, 1)]
+    monkeypatch.setattr(accel, "_BLOCK", 3 * (4 << 2))
+    assert accel.row_blocks(7, 4 << 2) == [slice(0, 3), slice(3, 7)]
 
 
 def test_run_circuit_rows_bytes_equal_run_circuit():
