@@ -46,11 +46,10 @@ def write_json_atomic(path, obj) -> Path:
 
 
 def to_document(kind: str, version: int = 1, **fields) -> str:
-    """A qkml-``kind`` model document: indented at version 1, one compact
-    line later (flat columns, which json writes in C)."""
+    """A qkml-``kind`` model document of any version: sorted keys on one
+    compact line, which json writes in C.  Readers take any whitespace, so
+    indented documents of earlier releases still load."""
     doc = {"format": f"qkml-{kind}", "version": version, **fields}
-    if version == 1:
-        return json.dumps(doc, indent=2, sort_keys=True)
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -60,6 +59,15 @@ def from_document(text: str, kind: str, versions=(1,)) -> dict:
             and doc.get("version") in versions):
         raise ValueError(f"not a qkml-{kind} version {' or '.join(map(str, versions))} document")
     return doc
+
+
+def read_json(path):
+    """The JSON document in the file ``path``.  A file that is not UTF-8
+    JSON raises ValueError naming it; a missing one, FileNotFoundError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def config_sha256(obj) -> str:
@@ -115,8 +123,16 @@ def cast_fields(obj, **minimum) -> None:
 
 
 def require_fields(cls, doc: dict, optional=()) -> None:
-    """Raise KeyError unless ``doc`` names every field of the dataclass
-    ``cls`` that is not ``optional``; ``cls(**doc)`` would fill defaults."""
-    missing = sorted({f.name for f in fields(cls)} - set(doc) - set(optional))
+    """Refuse ``doc`` as the fields of the dataclass ``cls``: ValueError
+    unless it is an object whose keys all name fields, KeyError unless it
+    names every field not in ``optional`` (``cls(**doc)`` would fill in a
+    default)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} document must be an object, got {doc!r}")
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(doc) - names)
+    if unknown:
+        raise ValueError(f"{cls.__name__} document has unknown key(s) {unknown}")
+    missing = sorted(names - set(doc) - set(optional))
     if missing:
         raise KeyError(f"{cls.__name__} document lacks {', '.join(missing)}")

@@ -25,7 +25,6 @@ scriptable.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
-from .artifacts import write_json_atomic, write_text_atomic
+from .artifacts import read_json, write_json_atomic, write_text_atomic
 from .config import _FEATURE_MAP, ConfigError, load_config, resolve_config
 from .feature_maps import FeatureMapSpec
 
@@ -63,7 +62,7 @@ def _build_dataset(dcfg: dict):
     if dcfg["csv"] is not None:
         fc = dsmod.default_feature_config()
         if dcfg["feature_config"] is not None:
-            fc = dsmod.FeatureConfig.from_json(Path(dcfg["feature_config"]).read_text())
+            fc = dsmod.FeatureConfig.from_dict(read_json(dcfg["feature_config"]))
         table = dsmod.load_csv(dcfg["csv"])
         filtered, status_summary = dsmod.filter_status(table, fc.status_column)
         ds, eng_summary = dsmod.engineer_features(filtered, fc)
@@ -75,8 +74,6 @@ def _build_dataset(dcfg: dict):
             synth_cfg["name"], synth_cfg["n"], noise=synth_cfg["noise"], seed=synth_cfg["seed"]
         )
         summary = {"source": {"synthetic": synth_cfg}}
-    if ds.n_rows == 0:
-        raise ValueError("dataset pipeline produced zero rows")
     summary["n_rows"] = ds.n_rows
     summary["n_features"] = ds.features.shape[1]
     summary["class_counts"] = {
@@ -90,11 +87,17 @@ def _dataset_cache_dir(out: Path) -> Path:
     return out / "dataset"
 
 
-def _prepare_splits(ds: dsmod.Dataset, dcfg: dict):
-    """Split, scale (fit on train only), select, subsample.
+def _splits(resolved: dict, out: Path):
+    """Split, scale (fit on train only), select and subsample the dataset:
+    a synthetic source regenerates on the fly, a CSV source needs `ingest`.
 
     Returns (train, test, info); the returned info feeds the report
     artifacts."""
+    dcfg = resolved["dataset"]
+    if dcfg["synthetic"] is not None:
+        ds, _ = _build_dataset(dcfg)
+    else:
+        ds = dsmod.load_dataset(_dataset_cache_dir(out))
     train, test = dsmod.train_test_split(
         ds, dcfg["test_fraction"], dcfg["seed"], dcfg["stratify"]
     )
@@ -120,15 +123,6 @@ def _prepare_splits(ds: dsmod.Dataset, dcfg: dict):
     return train, test, info
 
 
-def _obtain_dataset(resolved: dict, out: Path) -> dsmod.Dataset:
-    """Synthetic sources regenerate on the fly; CSV sources need `ingest`."""
-    dcfg = resolved["dataset"]
-    if dcfg["synthetic"] is not None:
-        ds, _ = _build_dataset(dcfg)
-        return ds
-    return dsmod.load_dataset(_dataset_cache_dir(out))
-
-
 def _typed(cls, section: dict, **fixed):
     """``cls`` from the keys of a resolved config section that name its
     fields, with ``fixed`` in place; the dataclass casts and validates."""
@@ -136,23 +130,22 @@ def _typed(cls, section: dict, **fixed):
     return cls(**{**{k: v for k, v in section.items() if k in names}, **fixed})
 
 
-def _feature_map_spec(model_cfg: dict, num_qubits: int) -> FeatureMapSpec:
+def _kernel_spec(model_cfg: dict, train, n_test: int = 0) -> FeatureMapSpec:
+    """The configured feature map on one qubit per feature of ``train``;
+    a kernel run whose states, matrices and blocks exceed physical memory
+    is refused here, before anything is embedded."""
     fm = (model_cfg or {}).get("feature_map") or _FEATURE_MAP[0]
-    return _typed(FeatureMapSpec, fm, num_qubits=num_qubits)
-
-
-def _check_kernel_fits(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> None:
-    """Refuse a kernel run whose states, matrices and blocks exceed physical
-    memory, before anything is embedded."""
-    need = qkernel.kernel_bytes(spec, n_train, n_test)
+    spec = _typed(FeatureMapSpec, fm, num_qubits=train.features.shape[1])
+    need = qkernel.kernel_bytes(spec, train.n_rows, n_test)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
             f"the quantum kernel needs about {need / 2**30:.1f} GiB for "
-            f"{n_train + n_test} rows on {spec.num_qubits} qubits, more than the "
+            f"{train.n_rows + n_test} rows on {spec.num_qubits} qubits, more than the "
             f"{have / 2**30:.1f} GiB of physical memory; lower dataset.feature_k "
             "(fewer qubits) or dataset.subsample (fewer train rows)"
         )
+    return spec
 
 
 # -- commands -----------------------------------------------------------------
@@ -198,8 +191,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
             },
         )
     if name == "qsvm":
-        spec = _feature_map_spec(model_cfg, train.features.shape[1])
-        _check_kernel_fits(spec, train.n_rows, test.n_rows)
+        spec = _kernel_spec(model_cfg, train, test.n_rows)
         # Train rows are embedded once, for the Gram and the cross kernel.
         train_states = qkernel.embedding_matrix(spec, train.features)
         gram = qkernel.gram_from_states(train_states)
@@ -222,8 +214,7 @@ def cmd_benchmark(args) -> int:
     if "model" not in resolved:
         raise ConfigError("benchmark needs a 'model' section in the config")
     out = Path(args.out)
-    ds = _obtain_dataset(resolved, out)
-    train, test, info = _prepare_splits(ds, resolved["dataset"])
+    train, test, info = _splits(resolved, out)
     n_feats, name = train.features.shape[1], resolved["model"]["name"]
     log.info("split: %d train and %d test rows x %d features", train.n_rows, test.n_rows, n_feats)
     log.info("training %s: %d rows x %d features", name, train.n_rows, n_feats)
@@ -261,10 +252,8 @@ def cmd_kernel(args) -> int:
     resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
     log.debug("kernel export under config %s", cfg_hash)
     out = Path(args.out)
-    ds = _obtain_dataset(resolved, out)
-    train, _, _ = _prepare_splits(ds, resolved["dataset"])
-    spec = _feature_map_spec(resolved.get("model"), train.features.shape[1])
-    _check_kernel_fits(spec, train.n_rows)
+    train, _, _ = _splits(resolved, out)
+    spec = _kernel_spec(resolved.get("model"), train)
     log.info("gram: %d rows on %d qubits, %d bytes", train.n_rows, spec.num_qubits,
              8 * train.n_rows**2)
     gram = qkernel.gram_matrix(spec, train.features)
@@ -280,8 +269,7 @@ def cmd_kernel(args) -> int:
 def cmd_hybrid(args) -> int:
     resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
     out = Path(args.out)
-    ds = _obtain_dataset(resolved, out)
-    train, test, info = _prepare_splits(ds, resolved["dataset"])
+    train, test, info = _splits(resolved, out)
     hcfg = resolved["hybrid"]
     quanv = _typed(hmod.QuanvSpec, hcfg["quanv"])
     n_feats = train.features.shape[1]
@@ -323,7 +311,7 @@ def cmd_hybrid(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = read_json(args.input)
     if not (isinstance(doc, dict) and "confusion" in doc):
         raise ValueError(f"{args.input}: not a qkml report (no 'confusion' entry)")
     cm = metrics.ConfusionMatrix(np.asarray(doc["confusion"], dtype=np.int64))

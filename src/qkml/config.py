@@ -21,12 +21,11 @@ the others from the dataclasses they build (``TreeConfig``,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, get_type_hints
 
-from .artifacts import cast_value, config_sha256
+from .artifacts import cast_value, config_sha256, read_json
 from .dataset import MINMAX_PI, STANDARDIZE
 from .feature_maps import FeatureMapSpec
 from .hybrid import QuanvSpec, TrainConfig
@@ -116,11 +115,11 @@ def load_config(path) -> dict:
         return {}
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc

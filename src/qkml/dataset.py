@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
-from .artifacts import cast_fields, cast_value
+from .artifacts import cast_fields, cast_value, read_json
 
 log = logging.getLogger("qkml.dataset")
 
@@ -77,6 +77,18 @@ def check_labels(labels) -> np.ndarray:
     return y.astype(np.int64)
 
 
+def check_xy(features, labels) -> tuple:
+    """(features as a float64 2-d array, labels through ``check_labels``),
+    refusing any shape but one label per row."""
+    x = np.asarray(features, dtype=np.float64)
+    y = check_labels(labels)
+    if x.ndim != 2:
+        raise ValueError(f"features must be 2-d, got shape {x.shape}")
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
+    return x, y
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Numeric design matrix with 0/1 labels and column names."""
@@ -86,12 +98,7 @@ class Dataset:
     feature_names: tuple
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=np.float64)
-        y = check_labels(self.labels)
-        if x.ndim != 2:
-            raise ValueError(f"features must be 2-d, got shape {x.shape}")
-        if y.shape != (x.shape[0],):
-            raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
+        x, y = check_xy(self.features, self.labels)
         if x.shape[1] != len(self.feature_names):
             raise ValueError(f"{len(self.feature_names)} names for {x.shape[1]} columns")
         object.__setattr__(self, "features", x)
@@ -213,10 +220,6 @@ class FeatureConfig:
                 raise ValueError(f"feature config names the feature {name!r} more than once")
         status = cast_value(str, doc.get("status_column", "status"), "status_column")
         return FeatureConfig(status, tuple(specs))
-
-    @staticmethod
-    def from_json(text: str) -> "FeatureConfig":
-        return FeatureConfig.from_dict(json.loads(text))
 
 
 def default_feature_config() -> FeatureConfig:
@@ -556,5 +559,5 @@ def load_dataset(directory) -> Dataset:
         raise ValueError(f"no cached dataset under {directory} (run the ingest command first)")
     features = np.load(feat_path)
     labels = np.load(directory / "labels.npy")
-    names = tuple(json.loads((directory / "feature_names.json").read_text()))
+    names = tuple(read_json(directory / "feature_names.json"))
     return Dataset(features, labels, names)

@@ -109,21 +109,17 @@ def _rates_for_class(cm: ConfusionMatrix, label: int) -> ClassMetrics:
     fn = int(c[label, 1 - label])
     support = tp + fn
     undefined = []
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision = 0.0
-        undefined.append("precision")
-    if support > 0:
-        recall = tp / support
-    else:
-        recall = 0.0
-        undefined.append("recall")
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        undefined.append("f1")
+
+    def rate(name, num, den):
+        """num / den, or 0.0 with ``name`` flagged undefined."""
+        if den > 0:
+            return num / den
+        undefined.append(name)
+        return 0.0
+
+    precision = rate("precision", tp, tp + fp)
+    recall = rate("recall", tp, support)
+    f1 = rate("f1", 2.0 * precision * recall, precision + recall)
     return ClassMetrics(precision, recall, f1, support, tuple(undefined))
 
 

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import accel
-from .artifacts import write_bytes_atomic, write_text_atomic
+from .artifacts import read_json, write_bytes_atomic, write_text_atomic
 from .feature_maps import FeatureMapSpec, check_rows, embed, embed_rows
 
 CLAMP_TOL = 1e-9
@@ -230,7 +230,7 @@ def verify_gram(path) -> dict:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise ValueError(f"{path}: missing sidecar {sidecar.name}")
-    meta = json.loads(sidecar.read_text())
+    meta = read_json(sidecar)
     fm = meta.get("feature_map") if isinstance(meta, dict) else None
     if not (isinstance(fm, dict) and isinstance(fm.get("kind"), str)
             and {"file_sha256", "n"} <= meta.keys()):

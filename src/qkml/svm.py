@@ -21,7 +21,7 @@ import numpy as np
 
 from . import accel
 from .artifacts import cast_fields, from_document, require_fields, to_document
-from .dataset import check_labels
+from .dataset import check_xy
 from .qkernel import GramMatrix, matrix_sha256
 
 PRECOMPUTED = "precomputed"
@@ -112,6 +112,15 @@ def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
+def _feature_kernel(config: SvmConfig, a, b) -> np.ndarray:
+    """The linear or rbf kernel of ``config``, rows of a against rows of b."""
+    if config.kernel == LINEAR:
+        return linear_kernel(a, b)
+    if config.kernel == RBF:
+        return rbf_kernel(a, b, config.gamma)
+    raise ValueError("train_svm_features needs a linear or rbf kernel config")
+
+
 def _as_kernel_matrix(gram: Union[GramMatrix, np.ndarray]) -> np.ndarray:
     if isinstance(gram, GramMatrix):
         return np.asarray(gram.entries, dtype=np.float64)
@@ -121,10 +130,7 @@ def _as_kernel_matrix(gram: Union[GramMatrix, np.ndarray]) -> np.ndarray:
     return m
 
 
-def _check_labels(labels: Sequence, n: int) -> np.ndarray:
-    y = check_labels(labels)
-    if y.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {y.shape}")
+def _both_classes(y: np.ndarray) -> np.ndarray:
     if np.unique(y).shape[0] < 2:
         raise ValueError("training needs both classes present")
     return y
@@ -150,7 +156,7 @@ def train_svm(
     """
     kmat = np.ascontiguousarray(_as_kernel_matrix(gram))
     n = kmat.shape[0]
-    y01 = _check_labels(labels, n)
+    y01 = _both_classes(check_xy(kmat, labels)[1])
     if config.kernel != PRECOMPUTED:
         raise ValueError(
             f"train_svm takes a precomputed matrix; config says {config.kernel!r}"
@@ -176,20 +182,11 @@ def train_svm_features(
 ) -> SvmModel:
     """Train a linear/rbf model straight from feature rows; ``seed`` has
     no effect, as in ``train_svm``."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected 2-d feature matrix, got shape {x.shape}")
-    y01 = _check_labels(labels, x.shape[0])
-    if config.kernel == LINEAR:
-        kmat = linear_kernel(x, x)
-    elif config.kernel == RBF:
-        gamma = config.gamma if config.gamma is not None else 1.0 / x.shape[1]
-        kmat = rbf_kernel(x, x, gamma)
-        config = replace(config, gamma=gamma)
-    else:
-        raise ValueError(
-            "train_svm_features needs a linear or rbf kernel config"
-        )
+    x, y01 = check_xy(features, labels)
+    _both_classes(y01)
+    if config.kernel == RBF and config.gamma is None:
+        config = replace(config, gamma=1.0 / x.shape[1])
+    kmat = _feature_kernel(config, x, x)
     return _fit(np.ascontiguousarray(kmat), y01, config, train_features=x)
 
 
@@ -251,12 +248,7 @@ def predict_features(model: SvmModel, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             "model has no stored training features; pass kernel rows instead"
         )
-    x = np.asarray(features, dtype=np.float64)
-    if model.config.kernel == LINEAR:
-        rows = linear_kernel(x, model.train_features)
-    else:
-        rows = rbf_kernel(x, model.train_features, model.config.gamma)
-    return predict(model, rows)
+    return predict(model, _feature_kernel(model.config, features, model.train_features))
 
 
 def dual_objective(

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .artifacts import cast_fields, from_document, require_fields, to_document
-from .dataset import check_labels
+from .dataset import check_xy
 
 
 def gini_impurity(class_counts) -> float:
@@ -133,14 +133,7 @@ def _table_model(table, tree_config, forest_config) -> ForestModel:
 
 
 def _check_xy(features, labels):
-    x = np.asarray(features, dtype=np.float64)
-    y = check_labels(labels)
-    if x.ndim != 2:
-        raise ValueError(f"expected 2-d feature matrix, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(
-            f"labels shape {y.shape} does not match {x.shape[0]} rows"
-        )
+    x, y = check_xy(features, labels)
     if x.shape[0] == 0:
         raise ValueError("no training rows")
     if not np.all(np.isfinite(x)):

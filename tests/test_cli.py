@@ -1,5 +1,6 @@
 """End-to-end command-line runs (in-process)."""
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -225,10 +226,14 @@ def test_dt_benchmark_reports_the_trees_depth_and_confusion(tmp_path, source):
         cfg = _write_config(tmp_path, {"model": {"name": "dt", "max_depth": 4}})
         synthetic = "moons"
     argv = ["benchmark", "--config", cfg, "--out", str(out)]
-    assert main(argv + (["--synthetic", synthetic] if synthetic else [])) == 0
+    # Seven of the fixture's 17 columns are constant on its train rows.
+    warns = (pytest.warns(RuntimeWarning, match="dropping constant feature column")
+             if source == "csv" else contextlib.nullcontext())
+    with warns:
+        assert main(argv + (["--synthetic", synthetic] if synthetic else [])) == 0
+        resolved = resolve_config(config.load_config(cfg), None, synthetic)[0]
+        train, test, _ = cli._splits(resolved, out)
     doc = json.loads((out / "report.json").read_text())
-    resolved = resolve_config(config.load_config(cfg), None, synthetic)[0]
-    train, test, _ = cli._prepare_splits(cli._obtain_dataset(resolved, out), resolved["dataset"])
     tree = trees.train_tree(train.features, train.labels,
                             cli._typed(trees.TreeConfig, resolved["model"]))
     assert doc["model_info"] == {"depth": trees.tree_depth(tree)}
@@ -239,7 +244,7 @@ def test_dt_benchmark_reports_the_trees_depth_and_confusion(tmp_path, source):
 def test_dt_benchmark_reads_the_depth_from_the_node_table(tmp_path, monkeypatch):
     cfg = _moons_dt_config(tmp_path)
     resolved = resolve_config(config.load_config(cfg), None, None)[0]
-    train, _, _ = cli._prepare_splits(cli._obtain_dataset(resolved, tmp_path), resolved["dataset"])
+    train, _, _ = cli._splits(resolved, tmp_path)
     want = trees.tree_depth(trees.train_tree(train.features, train.labels))
 
     def refuse(*args):
@@ -526,6 +531,29 @@ def test_report_exits_two_on_a_document_that_is_not_a_report(tmp_path, capsys, t
     assert main(["report", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: not a qkml report (no 'confusion' entry)\n"
+
+
+@pytest.mark.parametrize("case,data", [
+    ("sidecar", b"{not json"), ("report", b"{not json"), ("feature_config", b"{oops"),
+    ("report", b"\xff{}"), ("config", b"\xff{}"),
+], ids=["sidecar", "report", "feature-config", "report-not-utf8", "config-not-utf8"])
+def test_an_input_that_is_not_utf8_json_is_named_in_one_error_line(tmp_path, capsys, case, data):
+    gram = tmp_path / "g.qkgm"
+    gram.write_bytes(b"QKGM")
+    bad = tmp_path / ("g.qkgm.meta" if case == "sidecar" else f"{case}.json")
+    bad.write_bytes(data)
+    out = str(tmp_path / "out")
+    fc_cfg = {"dataset": {"csv": str(FIXTURE_CSV), "feature_config": str(bad)}}
+    argv = {
+        "sidecar": ["kernel", "--verify", str(gram)],
+        "report": ["report", "--input", str(bad)],
+        "feature_config": ["ingest", "--config", _write_config(tmp_path, fc_cfg), "--out", out],
+        "config": ["ingest", "--config", str(bad), "--out", out],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert f"{bad}: invalid JSON (" in err
 
 
 # -- argument and config validation ---------------------------------------------

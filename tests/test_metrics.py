@@ -161,6 +161,16 @@ def test_zero_denominator_rates_flagged():
     assert rep.classes[0].undefined == ()
 
 
+@pytest.mark.parametrize("true,pred,undefined", [
+    ((0, 0, 1), (0, 0, 0), ("precision", "f1")),  # class 1 never predicted
+    ((0, 0, 0), (0, 1, 0), ("recall", "f1")),  # class 1 predicted but absent
+], ids=["never-predicted", "absent"])
+def test_each_undefined_rate_is_flagged_in_report_order(true, pred, undefined):
+    m1 = classification_report(true, pred).classes[1]
+    assert m1.undefined == undefined
+    assert m1.precision == m1.recall == m1.f1 == 0.0
+
+
 # -- display rounding --------------------------------------------------------
 
 

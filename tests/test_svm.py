@@ -1,15 +1,17 @@
 """SMO training: analytic cases, feasibility, oracles, serialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkml import accel, qkernel, svm
+from qkml import accel, qkernel, svm, synth
 from qkml.feature_maps import ZZ, FeatureMapSpec
 
 import helpers
 
+DATA = Path(__file__).parent / "data"
 XOR_X = np.array([[0.0, 0.0], [0.0, np.pi], [np.pi, 0.0], [np.pi, np.pi]])
 XOR_Y = np.array([0, 1, 1, 0])
 
@@ -358,6 +360,36 @@ def test_model_text_config_keys_and_missing_key():
     # Documents from before class weights existed still load, unweighted.
     del doc["config"]["class_weight"]
     assert svm.model_from_text(json.dumps(doc)).config.class_weight is None
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"extra": 1}, r"has unknown key\(s\) \['extra'\]"),
+    ([1], "must be an object"),
+], ids=["unknown-key", "list"])
+def test_model_text_refuses_an_unknown_key_or_a_config_that_is_not_an_object(config, message):
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    doc = json.loads(svm.model_to_text(
+        svm.train_svm_features(x, [0, 1, 0, 1], svm.SvmConfig(kernel=svm.LINEAR))))
+    doc["config"] = {**doc["config"], **config} if isinstance(config, dict) else config
+    with pytest.raises(ValueError, match=f"SvmConfig document {message}"):
+        svm.model_from_text(json.dumps(doc))
+
+
+def test_indented_version_1_text_loads_and_rewrites_as_one_line():
+    # Written indented by the release before every document went compact.
+    text = (DATA / "svm_v1.json").read_text()
+    assert "\n  " in text and json.loads(text)["version"] == 1
+    d = synth.make_synthetic("moons", 10, noise=0.2, seed=3)
+    cfg = svm.SvmConfig(c=2.0, kernel=svm.RBF, class_weight=(1.0, 2.0))
+    model = svm.train_svm_features(d.features, d.labels, cfg)
+    old = svm.model_from_text(text)
+    assert old.config == model.config and old.bias == model.bias
+    assert old.kernel_sha256 == model.kernel_sha256
+    for name in ("alphas", "signed_labels", "support_indices", "train_features"):
+        np.testing.assert_array_equal(getattr(old, name), getattr(model, name))
+    rewritten = svm.model_to_text(old)
+    assert "\n" not in rewritten and rewritten == svm.model_to_text(model)
+    assert json.loads(rewritten) == json.loads(text)
 
 
 def test_model_from_text_rejects_other_documents():

@@ -920,6 +920,18 @@ def test_forest_text_requires_every_config_key():
                 forest_from_text(json.dumps(partial))
 
 
+@pytest.mark.parametrize("section", ["tree_config", "forest_config"])
+def test_forest_text_refuses_an_unknown_key_or_a_section_that_is_not_an_object(section):
+    forest = train_forest([[0.0], [1.0]], [0, 1], TreeConfig(), ForestConfig(n_trees=1))
+    doc = json.loads(forest_to_text(forest))
+    cls = "TreeConfig" if section == "tree_config" else "ForestConfig"
+    extra = dict(doc, **{section: {**doc[section], "extra": 1}})
+    with pytest.raises(ValueError, match=rf"{cls} document has unknown key\(s\) \['extra'\]"):
+        forest_from_text(json.dumps(extra))
+    with pytest.raises(ValueError, match=rf"{cls} document must be an object, got \[1\]"):
+        forest_from_text(json.dumps(dict(doc, **{section: [1]})))
+
+
 def test_serialization_rejects_foreign_documents():
     with pytest.raises(ValueError, match="qkml-tree"):
         tree_from_text('{"format": "other", "version": 1, "root": {}}')
