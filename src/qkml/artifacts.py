@@ -8,6 +8,7 @@ and reruns with identical inputs produce byte-identical outputs
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import numbers
@@ -110,11 +111,18 @@ def cast_value(kind, value, name: str):
     raise ValueError(f"{name} must be {_WANT[kind]}{' or null' * nullable}, got {value!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def field_kinds(cls) -> dict:
+    """The resolved type hints of the class ``cls``, resolved once per
+    class; callers must not change the dict."""
+    return get_type_hints(cls)
+
+
 def cast_fields(obj, **minimum) -> None:
     """Cast every field of the frozen dataclass instance ``obj`` to its
     annotated kind with ``cast_value``, then refuse a field named in
     ``minimum`` whose value is below it (None passes)."""
-    for name, kind in get_type_hints(type(obj)).items():
+    for name, kind in field_kinds(type(obj)).items():
         object.__setattr__(obj, name, cast_value(kind, getattr(obj, name), name))
     for name, low in minimum.items():
         value = getattr(obj, name)

@@ -25,6 +25,7 @@ scriptable.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
+from . import __version__, accel, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
 from .artifacts import read_json, write_json_atomic, write_text_atomic
 from .config import _FEATURE_MAP, ConfigError, load_config, resolve_config
 from .feature_maps import FeatureMapSpec
@@ -166,6 +167,15 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _to_front(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move ``rows[keep]`` (ascending indices) to the front of ``rows`` in
+    place and return that prefix.  Blocks go in ascending order, so each
+    gathers rows at or after its own before any is overwritten."""
+    for block in accel.row_blocks(len(keep), rows.shape[1]):
+        rows[block] = rows[keep[block]]
+    return rows[: len(keep)]
+
+
 def _train_and_predict(model_cfg: dict, train, test, seed: int):
     """Returns (test predictions, train predictions, model info dict)."""
     name = model_cfg["name"]
@@ -197,9 +207,13 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         gram = qkernel.gram_from_states(train_states)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
-        cross = qkernel.cross_from_rows(spec, test.features, train_states)
+        # Test rows are compared only with the train rows whose alpha != 0,
+        # if there are any.
+        support = _to_front(train_states, np.flatnonzero(model.alphas))
+        cross = (qkernel.cross_from_rows(spec, test.features, support) if len(support)
+                 else np.empty((test.n_rows, 0)))
         return (
-            svmmod.predict(model, cross),
+            svmmod.predict(svmmod.support_model(model), cross),
             svmmod.predict(model, gram.entries),
             {
                 "support_vectors": int(model.support_indices.shape[0]),
@@ -337,7 +351,12 @@ def _add_common(sub):
     )
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  A parser's actions
+    and groups refer back to it, so one built per ``main`` call leaves its
+    cycles (~30 KB a command) to the cycle collector, and how long they
+    wait for it moves the process's peak memory."""
     parser = argparse.ArgumentParser(
         prog="qkml",
         description="quantum-kernel ML pipeline (simulator, kernels, baselines)",

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, get_type_hints
+from typing import Optional
 
-from .artifacts import cast_value, config_sha256, read_json
+from .artifacts import cast_value, config_sha256, field_kinds, read_json
 from .dataset import MINMAX_PI, STANDARDIZE
 from .feature_maps import FeatureMapSpec
 from .hybrid import QuanvSpec, TrainConfig
@@ -65,7 +65,7 @@ def _section(*classes, skip=(), **overrides) -> tuple:
     """(defaults, kinds) from the fields of config dataclasses, less those in
     `skip`, with `overrides` in place; a key that names no field has no kind."""
     defaults = {f.name: f.default for c in classes for f in fields(c) if f.name not in skip}
-    kinds = {k: v for c in classes for k, v in get_type_hints(c).items() if k not in skip}
+    kinds = {k: v for c in classes for k, v in field_kinds(c).items() if k not in skip}
     return {**defaults, **overrides}, kinds
 
 

@@ -26,7 +26,6 @@ Company outcome labels: status ``acquired``/``ipo`` map to class 1
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import re
@@ -35,11 +34,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, get_type_hints
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .artifacts import cast_fields, cast_value, read_json
+from .artifacts import cast_fields, cast_value, field_kinds, read_json
 
 log = logging.getLogger("qkml.dataset")
 
@@ -194,7 +193,7 @@ class FeatureConfig:
         unknown = set(doc) - {"status_column", "features"}
         if unknown:
             raise ValueError(f"unknown key(s) in the feature config: {sorted(unknown)}")
-        items, kinds, specs = doc.get("features", []), get_type_hints(FeatureSpec), []
+        items, kinds, specs = doc.get("features", []), field_kinds(FeatureSpec), []
         if not isinstance(items, list):
             raise ValueError(f"features must be a list, got {items!r}")
         for i, item in enumerate(items):
@@ -538,7 +537,7 @@ def save_dataset(directory, ds: Dataset) -> None:
     byte-deterministic for identical inputs, written atomically)."""
     from io import BytesIO
 
-    from .artifacts import write_bytes_atomic, write_text_atomic
+    from .artifacts import canonical_json, write_bytes_atomic, write_text_atomic
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -546,18 +545,39 @@ def save_dataset(directory, ds: Dataset) -> None:
         buf = BytesIO()
         np.save(buf, arr)
         write_bytes_atomic(directory / name, buf.getvalue())
-    write_text_atomic(
-        directory / "feature_names.json",
-        json.dumps(list(ds.feature_names), indent=2) + "\n",
-    )
+    write_text_atomic(directory / "feature_names.json", canonical_json(list(ds.feature_names)))
+
+
+def _read_npy(path: Path) -> np.ndarray:
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: unreadable .npy file ({exc})") from None
+    if not isinstance(arr, np.ndarray):  # an .npz archive
+        raise ValueError(f"{path}: not a single .npy array")
+    return arr
 
 
 def load_dataset(directory) -> Dataset:
+    """The dataset that ``save_dataset`` wrote under ``directory``.  A cache
+    it cannot have written raises one ValueError naming the file: an
+    unreadable ``.npy``, features that are not a real, finite 2-d matrix,
+    or labels or names that are not one 0/1 label per row and one string
+    per column."""
     directory = Path(directory)
     feat_path = directory / "features.npy"
     if not feat_path.exists():
         raise ValueError(f"no cached dataset under {directory} (run the ingest command first)")
-    features = np.load(feat_path)
-    labels = np.load(directory / "labels.npy")
-    names = tuple(read_json(directory / "feature_names.json"))
-    return Dataset(features, labels, names)
+    x = _read_npy(feat_path)
+    if x.dtype.kind not in "biuf" or x.ndim != 2 or not np.isfinite(x).all():
+        raise ValueError(f"{feat_path}: not a 2-d matrix of real, finite numbers")
+    label_path = directory / "labels.npy"
+    y = _read_npy(label_path)
+    if y.dtype.kind not in "biuf" or y.shape != (len(x),) or not np.isin(y, (0, 1)).all():
+        raise ValueError(f"{label_path}: not one 0/1 label per row of {feat_path.name}")
+    names_path = directory / "feature_names.json"
+    names = read_json(names_path)
+    if not (isinstance(names, list) and len(names) == x.shape[1]
+            and all(isinstance(n, str) for n in names)):
+        raise ValueError(f"{names_path}: not one string per column of {feat_path.name}")
+    return Dataset(x, y, tuple(names))

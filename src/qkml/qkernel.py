@@ -21,7 +21,6 @@ read, hashed, then the header check ``load_gram`` runs too.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import accel
-from .artifacts import read_json, write_bytes_atomic, write_text_atomic
+from .artifacts import canonical_json, read_json, write_bytes_atomic, write_text_atomic
 from .feature_maps import FeatureMapSpec, check_rows, embed, embed_rows
 
 CLAMP_TOL = 1e-9
@@ -189,7 +188,7 @@ def save_gram(
         "file_sha256": hashlib.sha256(blob).hexdigest(),
     }
     sidecar = _sidecar_path(path)
-    write_text_atomic(sidecar, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(sidecar, canonical_json(meta))
     return sidecar
 
 

@@ -8,7 +8,11 @@ k_i against the training set is
 
     sum_i alpha_i * y_i * k_i + bias
 
-and ties at exactly 0 resolve to class 1.
+and ties at exactly 0 resolve to class 1.  Only the rows with
+alpha_i != 0 add to that sum, so prediction reads only those:
+``support_model`` keeps them, ``predict_features`` evaluates linear and
+rbf kernels against them alone, and a quantum-kernel caller compares
+test rows only with those train rows.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ class SvmModel:
     decision sum; ``kernel_sha256`` fingerprints the training kernel so a
     deserialized model can be matched to its cached matrix.
     ``train_features`` is retained only for linear/rbf models, which must
-    evaluate their own kernel rows at prediction time.
+    evaluate their own kernel rows at prediction time.  ``support_indices``
+    are the rows whose alpha exceeds SUPPORT_EPS.
     """
 
     config: SvmConfig
@@ -237,6 +242,24 @@ def decision_function(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
     return k @ coef + model.bias
 
 
+def support_model(model: SvmModel) -> SvmModel:
+    """``model`` restricted to its train rows with alpha != 0 (exactly, not
+    SUPPORT_EPS), ``np.flatnonzero(model.alphas)`` in ascending order.
+    ``predict`` and ``decision_function`` take its kernel rows, against
+    those train rows only, and give the same decisions up to the rounding
+    of the shorter sum; with every alpha 0, the bias alone decides."""
+    keep = np.flatnonzero(model.alphas)
+    alphas = model.alphas[keep]
+    feats = model.train_features
+    return replace(
+        model,
+        alphas=alphas,
+        signed_labels=model.signed_labels[keep],
+        support_indices=np.flatnonzero(alphas > SUPPORT_EPS),
+        train_features=None if feats is None else feats[keep],
+    )
+
+
 def predict(model: SvmModel, kernel_rows: np.ndarray) -> np.ndarray:
     """Class labels from kernel rows; decision >= 0 maps to class 1."""
     return (decision_function(model, kernel_rows) >= 0.0).astype(np.int64)
@@ -248,7 +271,8 @@ def predict_features(model: SvmModel, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             "model has no stored training features; pass kernel rows instead"
         )
-    return predict(model, _feature_kernel(model.config, features, model.train_features))
+    support = support_model(model)
+    return predict(support, _feature_kernel(support.config, features, support.train_features))
 
 
 def dual_objective(

@@ -1,7 +1,9 @@
 """End-to-end command-line runs (in-process)."""
 
 import contextlib
+import gc
 import hashlib
+import io
 import json
 import logging
 import os
@@ -9,13 +11,14 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qkml import __version__, cli, config, metrics, qkernel, trees
+from qkml import __version__, accel, cli, config, metrics, qkernel, svm, trees
 from qkml.cli import main
 from qkml.config import ConfigError, resolve_config
 from qkml.dataset import Dataset
@@ -179,6 +182,40 @@ def test_benchmark_csv_source_requires_ingest(tmp_path, capsys):
     )
     assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "ingest" in capsys.readouterr().err
+
+
+def _npy(arr) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name,mutate", [
+    ("features.npy", lambda x, y, names: b""),
+    ("features.npy", lambda x, y, names: _npy(x)[:-8]),
+    ("features.npy", lambda x, y, names: _npy(x + 1j)),
+    ("features.npy", lambda x, y, names: _npy(np.full_like(x, np.nan))),
+    ("features.npy", lambda x, y, names: _npy(x[:, 0])),
+    ("labels.npy", lambda x, y, names: b""),
+    ("labels.npy", lambda x, y, names: _npy(y[:-1])),
+    ("labels.npy", lambda x, y, names: _npy(y + 2)),
+    ("feature_names.json", lambda x, y, names: json.dumps(names[:-1]).encode()),
+    ("feature_names.json", lambda x, y, names: b"5"),
+], ids=["empty", "truncated", "complex", "nan", "1-d", "empty-labels", "short-labels",
+        "labels-2-3", "short-names", "names-not-a-list"])
+def test_a_dataset_cache_ingest_cannot_write_is_named_in_one_error_line(
+        tmp_path, capsys, name, mutate):
+    cfg = _write_config(tmp_path, {"dataset": {"csv": str(FIXTURE_CSV)}, "model": {"name": "dt"}})
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", cfg, "--out", str(out)]) == 0
+    cache = out / "dataset"
+    x, y = np.load(cache / "features.npy"), np.load(cache / "labels.npy")
+    (cache / name).write_bytes(mutate(x, y, json.loads((cache / "feature_names.json").read_text())))
+    capsys.readouterr()
+    assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache / name}: ") and err.count("\n") == 1
+    assert not (out / "report.json").exists()
 
 
 def test_benchmark_needs_model_section(tmp_path, capsys):
@@ -741,6 +778,19 @@ def test_integral_floats_and_numeric_strings_run_as_ints(tmp_path, command, as_i
         assert ints == written
 
 
+def test_a_command_leaves_almost_no_cycles_for_the_collector(tmp_path):
+    argv = ["benchmark", "--config", _moons_dt_config(tmp_path), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        # The json encoder's closures remain; a parser per call left ~300 objects.
+        assert gc.collect() < 100
+    finally:
+        gc.enable()
+
+
 def test_commands_need_a_source():
     for command in ("ingest", "benchmark", "hybrid", "kernel"):
         with pytest.raises(SystemExit) as exc:
@@ -786,6 +836,61 @@ def test_benchmark_qsvm_embeds_each_row_once(tmp_path, monkeypatch):
     assert main(["benchmark", "--config", _qsvm_zz_config(tmp_path), "--out", str(out)]) == 0
     split = json.loads((out / "report.json").read_text())["split"]
     assert sum(embedded) == split["train_rows"] + split["test_rows"]
+
+
+def test_qsvm_benchmark_reports_the_predictions_of_the_full_cross_kernel(tmp_path):
+    cfg = _qsvm_zz_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+    resolved, _ = resolve_config(config.load_config(cfg), None, None)
+    train, test, _ = cli._splits(resolved, out)
+    spec = cli._kernel_spec(resolved["model"], train)
+    gram = qkernel.gram_matrix(spec, train.features)
+    model = svm.train_svm(gram, train.labels, cli._typed(svm.SvmConfig, resolved["model"],
+                                                         kernel=svm.PRECOMPUTED))
+    # Some train rows have alpha = 0, so the benchmark compares fewer.
+    assert 0 < np.count_nonzero(model.alphas) < train.n_rows
+    preds = svm.predict(model, qkernel.cross_kernel(spec, test.features, train.features))
+    cm = metrics.confusion_matrix(test.labels, preds)
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["confusion"] == cm.counts.tolist()
+    assert doc["report"] == metrics.report_to_dict(metrics.report_from_confusion(cm))
+    assert doc["train_accuracy"] == metrics.accuracy(train.labels, svm.predict(model, gram.entries))
+
+
+def test_qsvm_benchmark_without_support_rows_predicts_from_the_bias(tmp_path):
+    # A tolerance above the initial KKT gap of 2 leaves every alpha 0 and the
+    # bias 0, so every row goes to class 1 and no test row is compared.
+    cfg = _write_config(tmp_path, {
+        "dataset": {"synthetic": {"name": "moons", "n": 60}, "seed": 4},
+        "model": {"name": "qsvm", "tolerance": 3.0, "feature_map": {"kind": "zz"}}})
+    out = tmp_path / "out"
+    assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["model_info"]["support_vectors"] == 0
+    assert [row[0] for row in doc["confusion"]] == [0, 0]
+
+
+@pytest.mark.parametrize("n,width,keep", [
+    (700, 256, "random"), (700, 256, "all"), (700, 256, "none"), (700, 256, "last"),
+    (5, 4, "random"), (1, 2, "all")])
+def test_support_rows_move_to_the_front_in_place_a_block_at_a_time(n, width, keep):
+    rng = np.random.default_rng(n + width)
+    rows = rng.normal(size=(n, width)) + 1j * rng.normal(size=(n, width))
+    original = rows.copy()
+    index = {"random": np.flatnonzero(rng.random(n) < 0.7), "all": np.arange(n),
+             "none": np.arange(0), "last": np.arange(n - 3, n)}[keep]
+    tracemalloc.start()
+    try:
+        front = cli._to_front(rows, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert front.base is rows and front.shape == (len(index), width)
+    for i, j in enumerate(index):
+        assert front[i].tobytes() == original[j].tobytes()
+    # One block of gathered rows, never a copy of every support row.
+    assert peak <= 16 * accel._BLOCK + 4096
 
 
 def _no_embedding(monkeypatch):

@@ -37,6 +37,20 @@ def test_kernel_entry_rejects_dim_mismatch():
         qkernel.kernel_entry(spec, [0.0], [0.0, 1.0])
 
 
+def test_gram_matrix_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="square"):
+        qkernel.GramMatrix(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        qkernel.GramMatrix(np.zeros(4))
+
+
+def test_cross_from_states_refuses_different_register_widths():
+    a = qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 1), np.array([[0.3]]))
+    b = qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 2), np.array([[0.3, 0.4]]))
+    with pytest.raises(ValueError, match="register widths"):
+        qkernel.cross_from_states(a, b)
+
+
 def test_gram_single_row():
     gram = qkernel.gram_matrix(FeatureMapSpec(ANGLE_Y, 1), np.array([[0.7]]))
     np.testing.assert_array_equal(gram.entries, [[1.0]])

@@ -130,6 +130,57 @@ def test_predict_sign_rule_and_tie():
     )
 
 
+def _moons_with_zero_alphas(kernel):
+    """A moons model of ``kernel`` whose alphas are partly exactly 0, its
+    test rows and its full test-by-train kernel rows."""
+    ds = synth.make_synthetic("moons", 120, noise=0.2, seed=3)
+    x, y, x_test = ds.features[:90], ds.labels[:90], ds.features[90:]
+    if kernel == svm.PRECOMPUTED:
+        model = svm.train_svm(svm.rbf_kernel(x, x, 0.5), y, svm.SvmConfig(c=2.0))
+        full = svm.rbf_kernel(x_test, x, 0.5)
+    else:
+        model = svm.train_svm_features(x, y, svm.SvmConfig(c=2.0, kernel=kernel))
+        full = svm._feature_kernel(model.config, x_test, x)
+    keep = np.flatnonzero(model.alphas)
+    assert 0 < len(keep) < len(x)
+    return model, keep, x_test, full
+
+
+@pytest.mark.parametrize("kernel", [svm.PRECOMPUTED, svm.LINEAR, svm.RBF])
+def test_support_model_predicts_as_the_full_model(kernel):
+    model, keep, x_test, full = _moons_with_zero_alphas(kernel)
+    support = svm.support_model(model)
+    np.testing.assert_array_equal(support.alphas, model.alphas[keep])
+    np.testing.assert_array_equal(support.signed_labels, model.signed_labels[keep])
+    assert support.bias == model.bias
+    assert support.support_indices.tolist() == np.flatnonzero(
+        model.alphas[keep] > svm.SUPPORT_EPS).tolist()
+    if kernel == svm.PRECOMPUTED:
+        rows = full[:, keep]
+    else:
+        np.testing.assert_array_equal(support.train_features, model.train_features[keep])
+        rows = svm._feature_kernel(model.config, x_test, support.train_features)
+        np.testing.assert_array_equal(svm.predict_features(model, x_test), svm.predict(model, full))
+    np.testing.assert_array_equal(svm.predict(support, rows), svm.predict(model, full))
+    np.testing.assert_allclose(svm.decision_function(support, rows),
+                               svm.decision_function(model, full), rtol=0, atol=1e-12)
+
+
+def test_a_model_without_nonzero_alphas_predicts_from_its_bias():
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]])
+    # A tolerance above the initial KKT gap of 2 stops SMO before any step.
+    model = svm.train_svm_features(x, [0, 1, 1], svm.SvmConfig(kernel=svm.LINEAR, tolerance=3.0))
+    assert not model.alphas.any()
+    support = svm.support_model(model)
+    assert support.alphas.shape == support.train_features.shape[:1] == (0,)
+    np.testing.assert_array_equal(svm.predict_features(model, x), [1, 1, 1])
+    biased = svm.support_model(svm.SvmModel(
+        config=svm.SvmConfig(), alphas=np.zeros(3), bias=-0.25,
+        signed_labels=np.array([1, -1, 1]), support_indices=np.array([], dtype=np.int64)))
+    np.testing.assert_array_equal(svm.decision_function(biased, np.empty((2, 0))), [-0.25, -0.25])
+    np.testing.assert_array_equal(svm.predict(biased, np.empty((2, 0))), [0, 0])
+
+
 def test_predict_empty_test_set():
     model, _ = _two_point_model()
     out = svm.predict(model, np.empty((0, 2)))
