@@ -25,10 +25,7 @@ def active_backend() -> str:
 # order (scalar first) whatever the row count, so each row comes out bit
 # for bit equal to running that row on its own.  A diagonal phase skips
 # the zero off-diagonal terms of the dense 2x2 form, so an amplitude that
-# is exactly zero can differ from that form in its sign.  The parity
-# phase is one broadcast product, phase first, over the whole block; each
-# amplitude gets the single product that the per-view loop in
-# tests/helpers.py gives it, one view per bit pattern.
+# is exactly zero can differ from that form in its sign.
 # ---------------------------------------------------------------------------
 
 
@@ -79,19 +76,6 @@ def apply_cz_rows(states, control, target):
 
 # Parity of each bit pattern of a qubit pair.
 PARITY = np.array([[0, 1], [1, 0]])
-
-
-def apply_parity_phase_rows(states, qubits, phases):
-    """Multiply each amplitude by phases[:, p], p the parity of its bits
-    at the pair `qubits` = (i, j); phases is (rows, 2).  This is
-    CNOT(i, j) RZ_j CNOT(i, j), whose CNOTs only permute.  The block is
-    viewed with one axis per phase qubit and one per run of the other
-    bits and multiplied once by a per-row table of phases by parity."""
-    rows, dim = states.shape
-    lo, hi = sorted(qubits)
-    n = dim.bit_length() - 1
-    view = states.reshape(rows, 1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    view[...] = phases[:, PARITY].reshape(-1, 1, 2, 1, 2, 1) * view
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,7 @@ Subcommands:
 * ``report``    -- re-render a stored machine-readable report.
 
 All artifacts are written atomically and deterministically: rerunning a
-command with the same config, seed and inputs reproduces every byte
-(the hybrid manifest's wall_time field is the one documented exception).
+command with the same config, seed and inputs reproduces every byte.
 ``--threads`` is accepted for compatibility and has no effect.
 Config values arrive cast by ``config.resolve_config``; a value it
 refuses exits 2 with a one-line ``error:`` that names the key, and so
@@ -207,11 +206,9 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         gram = qkernel.gram_from_states(train_states)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
-        # Test rows are compared only with the train rows whose alpha != 0,
-        # if there are any.
+        # Test rows are compared only with the train rows whose alpha != 0.
         support = _to_front(train_states, np.flatnonzero(model.alphas))
-        cross = (qkernel.cross_from_rows(spec, test.features, support) if len(support)
-                 else np.empty((test.n_rows, 0)))
+        cross = qkernel.cross_from_rows(spec, test.features, support)
         return (
             svmmod.predict(svmmod.support_model(model), cross),
             svmmod.predict(model, gram.entries),
@@ -314,13 +311,12 @@ def cmd_hybrid(args) -> int:
                    for key in ("train_loss", "train_acc", "val_loss", "val_acc")}
             for name, arm in sorted(arms.items())
         },
-        # Wall time varies run to run; every other field is deterministic.
-        "wall_time_s": wall,
     }
     write_json_atomic(out / "hybrid_manifest.json", manifest)
     for name in sorted(arms):
         h = arms[name]["history"]
         print(f"hybrid[{name}]: train_acc={h.train_acc[-1]:.3f} val_acc={h.val_acc[-1]:.3f}")
+    print(f"hybrid: quanv and training took {wall:.3f} s")
     return 0
 
 
@@ -328,7 +324,11 @@ def cmd_report(args) -> int:
     doc = read_json(args.input)
     if not (isinstance(doc, dict) and "confusion" in doc):
         raise ValueError(f"{args.input}: not a qkml report (no 'confusion' entry)")
-    cm = metrics.ConfusionMatrix(np.asarray(doc["confusion"], dtype=np.int64))
+    rows = doc["confusion"]
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and all(type(v) is int for v in r) for r in rows)):
+        raise ValueError(f"{args.input}: 'confusion' is not a matrix of integer counts")
+    cm = metrics.ConfusionMatrix(np.asarray(rows, dtype=np.int64))
     print(metrics.render_report(metrics.report_from_confusion(cm)), end="")
     return 0
 

@@ -29,6 +29,7 @@ import csv
 import logging
 import math
 import re
+import tokenize
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -551,7 +552,7 @@ def save_dataset(directory, ds: Dataset) -> None:
 def _read_npy(path: Path) -> np.ndarray:
     try:
         arr = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
+    except (OSError, ValueError, EOFError, tokenize.TokenError) as exc:
         raise ValueError(f"{path}: unreadable .npy file ({exc})") from None
     if not isinstance(arr, np.ndarray):  # an .npz archive
         raise ValueError(f"{path}: not a single .npy array")

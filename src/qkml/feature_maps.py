@@ -24,12 +24,14 @@ one repetition is U_Phi(x) H^q with U_Phi(x) = D a diagonal.  D is built
 once per row block as a Kronecker product, low qubit first: qubit q >= 1
 enters by one multiply with a per-row 2x2 table over (bit q, bit q-1),
 its RZ phase times the phase of the linear pair (q-1, q).  Only a ring's
-closing pair (n-1, 0) is a multiply of the whole block.  H^q|0...0> is
-2^(-q/2) in every entry, so the first repetition is Ds = D 2^(-q/2),
-and each later one is an unnormalised Walsh-Hadamard transform (q
-add/subtract passes) followed by one multiply by Ds.  Each amplitude
-gets element-wise operations only, so a row's bytes do not depend on
-the block's row count.  The states agree with ``run_circuit`` and with
+closing pair (n-1, 0) is a multiply of the whole block: one broadcast
+product, phase first, over a view with one axis for bit n-1 and one for
+bit 0, so each amplitude is multiplied once, by its row's phase for the
+parity of those two bits.  H^q|0...0> is 2^(-q/2) in every entry, so
+the first repetition is Ds = D 2^(-q/2), and each later one is an
+unnormalised Walsh-Hadamard transform (q add/subtract passes) followed
+by one multiply by Ds.  Each amplitude gets element-wise operations
+only, so a row's bytes do not depend on the block's row count.  The states agree with ``run_circuit`` and with
 the layer-by-layer loop in ``tests/helpers.py`` to 1e-12 per amplitude,
 and so do the fidelity kernel entries built from them, but not bit for
 bit: the butterflies scale once at the end instead of by 1/sqrt(2) per
@@ -199,8 +201,9 @@ def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
         table = np.multiply(qubit_phases[:, q, :, None], pair)
         diag = (table[..., None] * diag.reshape(n, 1, 2, -1)).reshape(n, -1)
     # The ring's closing pair (q-1, 0) is the only multiply of the block.
-    for p in range(spec.num_qubits - 1, len(pairs)):
-        accel.apply_parity_phase_rows(diag, pairs[p], pair_phases[:, p])
+    if len(pairs) == spec.num_qubits:
+        ring = diag.reshape(n, 2, -1, 2)
+        ring[...] = pair_phases[:, -1, accel.PARITY].reshape(n, 2, 1, 2) * ring
     scaled = 2.0 ** (-spec.num_qubits / 2) * diag
     states = scaled
     a, b = np.empty_like(scaled), np.empty_like(scaled)

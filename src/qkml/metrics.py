@@ -127,6 +127,8 @@ def report_from_confusion(cm: ConfusionMatrix) -> ClassificationReport:
     m0 = _rates_for_class(cm, 0)
     m1 = _rates_for_class(cm, 1)
     total = cm.total
+    if total == 0:
+        raise ValueError("no samples")
     acc = (int(cm.counts[0, 0]) + int(cm.counts[1, 1])) / total
     macro = tuple(
         (getattr(m0, f) + getattr(m1, f)) / 2 for f in ("precision", "recall", "f1")

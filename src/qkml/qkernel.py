@@ -67,9 +67,9 @@ def kernel_entry(spec: FeatureMapSpec, x: Sequence, x_prime: Sequence) -> float:
 
 def _clamp_unit(values: np.ndarray) -> np.ndarray:
     """Clamp ``values`` to [0, 1] in place; error out when anything drifts
-    past CLAMP_TOL or is NaN (a NaN min or max fails both comparisons)."""
-    low = float(values.min())
-    high = float(values.max())
+    past CLAMP_TOL or is NaN (a NaN min or max fails both comparisons).
+    An empty matrix passes as it is."""
+    low, high = (float(values.min()), float(values.max())) if values.size else (0.0, 0.0)
     if not (low >= -CLAMP_TOL and high <= 1.0 + CLAMP_TOL):
         raise ValueError(
             f"fidelity outside [0, 1] beyond tolerance {CLAMP_TOL}: "

@@ -95,10 +95,6 @@ class SvmModel:
     kernel_sha256: str = ""
     train_features: Optional[np.ndarray] = field(repr=False, default=None)
 
-    @property
-    def label_map(self) -> dict:
-        return dict(LABEL_MAP)
-
 
 def linear_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Plain dot-product kernel, rows of a against rows of b."""

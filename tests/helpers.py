@@ -235,16 +235,15 @@ def _apply_cz_loops(amps, control, target):
     return out
 
 
-# -- per-view zz oracles for qkml.accel and qkml.feature_maps -------------------
-# One multiply per bit-pattern view: the same floating-point operations in
-# the same order as the one-multiply parity phase, which must match it
-# byte for byte.  Every zz layer applied to |0...0> rows in turn, with the
-# dense H kernel: ``feature_maps.embed_rows`` must match it to 1e-12.
+# -- per-view zz oracle for qkml.feature_maps ------------------------------------
+# Every zz layer applied to |0...0> rows in turn, with the dense H kernel
+# and one multiply per bit-pattern view for each phase:
+# ``feature_maps.embed_rows`` must match it to 1e-12.
 
 
 def parity_phase_views(states, qubits, phases):
-    """``accel.apply_parity_phase_rows`` as one multiply per bit pattern
-    of the pair `qubits`, 4 views."""
+    """Multiply each amplitude by phases[:, p], p the parity of its bits at
+    ``qubits`` (one qubit or a pair), one multiply per bit-pattern view."""
     for bits in itertools.product((0, 1), repeat=len(qubits)):
         view = accel._bits_view(states, dict(zip(qubits, bits)))
         view[...] = accel._per_row(phases[:, sum(bits) % 2], view) * view

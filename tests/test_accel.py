@@ -3,9 +3,7 @@
 Gates must match the element-wise loops in ``tests/helpers.py``
 bitwise (single-qubit gates for real matrices; complex ones to 1e-12),
 every row of a multi-row gate block must be byte-equal to that row run
-alone as a 1-row block, the pair parity phase must be byte-equal to its
-CNOT-RZ-CNOT form and to its per-view form, the Gram/cross matrices (a
-BLAS reduction)
+alone as a 1-row block, the Gram/cross matrices (a BLAS reduction)
 must match a per-pair ``np.vdot`` to 1e-12, the Gram also the complex
 matmul oracle, the blocked Gram and cross kernel the one-shot products
 in ``tests/helpers.py`` byte for byte, and the SMO solver must stay
@@ -170,37 +168,6 @@ def test_two_qubit_rows_bytes_equal_per_row_kernel():
         accel.apply_cnot_rows(block, c, t)
         accel.apply_cz_rows(block, t, c)
         assert block.tobytes() == np.stack(want).tobytes()
-
-
-def test_parity_phase_rows_bytes_equal_rz_and_cnot_rz_cnot():
-    rng = np.random.default_rng(4)
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        block = _random_block(rng, 3, n)
-        i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
-        half = rng.uniform(-np.pi, np.pi, size=3)
-        phases = np.exp(1j * np.stack([-half, half], axis=1))
-        dense = block.copy()
-        accel.apply_cnot_rows(dense, i, j)
-        accel.apply_single_qubit_rows(dense, j, np.stack([np.diag(ph) for ph in phases]))
-        accel.apply_cnot_rows(dense, i, j)
-        accel.apply_parity_phase_rows(block, (i, j), phases)
-        assert block.tobytes() == dense.tobytes()
-
-
-def test_parity_phase_rows_bytes_equal_per_view_oracle():
-    # Every ordered pair, adjacent or not, the ring pair (q-1, 0) among
-    # them, with phases that are any complex numbers.
-    rng = np.random.default_rng(5)
-    for n in range(2, 9):
-        for qubits in [(i, j) for i in range(n) for j in range(n) if i != j]:
-            for rows in (1, 3):
-                block = _random_block(rng, rows, n)
-                phases = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
-                want = block.copy()
-                helpers.parity_phase_views(want, qubits, phases)
-                accel.apply_parity_phase_rows(block, qubits, phases)
-                assert block.tobytes() == want.tobytes(), (n, qubits, rows)
 
 
 def test_gram_pair_close_and_symmetric():

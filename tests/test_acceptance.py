@@ -443,31 +443,37 @@ def _xor_qsvm_config(tmp_path):
     )
 
 
+def _assert_rerun_identical(out, argv):
+    """Run ``argv`` with ``--threads`` 1 and 2 into two ``--out`` folders
+    under ``out``: both hold the same paths, with the same bytes in each."""
+    files = []
+    for threads in ("1", "2"):
+        run = out / f"threads{threads}"
+        assert main([*argv, "--out", str(run), "--threads", threads]) == 0
+        files.append({str(p.relative_to(run)): p.read_bytes()
+                      for p in sorted(run.rglob("*")) if p.is_file()})
+    assert files[0] and files[0].keys() == files[1].keys()
+    for name, blob in files[0].items():
+        assert blob == files[1][name], name
+    return out / "threads1"
+
+
 def test_c09_ingest_rerun_byte_identical(tmp_path):
     cfg = _write_config(tmp_path, {"dataset": {"csv": str(FIXTURE_CSV)}})
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["ingest", "--config", cfg, "--out", str(out_a)]) == 0
-    assert main(["ingest", "--config", cfg, "--out", str(out_b)]) == 0
-    for name in (
-        "ingest_summary.json",
-        "dataset/features.npy",
-        "dataset/labels.npy",
-        "dataset/feature_names.json",
-    ):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    out = _assert_rerun_identical(tmp_path, ["ingest", "--config", cfg])
+    assert (out / "dataset" / "features.npy").exists()
 
 
 def test_c09_benchmark_rerun_byte_identical_across_threads(tmp_path):
-    cfg = _xor_qsvm_config(tmp_path)
-    outs = [tmp_path / tag for tag in ("a", "b", "c")]
-    for out, threads in zip(outs, ("1", "1", "3")):
-        rc = main(
-            ["benchmark", "--config", cfg, "--out", str(out), "--threads", threads]
-        )
-        assert rc == 0
-    for name in ("report.txt", "report.json", "confusion.csv"):
-        blobs = {(out / name).read_bytes() for out in outs}
-        assert len(blobs) == 1
+    models = [{"name": "dt"}, {"name": "rf", "n_trees": 5}, {"name": "svm"},
+              {"name": "qsvm", "feature_map": {"kind": "zz"}}]
+    for model in models:
+        cfg = _write_config(tmp_path, {
+            "dataset": {"synthetic": {"name": "xor", "n": 40}, "seed": 0},
+            "model": model,
+        }, name=f"{model['name']}.json")
+        out = _assert_rerun_identical(tmp_path / model["name"], ["benchmark", "--config", cfg])
+        assert json.loads((out / "report.json").read_text())["model"]["name"] == model["name"]
 
 
 def test_c09_kernel_export_rerun_byte_identical_across_threads(tmp_path):
@@ -482,16 +488,8 @@ def test_c09_kernel_export_rerun_byte_identical_across_threads(tmp_path):
             "model": {"name": "qsvm", "feature_map": {"kind": "zz"}},
         },
     )
-    outs = [tmp_path / tag for tag in ("a", "b", "c")]
-    for out, threads in zip(outs, ("1", "1", "4")):
-        rc = main(
-            ["kernel", "--config", cfg, "--out", str(out), "--threads", threads]
-        )
-        assert rc == 0
-    blobs = {(out / "gram.qkgm").read_bytes() for out in outs}
-    assert len(blobs) == 1
-    for out in outs:
-        assert main(["kernel", "--verify", str(out / "gram.qkgm")]) == 0
+    out = _assert_rerun_identical(tmp_path, ["kernel", "--config", cfg])
+    assert main(["kernel", "--verify", str(out / "gram.qkgm")]) == 0
 
 
 def test_c09_hybrid_rerun_byte_identical_across_threads(tmp_path):
@@ -506,21 +504,8 @@ def test_c09_hybrid_rerun_byte_identical_across_threads(tmp_path):
             },
         },
     )
-    outs = [tmp_path / tag for tag in ("a", "b", "c")]
-    for out, threads in zip(outs, ("1", "1", "2")):
-        rc = main(
-            ["hybrid", "--config", cfg, "--out", str(out), "--threads", threads]
-        )
-        assert rc == 0
-    curves = {(out / "curves.csv").read_bytes() for out in outs}
-    assert len(curves) == 1
-    # wall_time_s is the single documented nondeterministic field.
-    manifests = []
-    for out in outs:
-        doc = json.loads((out / "hybrid_manifest.json").read_text())
-        doc.pop("wall_time_s")
-        manifests.append(doc)
-    assert manifests[0] == manifests[1] == manifests[2]
+    out = _assert_rerun_identical(tmp_path, ["hybrid", "--config", cfg])
+    assert (out / "hybrid_manifest.json").exists()
 
 
 def test_c09_report_rerender_byte_identical(tmp_path, capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import helpers
-from qkml import dataset
+from qkml import dataset, synth
 from qkml.dataset import (
     Dataset,
     FeatureConfig,
@@ -330,6 +330,11 @@ def test_feature_spec_casts_its_fields_like_the_other_configs(kwargs, message):
     assert str(err.value) == message
 
 
+def test_a_numeric_feature_needs_a_source_column():
+    with pytest.raises(ValueError, match="feature 'a' needs a source column"):
+        dataset.FeatureSpec("numeric", "a")
+
+
 def test_feature_config_derives_names_and_keeps_cast_values():
     cfg = FeatureConfig.from_dict({"features": [
         {"type": "frequency", "column": "m"}, {**_ONE, "name": ""},
@@ -401,6 +406,13 @@ def test_split_rejects_degenerate_inputs():
         train_test_split(_toy_dataset(10), 1.2, seed=0)
     with pytest.raises(ValueError, match="at least 2 rows"):
         train_test_split(_toy_dataset(1), 0.5, seed=0)
+
+
+def test_stratified_split_of_one_class_and_of_one_row_per_class():
+    train, test = train_test_split(Dataset(np.eye(4), [0, 0, 0, 0], tuple("abcd")), 0.25, 1, True)
+    assert (train.n_rows, test.n_rows) == (3, 1)
+    with pytest.raises(ValueError, match="split left no training rows"):
+        train_test_split(Dataset(np.eye(2), [0, 1], ("a", "b")), 0.5, 1, stratify=True)
 
 
 def test_split_arguments_pass_the_config_casting_rule():
@@ -838,3 +850,22 @@ def test_engineer_edge_errors_unchanged(rows, message):
     table = _eng_table(rows)
     assert _error_of(engineer_features, table, _eng_config()) == message
     assert _error_of(helpers.engineer_features_rows, table, _eng_config()) == message
+
+
+# -- synthetic sources -------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, n, message", [
+    ("moons", 1, "n must be >= 2, got 1"),
+    ("xor", 3, "n must be >= 4, got 3"),
+    ("spiral", 10, "unknown synthetic dataset 'spiral'"),
+])
+def test_synthetic_sources_refuse_too_few_rows_and_unknown_names(name, n, message):
+    with pytest.raises(ValueError, match=message):
+        synth.make_synthetic(name, n)
+
+
+def test_noisy_xor_moves_every_point_off_its_corner():
+    clean, noisy = (synth.make_xor(8, noise, seed=2) for noise in (0.0, 0.1))
+    assert np.all(noisy.features != clean.features)
+    np.testing.assert_array_equal(noisy.labels, clean.labels)

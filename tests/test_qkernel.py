@@ -1,5 +1,7 @@
 """Fidelity kernel entries, Gram assembly, and the QKGM container."""
 
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -162,6 +164,14 @@ def test_nan_fidelities_are_rejected():
         qkernel._clamp_unit(np.array([0.5, np.nan]))
 
 
+def test_cross_from_rows_against_no_train_states_is_empty():
+    spec = FeatureMapSpec(ZZ, 3)
+    rows = np.random.default_rng(12).uniform(0, np.pi, size=(4, 3))
+    cross = qkernel.cross_from_rows(spec, rows, np.empty((0, 8), dtype=np.complex128))
+    assert cross.shape == (4, 0)
+    assert qkernel._clamp_unit(np.empty((0, 0))).shape == (0, 0)
+
+
 def test_gram_container_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     x = rng.uniform(0, np.pi, size=(6, 2))
@@ -201,6 +211,22 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
     good.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(ValueError, match="truncated"):
         qkernel.load_gram(good)
+
+
+def test_load_rejects_another_version(tmp_path):
+    path = tmp_path / "v2.qkgm"
+    path.write_bytes(struct.pack("<4sIQ", b"QKGM", 2, 0))
+    with pytest.raises(ValueError, match="unsupported QKGM version 2"):
+        qkernel.load_gram(path)
+
+
+def test_verify_rejects_a_sidecar_row_count_that_differs(tmp_path):
+    path = tmp_path / "kernel.qkgm"
+    gram = qkernel.gram_matrix(FeatureMapSpec(ANGLE_Y, 1), np.array([[0.4], [0.6]]))
+    sidecar = qkernel.save_gram(path, gram, FeatureMapSpec(ANGLE_Y, 1))
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n": 3}))
+    with pytest.raises(ValueError, match="sidecar row count 3 != container 2"):
+        qkernel.verify_gram(path)
 
 
 def test_verify_gram_peak_memory_stays_near_the_file_size(tmp_path):

@@ -467,3 +467,15 @@ def test_config_validation():
         svm.SvmConfig(class_weight=(1.0,))
     with pytest.raises(ValueError):
         svm.SvmConfig(class_weight=(1.0, -2.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: svm.train_svm_features(XOR_X, XOR_Y, svm.SvmConfig()), "needs a linear or rbf"),
+    (lambda m: svm.train_svm(np.ones((2, 3)), [0, 1], svm.SvmConfig()), r"square, got shape \(2, 3\)"),
+    (lambda m: svm.train_svm(np.eye(2), [0, 1], svm.SvmConfig(kernel="rbf")), "takes a precomputed"),
+    (lambda m: svm.decision_function(m, np.ones((1, 3))), "3 columns, model was trained on 2"),
+    (lambda m: svm.predict_features(m, XOR_X), "no stored training features"),
+], ids=["features-precomputed", "not-square", "matrix-rbf", "row-width", "no-features"])
+def test_each_refusal_names_its_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(_two_point_model()[0])
