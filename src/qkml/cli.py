@@ -110,10 +110,7 @@ def _splits(resolved: dict, out: Path):
         test = dsmod.take_features(test, idx)
     if dcfg["subsample"] is not None and train.n_rows > dcfg["subsample"]:
         # Rows are already seed-shuffled by the split; take a prefix.
-        keep = np.arange(dcfg["subsample"])
-        train = dsmod.Dataset(
-            train.features[keep], train.labels[keep], train.feature_names
-        )
+        train = dsmod.take_rows(train, np.arange(dcfg["subsample"]))
     info = {
         "train_rows": train.n_rows,
         "test_rows": test.n_rows,
@@ -326,7 +323,8 @@ def cmd_report(args) -> int:
         raise ValueError(f"{args.input}: not a qkml report (no 'confusion' entry)")
     rows = doc["confusion"]
     if not (isinstance(rows, list)
-            and all(isinstance(r, list) and all(type(v) is int for v in r) for r in rows)):
+            and all(isinstance(r, list) and all(type(v) is int and v >= 0 for v in r) for r in rows)
+            and sum(map(sum, rows)) < 1 << 63):
         raise ValueError(f"{args.input}: 'confusion' is not a matrix of integer counts")
     cm = metrics.ConfusionMatrix(np.asarray(rows, dtype=np.int64))
     print(metrics.render_report(metrics.report_from_confusion(cm)), end="")
@@ -395,17 +393,11 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.command == "kernel"
-        and args.verify is None
-        and args.config is None
-        and args.synthetic is None
+    if args.command != "report" and args.config is None and args.synthetic is None and (
+        args.command != "kernel" or args.verify is None
     ):
-        parser.error("kernel needs --config/--synthetic (export) or --verify PATH")
-    if args.command in ("ingest", "benchmark", "hybrid") and (
-        args.config is None and args.synthetic is None
-    ):
-        parser.error(f"{args.command} needs --config or --synthetic")
+        usage = " (export) or --verify PATH" if args.command == "kernel" else ""
+        parser.error(f"{args.command} needs --config or --synthetic{usage}")
     try:
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:

@@ -256,11 +256,6 @@ def _parse_date(cell: str):
     text = cell.strip()
     if not text:
         return None
-    if _ISO.fullmatch(text):  # without strptime; an impossible date falls through
-        try:
-            return date(int(text[:4]), int(text[5:7]), int(text[8:]))
-        except ValueError:
-            pass
     for fmt in _DATE_FORMATS:
         try:
             return datetime.strptime(text, fmt).date()
@@ -430,11 +425,7 @@ def train_test_split(
         train = perm[k:]
     if train.size == 0:
         raise ValueError("split left no training rows; lower test_fraction")
-    return _take(ds, train), _take(ds, test)
-
-
-def _take(ds: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(ds.features[idx], ds.labels[idx], ds.feature_names)
+    return take_rows(ds, train), take_rows(ds, test)
 
 
 @dataclass(frozen=True)
@@ -523,6 +514,10 @@ def select_features(ds: Dataset, k: int = 8) -> np.ndarray:
     # Stable sort on negated scores keeps the lower index first on ties.
     ranked = np.argsort(-score, kind="stable")[:k]
     return np.sort(ranked)
+
+
+def take_rows(ds: Dataset, idx: np.ndarray) -> Dataset:
+    return Dataset(ds.features[idx], ds.labels[idx], ds.feature_names)
 
 
 def take_features(ds: Dataset, indices) -> Dataset:

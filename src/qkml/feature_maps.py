@@ -54,9 +54,9 @@ from .statevector import (
     StateVector,
     cnot,
     h,
-    run_circuit,  # not called here; tracing tools patch it by module and name
     ry,
-    ry_layer_rows,
+    ry_matrices,
+    run_circuit,  # not called here; tracing tools patch it by module and name
     rz,
     rz_phases,
     zero_rows,
@@ -182,7 +182,8 @@ def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
     if spec.kind == ANGLE_Y:
         states = zero_rows(x.shape[0], spec.num_qubits)
         for _ in range(spec.repetitions):
-            ry_layer_rows(states, x)
+            for q in range(spec.num_qubits):
+                accel.apply_single_qubit_rows(states, q, ry_matrices(x[:, q]))
         return states
     n = x.shape[0]
     qubit_phases = rz_phases(x)

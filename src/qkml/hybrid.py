@@ -1,9 +1,10 @@
 """Quanvolutional preprocessing plus a small dense softmax network.
 
 The quanvolution slides a width-w window over each 1-d feature vector
-(step = stride).  Window values enter a w-qubit register as RY angles,
-a frozen random circuit (seeded RY layer + CNOT chain, repeated
-``layers`` times) mixes them, and the per-qubit Z expectations are the
+(step = stride).  Each window is encoded by the angle_y feature map
+(``feature_maps.embed_rows``, one RY angle per value on a w-qubit
+register), then its frozen random circuit (seeded RY layer + CNOT chain,
+repeated ``layers`` times) runs, and the per-qubit Z expectations are the
 window's outputs, so each vector maps to num_windows * w values in
 [-1, 1].  The circuit parameters are drawn once from ``circuit_seed``
 and are never trained.  ``quanv_transform_batch`` simulates the
@@ -40,9 +41,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import accel
 from .artifacts import cast_fields, cast_value
 from .dataset import Dataset, check_labels
-from .statevector import Circuit, cnot, ry, ry_layer_rows, run_circuit_rows
+from .feature_maps import ANGLE_Y, FeatureMapSpec, embed_rows
+from .statevector import Circuit, cnot, ry, run_circuit_rows, z_expectation_rows
 from .statevector import run_circuit  # not called here; tracing tools patch it by module and name
-from .statevector import z_expectation_rows, zero_rows
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,11 @@ def quanv_transform_batch(spec: QuanvSpec, features) -> np.ndarray:
     width = quanv_output_width(spec, x.shape[1])
     w = spec.window
     mix = build_quanv_circuit(spec)
+    encode = FeatureMapSpec(ANGLE_Y, w, 1)
     windows = sliding_window_view(x, w, axis=1)[:, :: spec.stride].reshape(-1, w)
     out = np.empty((windows.shape[0], w), dtype=np.float64)
     for block in accel.row_blocks(len(windows), 4 << w):
-        states = zero_rows(block.stop - block.start, w)
-        ry_layer_rows(states, windows[block])
+        states = embed_rows(encode, windows[block])
         run_circuit_rows(mix, states)
         out[block] = z_expectation_rows(states)
     return out.reshape(x.shape[0], width)

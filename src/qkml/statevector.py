@@ -245,12 +245,6 @@ def rz_phases(angles) -> np.ndarray:
     return phases
 
 
-def ry_layer_rows(states: np.ndarray, angles: np.ndarray) -> None:
-    """RY(angles[r, q]) on qubit q of row r, for every qubit, in place."""
-    for q in range(angles.shape[1]):
-        accel.apply_single_qubit_rows(states, q, ry_matrices(angles[:, q]))
-
-
 def run_circuit_rows(circuit: Circuit, states: np.ndarray) -> None:
     """Apply every gate of the circuit to each row of the block, in place."""
     if states.ndim != 2 or states.shape[1] != 1 << circuit.num_qubits:

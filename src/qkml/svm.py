@@ -123,18 +123,10 @@ def _feature_kernel(config: SvmConfig, a, b) -> np.ndarray:
 
 
 def _as_kernel_matrix(gram: Union[GramMatrix, np.ndarray]) -> np.ndarray:
-    if isinstance(gram, GramMatrix):
-        return np.asarray(gram.entries, dtype=np.float64)
-    m = np.asarray(gram, dtype=np.float64)
+    m = np.asarray(getattr(gram, "entries", gram), dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"kernel matrix must be square, got shape {m.shape}")
     return m
-
-
-def _both_classes(y: np.ndarray) -> np.ndarray:
-    if np.unique(y).shape[0] < 2:
-        raise ValueError("training needs both classes present")
-    return y
 
 
 def train_svm(
@@ -157,7 +149,7 @@ def train_svm(
     """
     kmat = np.ascontiguousarray(_as_kernel_matrix(gram))
     n = kmat.shape[0]
-    y01 = _both_classes(check_xy(kmat, labels)[1])
+    y01 = check_xy(kmat, labels)[1]
     if config.kernel != PRECOMPUTED:
         raise ValueError(
             f"train_svm takes a precomputed matrix; config says {config.kernel!r}"
@@ -184,7 +176,6 @@ def train_svm_features(
     """Train a linear/rbf model straight from feature rows; ``seed`` has
     no effect, as in ``train_svm``."""
     x, y01 = check_xy(features, labels)
-    _both_classes(y01)
     if config.kernel == RBF and config.gamma is None:
         config = replace(config, gamma=1.0 / x.shape[1])
     kmat = _feature_kernel(config, x, x)
@@ -195,6 +186,8 @@ SUPPORT_EPS = 1e-8
 
 
 def _fit(kmat, y01, config, train_features) -> SvmModel:
+    if np.unique(y01).shape[0] < 2:
+        raise ValueError("training needs both classes present")
     # SMO never meets its stopping rule on a NaN gradient.
     if not np.all(np.isfinite(kmat)):
         raise ValueError("kernel matrix contains non-finite values")

@@ -146,13 +146,6 @@ def _node_impurity(zeros, ones):
     return 1.0 - (zeros * zeros + ones * ones) / (n * n)
 
 
-def _weighted_gini(m, ones):
-    """m times the Gini impurity of m rows, ``ones`` of class 1, over float
-    arrays; a split scores the sum of its sides' over the node's rows."""
-    zeros = m - ones
-    return m * (1.0 - (zeros * zeros + ones * ones) / (m * m))
-
-
 # Elements handled at once; bounds the grower's scratch memory.
 _CHUNK = 1 << 14
 
@@ -228,7 +221,9 @@ def _best_splits(uniq, codes, flat, mult, at, count, size, ones, feats, min_leaf
             continue
         pl, nf = p.astype(np.float64), size[node].astype(np.float64)
         lo_ones = (left >> 32).astype(np.float64)
-        score = (_weighted_gini(pl, lo_ones) + _weighted_gini(nf - pl, ones[node] - lo_ones)) / nf
+        hi, hi_ones = nf - pl, ones[node] - lo_ones
+        # Each side scores m * Gini, exactly: for integral floats below 2^31, (m - o) + o == m.
+        score = (pl * _node_impurity(pl - lo_ones, lo_ones) + hi * _node_impurity(hi - hi_ones, hi_ones)) / nf
         # A later run holds later features, so it must beat the best so far.
         new = np.concatenate(([True], node[1:] != node[:-1]))
         low = np.minimum.reduceat(score, np.flatnonzero(new))[np.cumsum(new) - 1]

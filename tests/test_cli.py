@@ -190,6 +190,12 @@ def _npy(arr) -> bytes:
     return buf.getvalue()
 
 
+def _npz(arr) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, features=arr)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("name,mutate", [
     ("features.npy", lambda x, y, names: b""),
     ("features.npy", lambda x, y, names: _npy(x)[:-8]),
@@ -203,8 +209,9 @@ def _npy(arr) -> bytes:
     ("feature_names.json", lambda x, y, names: b"5"),
     # An open bracket in the header padding: numpy's fallback parse raises TokenError.
     ("labels.npy", lambda x, y, names: _npy(y).replace(b"} ", b"}[", 1)),
+    ("features.npy", lambda x, y, names: _npz(x)),
 ], ids=["empty", "truncated", "complex", "nan", "1-d", "empty-labels", "short-labels",
-        "labels-2-3", "short-names", "names-not-a-list", "header-open-bracket"])
+        "labels-2-3", "short-names", "names-not-a-list", "header-open-bracket", "npz-archive"])
 def test_a_dataset_cache_ingest_cannot_write_is_named_in_one_error_line(
         tmp_path, capsys, name, mutate):
     cfg = _write_config(tmp_path, {"dataset": {"csv": str(FIXTURE_CSV)}, "model": {"name": "dt"}})
@@ -595,7 +602,11 @@ def test_report_exits_two_on_a_document_that_is_not_a_report(tmp_path, capsys, t
     ([[None, 1], [0, 0]], "'confusion' is not a matrix of integer counts"),
     ([[0.5, 0], [0, 1]], "'confusion' is not a matrix of integer counts"),
     ([[0, 0], [0, 0]], "no samples"),
-], ids=["null", "object", "null-count", "fractional-count", "all-zero"])
+    ([[2**63, 0], [0, 1]], "'confusion' is not a matrix of integer counts"),
+    ([[2**62, 2**62], [2**62, 2**62]], "'confusion' is not a matrix of integer counts"),
+    ([[-1, 2], [0, 1]], "'confusion' is not a matrix of integer counts"),
+], ids=["null", "object", "null-count", "fractional-count", "all-zero", "count-2-63",
+        "total-2-64", "negative-count"])
 def test_report_exits_two_on_confusion_counts_it_cannot_render(tmp_path, capsys, counts, message):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"confusion": counts}))

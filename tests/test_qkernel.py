@@ -410,11 +410,10 @@ def test_embedding_and_quanv_blocks_hold_two_to_the_14_amplitudes(monkeypatch, q
     rule = max(1, 2**14 >> q)
     x = np.random.default_rng(q).uniform(0, np.pi, size=(3 * rule, q))
     sizes = []
-    embed_rows, zero_rows = qkernel.embed_rows, hybrid.zero_rows
-    monkeypatch.setattr(qkernel, "embed_rows",
-                        lambda spec, rows: sizes.append(len(rows)) or embed_rows(spec, rows))
-    monkeypatch.setattr(hybrid, "zero_rows",
-                        lambda rows, width: sizes.append(rows) or zero_rows(rows, width))
+    embed_rows = qkernel.embed_rows
+    for module in (qkernel, hybrid):
+        monkeypatch.setattr(module, "embed_rows",
+                            lambda spec, rows: sizes.append(len(rows)) or embed_rows(spec, rows))
     qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, q), x)
     hybrid.quanv_transform_batch(hybrid.QuanvSpec(window=q, stride=q, layers=0), x)
     assert sizes == [rule] * 6

@@ -230,3 +230,36 @@ def test_z_expectation_rows_bytes_equal_z_expectation():
         assert got.tobytes() == np.array(want).tobytes()
         single = [[sv.z_expectation(s, q) for q in range(n)] for s in states]
         assert np.array(single).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("kind,targets,angle,message", [
+    ("swap", (0, 1), None, "unknown gate kind 'swap'"),
+    ("cnot", (0,), None, "cnot gate takes 2 qubit(s), got 1"),
+    ("h", (0, 1), None, "h gate takes 1 qubit(s), got 2"),
+    ("cz", (1, 1), None, "cz gate targets must be distinct: (1, 1)"),
+    ("ry", (-1,), 0.5, "negative qubit index in (-1,)"),
+    ("rz", (0,), float("nan"), "rz angle must be finite, got nan"),
+    ("rx", (0,), float("inf"), "rx angle must be finite, got inf"),
+], ids=["unknown-kind", "cnot-one-target", "h-two-targets", "repeated-target",
+        "negative-index", "nan-angle", "inf-angle"])
+def test_gate_refuses_a_malformed_gate(kind, targets, angle, message):
+    with pytest.raises(ValueError) as err:
+        sv.Gate(kind, targets, angle)
+    assert str(err.value) == message
+
+
+def test_circuit_refuses_width_21_and_an_entry_that_is_not_a_gate():
+    with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 20\], got 21"):
+        sv.Circuit(sv.MAX_QUBITS + 1)
+    with pytest.raises(TypeError, match="expected Gate, got tuple"):
+        sv.Circuit(2, (sv.h(0), ("h", (1,))))
+
+
+def test_statevector_refuses_the_wrong_amplitude_count():
+    with pytest.raises(ValueError, match=r"expected 4 amplitudes for 2 qubit\(s\), got shape \(3,\)"):
+        sv.StateVector(2, np.zeros(3))
+
+
+def test_two_qubit_gate_has_no_single_qubit_matrix():
+    with pytest.raises(ValueError, match="cnot has no single-qubit matrix"):
+        sv.single_qubit_matrix(sv.cnot(0, 1))

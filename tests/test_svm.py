@@ -395,6 +395,18 @@ def test_serialization_round_trip():
     )
 
 
+def test_precomputed_model_text_round_trips_without_train_features():
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+    gram = svm.rbf_kernel(x, x, 0.5)
+    model = svm.train_svm(gram, [0, 1, 0, 1], svm.SvmConfig(c=2.0))
+    text = svm.model_to_text(model)
+    assert json.loads(text)["train_features"] is None
+    back = svm.model_from_text(text)
+    assert back.train_features is None
+    assert svm.model_to_text(back) == text
+    np.testing.assert_array_equal(svm.predict(back, gram), svm.predict(model, gram))
+
+
 def test_model_text_config_keys_and_missing_key():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     cfg = svm.SvmConfig(c=2.0, kernel=svm.RBF, gamma=0.3, class_weight=(1.0, 1.5))
