@@ -81,16 +81,17 @@ PARITY = np.array([[0, 1], [1, 0]])
 # ---------------------------------------------------------------------------
 # Fidelity matrices.  states is (n, dim) complex128 with unit rows; the
 # result holds |<s_i|s_j>|^2.  The cross kernel is one complex BLAS matmul
-# per block of a-rows.  The Gram is built from two real BLAS products:
-# Re<a|b> is the dot product of the interleaved (re, im) rows, x @ x.T on
-# one array so that numpy takes its symmetric (syrk) path, and Im<a|b> is
-# m - m.T with m = re @ im.T, for which the rows are rewritten in place to
-# [re | im] and back, so no copy of either part is held.  OpenBLAS picks
-# its kernels by shape, not stride, so m is one product and no block is a
-# single row (numpy's matrix-vector path): the bits are those of the
-# whole-matrix products.  The Gram is exactly symmetric as built: syrk
-# fills its lower triangle from its upper, and m - m.T is exactly
-# antisymmetric, since IEEE a - b is -(b - a).
+# per block of a-rows, conjugated in place for it and back (a sign flip,
+# exact), so no conjugate copy is held.  The Gram is built from two real
+# BLAS products: Re<a|b> is the dot product of the interleaved (re, im)
+# rows, x @ x.T on one array so that numpy takes its symmetric (syrk)
+# path, and Im<a|b> is m - m.T with m = re @ im.T, for which the rows are
+# rewritten in place to [re | im] and back, so no copy of either part is
+# held.  OpenBLAS picks its kernels by shape, not stride, so m is one
+# product and no block is a single row (numpy's matrix-vector path): the
+# bits are those of the whole-matrix products.  The Gram is exactly
+# symmetric as built: syrk fills its lower triangle from its upper, and
+# m - m.T is exactly antisymmetric, since IEEE a - b is -(b - a).
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1 << 16  # entries of a block of rows: 1 MiB of complex128
@@ -135,10 +136,18 @@ def _parts_apart(x, apart):
 
 
 def fidelity_cross(a_states, b_states, out=None):
-    """|<a_i|b_j>|^2 into ``out`` (a new array when None), a-rows by block."""
-    out = np.empty((len(a_states), len(b_states))) if out is None else out
-    for rows in row_blocks(len(a_states), max(a_states.shape[1], len(b_states))):
-        inner = a_states[rows].conj() @ b_states.T
+    """|<a_i|b_j>|^2 into ``out`` (a new array when None), a-rows by block,
+    each conjugated in place for its product and back; a read-only or
+    non-contiguous input, or one that may share memory with b, is copied first."""
+    a = np.require(a_states, np.complex128, ["C", "W"])
+    a = a.copy() if np.may_share_memory(a, b_states) else a
+    out = np.empty((len(a), len(b_states))) if out is None else out
+    for rows in row_blocks(len(a), max(a.shape[1], len(b_states))):
+        block = np.conjugate(a[rows], out=a[rows])
+        try:
+            inner = block @ b_states.T
+        finally:
+            np.conjugate(block, out=block)
         np.square(inner.real, out=out[rows])
         out[rows] += np.square(inner.imag)
     return out

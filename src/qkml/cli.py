@@ -203,12 +203,15 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         gram = qkernel.gram_from_states(train_states)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
-        # Test rows are compared only with the train rows whose alpha != 0.
+        # The Gram is released before the test blocks stream, and test
+        # rows are compared only with the train rows whose alpha != 0.
+        train_pred = svmmod.predict(model, gram.entries)
+        del gram
         support = _to_front(train_states, np.flatnonzero(model.alphas))
         cross = qkernel.cross_from_rows(spec, test.features, support)
         return (
             svmmod.predict(svmmod.support_model(model), cross),
-            svmmod.predict(model, gram.entries),
+            train_pred,
             {
                 "support_vectors": int(model.support_indices.shape[0]),
                 "feature_map": asdict(spec),

@@ -71,8 +71,9 @@ class RawTable:
 def check_labels(labels) -> np.ndarray:
     """``labels`` as an int64 array, refusing any value but 0 and 1."""
     y = np.asarray(labels)
-    bad = set(np.unique(y).tolist()) - {0, 1}
-    if bad:
+    # Element-wise, not np.unique: its hash path imports numpy.ma.
+    if not ((y == 0) | (y == 1)).all():
+        bad = set(np.unique(y).tolist()) - {0, 1}
         raise ValueError(f"labels must be 0/1, got extra values {sorted(bad)}")
     return y.astype(np.int64)
 

@@ -1,16 +1,16 @@
 """Fidelity kernel: k(x, x') = |<phi(x')|phi(x)>|^2 over feature-map states.
 
 ``embedding_matrix`` simulates the feature map for a whole row matrix, a
-block of rows at a time (``accel.row_blocks``); all pairwise
-overlaps of the states are then evaluated by BLAS products
-(``accel.fidelity_gram``, ``accel.fidelity_cross``).
-``gram_from_states`` and ``cross_from_states`` work on states already
-embedded, so one embedding of a train set feeds both its Gram matrix and
-a test-by-train cross kernel.  ``cross_from_rows`` embeds test rows one
-block at a time against embedded train states, so the test states are
-never all held; ``gram_matrix`` and ``cross_kernel`` embed their rows
-themselves.  Entries are clamped to [0, 1]; drift beyond CLAMP_TOL
-outside that interval, or a NaN, indicates a broken embedding and raises.
+block of rows at a time (``accel.row_blocks``); all pairwise overlaps of
+the states are then evaluated by BLAS products (``accel.fidelity_gram``,
+``accel.fidelity_cross``).  ``gram_from_states`` and ``cross_from_states``
+work on states already embedded, so one embedding of a train set feeds
+both its Gram matrix and a test-by-train cross kernel.  ``cross_from_rows``
+embeds test rows one block at a time against embedded train states, so the
+test states are never all held, and conjugates each block in place for its
+product; ``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
+Entries are clamped to [0, 1]; drift beyond CLAMP_TOL outside that
+interval, or a NaN, indicates a broken embedding and raises.
 
 Gram matrices can be exported to a small binary container (magic
 ``QKGM``) with a JSON sidecar carrying the feature-map description and
@@ -58,6 +58,14 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
+def _owning(entries: np.ndarray) -> GramMatrix:
+    """A read-only GramMatrix over a fresh square array no caller holds, uncopied."""
+    entries.flags.writeable = False
+    gram = object.__new__(GramMatrix)
+    object.__setattr__(gram, "entries", entries)
+    return gram
+
+
 def kernel_entry(spec: FeatureMapSpec, x: Sequence, x_prime: Sequence) -> float:
     """Single fidelity value between two feature vectors."""
     a = embed(spec, x).amplitudes[None]
@@ -95,7 +103,7 @@ def gram_from_states(states: np.ndarray) -> GramMatrix:
     entries = _clamp_unit(accel.fidelity_gram(states))
     # Self-fidelity is exactly 1; drop the float noise of the matmul.
     np.fill_diagonal(entries, 1.0)
-    return GramMatrix(entries)
+    return _owning(entries)
 
 
 def cross_from_states(test_states: np.ndarray, train_states: np.ndarray) -> np.ndarray:
@@ -129,14 +137,15 @@ def cross_kernel(
 
 
 def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
-    """Peak bytes of the kernel path: train states, the Gram and its
-    imaginary part, the cross kernel, one block of test rows with its
-    conjugates and products, and the embedding's own blocks."""
+    """Peak bytes of the kernel path: train states and the embedding's own
+    blocks, plus the larger phase (the Gram is released before the test
+    rows stream): the Gram and its imaginary part, or the cross kernel and
+    one block of test rows, conjugated in place, with their products."""
     dim = 1 << spec.num_qubits
     rows = _largest_block(n_test, max(dim, n_train))
     embed = max(_largest_block(n, 4 * dim) for n in (n_train, rows))
-    return (16 * dim * (n_train + 8 * embed)
-            + 8 * n_train * (2 * n_train + n_test) + rows * (32 * dim + 24 * n_train))
+    return 16 * dim * (n_train + 8 * embed) + max(
+        16 * n_train**2, 8 * n_train * n_test + rows * (16 * dim + 24 * n_train))
 
 
 def _largest_block(n, width):
@@ -216,7 +225,7 @@ def load_gram(path) -> GramMatrix:
     path = Path(path)
     raw = path.read_bytes()
     n = _row_count(path, raw)
-    return GramMatrix(np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, n))
+    return _owning(np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, n))
 
 
 def verify_gram(path) -> dict:

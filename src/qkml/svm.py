@@ -155,7 +155,7 @@ def train_svm(
             f"train_svm takes a precomputed matrix; config says {config.kernel!r}"
             " (use train_svm_features)"
         )
-    if not isinstance(gram, GramMatrix) and n <= _PSD_CHECK_MAX_N:
+    if not isinstance(gram, GramMatrix) and 0 < n <= _PSD_CHECK_MAX_N:
         min_eig = float(np.linalg.eigvalsh((kmat + kmat.T) / 2.0)[0])
         if min_eig < PSD_WARN_TOL:
             warnings.warn(
@@ -186,7 +186,7 @@ SUPPORT_EPS = 1e-8
 
 
 def _fit(kmat, y01, config, train_features) -> SvmModel:
-    if np.unique(y01).shape[0] < 2:
+    if y01.all() or not y01.any():
         raise ValueError("training needs both classes present")
     # SMO never meets its stopping rule on a NaN gradient.
     if not np.all(np.isfinite(kmat)):

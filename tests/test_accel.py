@@ -270,6 +270,39 @@ def test_cross_bytes_equal_one_shot_oracle(q, n_b):
                 assert accel.fidelity_cross(a, b).tobytes() == want.tobytes(), n
 
 
+def test_cross_conjugates_the_caller_rows_in_place_and_restores_them():
+    # Several blocks of a-rows, with signed zeros and a NaN among them: each
+    # block is conjugated for its product and back, bit for bit.
+    rng = np.random.default_rng(31)
+    b_states = _unit_rows(rng, 70, 1 << 10)
+    a_states = _unit_rows(rng, 3 * _block(1 << 10) + 5, 1 << 10)
+    a_states[0, :3] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
+    a_states[-1, -1] = complex(np.nan, 1.0)
+    before = a_states.copy()
+    want = helpers.fidelity_cross_one_shot(a_states, b_states)
+    assert accel.fidelity_cross(a_states, b_states).tobytes() == want.tobytes()
+    assert a_states.tobytes() == before.tobytes()
+    # The product raises (different register widths) after the first block
+    # was conjugated: the rows still come back as they were.
+    with pytest.raises(ValueError):
+        accel.fidelity_cross(a_states, b_states[:, :512])
+    assert a_states.tobytes() == before.tobytes()
+    a_states.flags.writeable = False
+    assert accel.fidelity_cross(a_states, b_states).tobytes() == want.tobytes()
+
+
+def test_cross_of_states_with_themselves_copies_before_conjugating():
+    rng = np.random.default_rng(32)
+    states = _unit_rows(rng, 2 * _block(1 << 8) + 3, 1 << 8)
+    before = states.copy()
+    want = helpers.fidelity_cross_one_shot(states, states)
+    assert qkernel.cross_from_states(states, states).tobytes() == np.clip(want, 0, 1).tobytes()
+    assert accel.fidelity_cross(states, states).tobytes() == want.tobytes()
+    # A prefix of the b rows shares their memory too.
+    assert accel.fidelity_cross(states[:5], states).tobytes() == want[:5].tobytes()
+    assert states.tobytes() == before.tobytes()
+
+
 def test_cross_pair_close():
     rng = np.random.default_rng(3)
     a_states = np.vstack([_random_state(rng, 3) for _ in range(5)])

@@ -566,6 +566,34 @@ def test_stage_logs_reach_stderr_only_at_info(tmp_path, level, logged):
     assert "INFO" not in done.stdout
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    # Labels are checked element-wise: np.unique's hash path imports
+    # numpy.ma, over a megabyte of a process's peak.
+    script = """
+import json, sys
+from pathlib import Path
+from qkml.cli import main
+tmp = Path(sys.argv[1])
+for name in ("qsvm", "svm", "rf", "dt"):
+    cfg, out = tmp / (name + ".json"), str(tmp / name)
+    cfg.write_text(json.dumps({
+        "dataset": {"synthetic": {"name": "moons", "n": 60}, "seed": 3},
+        "model": {"name": name, **({"feature_map": {"kind": "zz"}} if name == "qsvm" else {})},
+        "hybrid": {"quanv": {"window": 2, "stride": 1, "layers": 1}, "hidden": [4],
+                   "train": {"epochs": 1}}}))
+    for argv in (["ingest"], ["kernel"], ["benchmark"], ["hybrid"]):
+        assert main([*argv, "--config", str(cfg), "--out", out]) == 0, argv
+    assert main(["kernel", "--verify", out + "/gram.qkgm"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_an_unknown_log_level_warns_and_falls_back(monkeypatch, caplog):
     monkeypatch.setenv("QKML_LOG", "loud")
     cli._setup_logging()
@@ -911,6 +939,40 @@ def test_qsvm_benchmark_without_support_rows_predicts_from_the_bias(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     assert doc["model_info"]["support_vectors"] == 0
     assert [row[0] for row in doc["confusion"]] == [0, 0]
+
+
+def test_qsvm_peaks_at_the_train_states_and_the_larger_kernel_phase():
+    # zz on 10 qubits, 400 train and 278 test rows, every train row a
+    # support row.  The Gram is released before the test rows stream and
+    # each test block is conjugated in place, so the peak is the train
+    # states plus the larger phase: two n x n matrices while the Gram is
+    # built, or the cross kernel and one test block with its embedding
+    # blocks or its products.  Labels, alphas, predictions and the checked
+    # feature rows get 128 KiB.  Holding the Gram through the cross phase
+    # exceeds it.
+    q, n, n_test = 10, 400, 278
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, np.pi, size=(n + n_test, q))
+    y = np.sin(x[:, 0]) * np.cos(x[:, 1]) + 0.3 * rng.normal(size=n + n_test) > 0.3
+    names = tuple(f"f{i}" for i in range(q))
+    train, test = Dataset(x[:n], y[:n], names), Dataset(x[n:], y[n:], names)
+    model = {"name": "qsvm", "c": 1.0, "tolerance": 1e-3, "max_passes": 5,
+             "class_weight": None, "feature_map": {"kind": "zz"}}
+    spec = cli._kernel_spec(model, train)
+    rows = max(b.stop - b.start for b in accel.row_blocks(n_test, max(1 << q, n)))
+    tracemalloc.start()
+    try:
+        qkernel.embedding_matrix(spec, test.features[:rows])
+        embed_block = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _, _, info = cli._train_and_predict(model, train, test, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["support_vectors"] == n
+    states, gram_phase = (16 << q) * n, 2 * 8 * n * n
+    cross_phase = 8 * n_test * n + max(embed_block, rows * ((16 << q) + 24 * n))
+    assert peak <= states + max(gram_phase, cross_phase) + (128 << 10)
 
 
 @pytest.mark.parametrize("n,width,keep", [

@@ -581,6 +581,21 @@ def test_dataset_type_validation():
         Dataset(np.zeros((2, 1)), [0, 0.5], ("a",))
 
 
+@pytest.mark.parametrize("labels, extra", [
+    ([0, 2, 1], "[2]"), ([0.0, float("nan")], "[nan]"), (["0", "a"], "['0', 'a']"),
+    ([0, 1, "x"], "['0', '1', 'x']"), ([[0, 3]], "[3]")])
+def test_check_labels_names_every_extra_value(labels, extra):
+    with pytest.raises(ValueError) as caught:
+        dataset.check_labels(labels)
+    assert str(caught.value) == f"labels must be 0/1, got extra values {extra}"
+
+
+def test_check_labels_takes_any_zero_one_values_as_int64():
+    for labels in ([True, False], [0.0, 1.0], np.array([1, 0], dtype=np.uint8), []):
+        y = dataset.check_labels(labels)
+        assert y.dtype == np.int64 and y.tolist() == [int(v) for v in labels]
+
+
 def _date_or_error(parse, cell):
     try:
         return parse(cell)

@@ -46,6 +46,35 @@ def test_gram_matrix_refuses_a_matrix_that_is_not_square():
         qkernel.GramMatrix(np.zeros(4))
 
 
+def test_gram_matrix_copies_a_caller_array_and_is_read_only():
+    given = np.eye(3)
+    gram = qkernel.GramMatrix(given)
+    given[0, 1] = 0.5
+    assert gram.entries[0, 1] == 0.0
+    assert not np.shares_memory(gram.entries, given)
+    assert not gram.entries.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        gram.entries[0, 0] = 2.0
+
+
+def test_gram_from_states_and_load_gram_keep_their_fresh_array(monkeypatch, tmp_path):
+    # No n x n copy: the Gram holds the array the product returned, and a
+    # loaded Gram the entries of the one read of the file.
+    built = []
+    fidelity_gram = accel.fidelity_gram
+    monkeypatch.setattr(accel, "fidelity_gram", lambda s: built.append(fidelity_gram(s)) or built[0])
+    states = qkernel.embedding_matrix(FeatureMapSpec(ZZ, 4), np.random.default_rng(7).uniform(
+        0, np.pi, size=(600, 4)))
+    gram = qkernel.gram_from_states(states)
+    assert gram.entries is built[0] and not gram.entries.flags.writeable
+    path = tmp_path / "kernel.qkgm"
+    qkernel.save_gram(path, gram, FeatureMapSpec(ZZ, 4))
+    peak, loaded = _traced_peak(qkernel.load_gram, path)
+    assert loaded.entries.tobytes() == gram.entries.tobytes()
+    assert not loaded.entries.flags.writeable
+    assert peak < 1.1 * path.stat().st_size
+
+
 def test_cross_from_states_refuses_different_register_widths():
     a = qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 1), np.array([[0.3]]))
     b = qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 2), np.array([[0.3, 0.4]]))
@@ -389,16 +418,20 @@ def _largest_block(n, width):
 
 
 def test_kernel_bytes_counts_states_gram_and_cross():
-    # Train states, the Gram and its imaginary part, the embedding's eight
-    # blocks (one of all 10 rows here) and, with test rows, the cross
-    # kernel and one block of them (all 5 here): states, conjugates,
-    # products.
+    # Train states and the embedding's eight blocks (one of all 10 rows
+    # here), plus the larger phase: the Gram and its imaginary part, or,
+    # with test rows, the cross kernel and one block of them (all 5 here):
+    # states, conjugated in place, and products.
     spec = FeatureMapSpec(ZZ, 3)
     embed = _largest_block(10, 4 << 3)
     assert embed == 10
-    base = 10 * 8 * 16 + 2 * 8 * 10 * 10 + 8 * 16 * 8 * embed
-    assert qkernel.kernel_bytes(spec, 10) == base
-    assert qkernel.kernel_bytes(spec, 10, 5) == base + 8 * 10 * 5 + 5 * (32 * 8 + 24 * 10)
+    base = 10 * 8 * 16 + 8 * 16 * 8 * embed
+    gram = 2 * 8 * 10 * 10
+    assert qkernel.kernel_bytes(spec, 10) == base + gram
+    cross = 8 * 10 * 5 + 5 * (16 * 8 + 24 * 10)
+    assert cross > gram
+    assert qkernel.kernel_bytes(spec, 10, 5) == base + cross
+    assert qkernel.kernel_bytes(spec, 10, 1) == base + gram
 
 
 @pytest.mark.parametrize("q", range(1, 14))
@@ -438,8 +471,10 @@ def test_streamed_kernel_path_peaks_within_kernel_bytes(q, n_train, n_test):
     test = rng.uniform(0, np.pi, size=(n_test, q))
 
     def kernel_path():
+        # The CLI's order: the Gram is released before the test rows stream.
         states = qkernel.embedding_matrix(spec, train)
-        return qkernel.gram_from_states(states), qkernel.cross_from_rows(spec, test, states)
+        qkernel.gram_from_states(states)
+        return qkernel.cross_from_rows(spec, test, states)
 
     peak, _ = _traced_peak(kernel_path)
     assert peak <= qkernel.kernel_bytes(spec, n_train, n_test)
@@ -463,9 +498,9 @@ def test_streamed_cross_holds_one_block_and_its_output(q, n_train, n_test):
     test = rng.uniform(0, np.pi, size=(n_test, q))
     peak, cross = _traced_peak(qkernel.cross_from_rows, spec, test, states)
     rows = _largest_block(n_test, max(states.shape))
-    # A block's states and conjugates, its products and their squares, and
-    # the embedding's own blocks.
-    block = rows * (32 << q) + rows * 24 * n_train + 8 * 16 * (_largest_block(rows, 4 << q) << q)
+    # A block's states, conjugated in place, its products and their
+    # squares, and the embedding's own blocks.
+    block = rows * (16 << q) + rows * 24 * n_train + 8 * 16 * (_largest_block(rows, 4 << q) << q)
     assert peak <= cross.nbytes + block
     assert cross.tobytes() == qkernel.cross_from_states(
         qkernel.embedding_matrix(spec, test), states).tobytes()

@@ -52,6 +52,17 @@ def test_training_rejects_single_class():
         svm.train_svm(kmat, [1, 1, 1])
 
 
+@pytest.mark.parametrize("labels", [[0, 0, 0], [1, 1, 1], []])
+def test_every_trainer_needs_both_classes(labels):
+    n = len(labels)
+    linear = svm.SvmConfig(kernel=svm.LINEAR)
+    for train in (lambda: svm.train_svm(np.eye(n), labels),
+                  lambda: svm.train_svm(qkernel.GramMatrix(np.eye(n)), labels),
+                  lambda: svm.train_svm_features(np.ones((n, 2)), labels, linear)):
+        with pytest.raises(ValueError, match="^training needs both classes present$"):
+            train()
+
+
 def test_training_rejects_size_mismatch():
     with pytest.raises(ValueError):
         svm.train_svm(np.eye(3), [0, 1])
