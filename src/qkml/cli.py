@@ -45,12 +45,10 @@ log = logging.getLogger("qkml")
 def _setup_logging() -> None:
     name = os.environ.get("QKML_LOG", "WARNING").strip().upper()
     level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
-    if name and not hasattr(logging, name):
+    known = isinstance(level, int)
+    logging.basicConfig(level=level if known else logging.WARNING, stream=sys.stderr,
+                        format="%(levelname)s %(name)s: %(message)s")
+    if name and not known:
         log.warning("unknown QKML_LOG level %r, using WARNING", name)
 
 
@@ -76,10 +74,7 @@ def _build_dataset(dcfg: dict):
         summary = {"source": {"synthetic": synth_cfg}}
     summary["n_rows"] = ds.n_rows
     summary["n_features"] = ds.features.shape[1]
-    summary["class_counts"] = {
-        "0": int((ds.labels == 0).sum()),
-        "1": int((ds.labels == 1).sum()),
-    }
+    summary["class_counts"] = {str(k): int((ds.labels == k).sum()) for k in (0, 1)}
     return ds, summary
 
 
@@ -148,9 +143,7 @@ def _kernel_spec(model_cfg: dict, train, n_test: int = 0) -> FeatureMapSpec:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
-    out = Path(args.out)
+def cmd_ingest(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     ds, summary = _build_dataset(resolved["dataset"])
     log.info("dataset: %d rows x %d features", ds.n_rows, ds.features.shape[1])
     dsmod.save_dataset(_dataset_cache_dir(out), ds)
@@ -220,11 +213,9 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
     raise ConfigError(f"unknown model {name!r}")
 
 
-def cmd_benchmark(args) -> int:
-    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
+def cmd_benchmark(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     if "model" not in resolved:
         raise ConfigError("benchmark needs a 'model' section in the config")
-    out = Path(args.out)
     train, test, info = _splits(resolved, out)
     n_feats, name = train.features.shape[1], resolved["model"]["name"]
     log.info("split: %d train and %d test rows x %d features", train.n_rows, test.n_rows, n_feats)
@@ -252,17 +243,8 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
-def cmd_kernel(args) -> int:
-    if args.verify is not None:
-        meta = qkernel.verify_gram(args.verify)
-        print(
-            f"verify: ok ({args.verify}, n={meta['n']}, "
-            f"map={meta['feature_map']['kind']})"
-        )
-        return 0
-    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
+def cmd_kernel(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     log.debug("kernel export under config %s", cfg_hash)
-    out = Path(args.out)
     train, _, _ = _splits(resolved, out)
     spec = _kernel_spec(resolved.get("model"), train)
     log.info("gram: %d rows on %d qubits, %d bytes", train.n_rows, spec.num_qubits,
@@ -277,9 +259,16 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def cmd_hybrid(args) -> int:
-    resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
-    out = Path(args.out)
+def cmd_verify(args) -> int:
+    meta = qkernel.verify_gram(args.verify)
+    print(
+        f"verify: ok ({args.verify}, n={meta['n']}, "
+        f"map={meta['feature_map']['kind']})"
+    )
+    return 0
+
+
+def cmd_hybrid(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     train, test, info = _splits(resolved, out)
     hcfg = resolved["hybrid"]
     quanv = _typed(hmod.QuanvSpec, hcfg["quanv"])
@@ -307,8 +296,7 @@ def cmd_hybrid(args) -> int:
         "hidden": hcfg["hidden"],
         "train": hcfg["train"],
         "arms": {
-            name: {f"final_{key}": getattr(arm["history"], key)[-1]
-                   for key in ("train_loss", "train_acc", "val_loss", "val_acc")}
+            name: {f"final_{key}": values[-1] for key, values in asdict(arm["history"]).items()}
             for name, arm in sorted(arms.items())
         },
     }
@@ -396,13 +384,16 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "report" and args.config is None and args.synthetic is None and (
-        args.command != "kernel" or args.verify is None
-    ):
+    func = cmd_verify if getattr(args, "verify", None) is not None else args.func
+    configured = func not in (cmd_report, cmd_verify)
+    if configured and args.config is None and args.synthetic is None:
         usage = " (export) or --verify PATH" if args.command == "kernel" else ""
         parser.error(f"{args.command} needs --config or --synthetic{usage}")
     try:
-        return args.func(args)
+        if not configured:
+            return func(args)
+        resolved, cfg_hash = resolve_config(load_config(args.config), args.seed, args.synthetic)
+        return func(args, resolved, cfg_hash, Path(args.out))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,12 +119,17 @@ def check_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
         raise ValueError("feature rows contain non-finite values")
     # Only values of 1e150 or more can make a pair angle overflow.
     if spec.kind == ZZ and not np.all(np.abs(x) < 1e150):
-        pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
-        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         with np.errstate(over="ignore"):
-            if not np.all(np.isfinite((math.pi - x[:, i]) * (math.pi - x[:, j]))):
+            if not np.all(np.isfinite(_pair_angles(spec, x))):
                 raise ValueError("zz pair angles (pi - x_i)(pi - x_j) overflow to inf")
     return x
+
+
+def _pair_angles(spec: FeatureMapSpec, x: np.ndarray) -> np.ndarray:
+    """Per row, (pi - x_i)(pi - x_j) of each pair (i, j) of ``entangled_pairs``."""
+    pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return (math.pi - x[:, i]) * (math.pi - x[:, j])
 
 
 def build_feature_circuit(spec: FeatureMapSpec, x: Sequence) -> Circuit:
@@ -187,9 +192,7 @@ def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
         return states
     n = x.shape[0]
     qubit_phases = rz_phases(x)
-    pairs = entangled_pairs(spec.num_qubits, spec.entanglement)
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    pair_phases = rz_phases((math.pi - x[:, i]) * (math.pi - x[:, j]))
+    pair_phases = rz_phases(_pair_angles(spec, x))
     # D, built low qubit first from qubit 0's phases.  Qubit q >= 1 comes
     # in by one multiply with a per-row table over (bit q, bit q-1): its
     # RZ phase times the phase of the linear pair (q-1, q) on their
@@ -201,13 +204,14 @@ def embed_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
         pair = pair_phases[:, q - 1, accel.PARITY]
         table = np.multiply(qubit_phases[:, q, :, None], pair)
         diag = (table[..., None] * diag.reshape(n, 1, 2, -1)).reshape(n, -1)
-    # The ring's closing pair (q-1, 0) is the only multiply of the block.
-    if len(pairs) == spec.num_qubits:
+    # The ring's closing pair (q-1, 0) is the only multiply of the block;
+    # it and the scaling to Ds write in place, so D and Ds share one array.
+    if pair_phases.shape[1] == spec.num_qubits:
         ring = diag.reshape(n, 2, -1, 2)
-        ring[...] = pair_phases[:, -1, accel.PARITY].reshape(n, 2, 1, 2) * ring
-    scaled = 2.0 ** (-spec.num_qubits / 2) * diag
-    states = scaled
-    a, b = np.empty_like(scaled), np.empty_like(scaled)
+        np.multiply(pair_phases[:, -1, accel.PARITY].reshape(n, 2, 1, 2), ring, out=ring)
+    states = scaled = np.multiply(2.0 ** (-spec.num_qubits / 2), diag, out=diag)
+    if spec.repetitions > 1:
+        a, b = np.empty_like(scaled), np.empty_like(scaled)
     for _ in range(1, spec.repetitions):
         mixed = _walsh_hadamard(states, a, b)
         # Ds first, into the spare buffer, and never Ds * <temporary>:

@@ -14,7 +14,7 @@ Displayed rates are rounded half-up to two decimals through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
@@ -83,6 +83,9 @@ def accuracy(y_true: Sequence, y_pred: Sequence) -> float:
     return float((t == p).sum() / t.shape[0])
 
 
+_RATES = ("precision", "recall", "f1")
+
+
 @dataclass(frozen=True)
 class ClassMetrics:
     precision: float
@@ -124,21 +127,16 @@ def _rates_for_class(cm: ConfusionMatrix, label: int) -> ClassMetrics:
 
 
 def report_from_confusion(cm: ConfusionMatrix) -> ClassificationReport:
-    m0 = _rates_for_class(cm, 0)
-    m1 = _rates_for_class(cm, 1)
+    classes = tuple(_rates_for_class(cm, label) for label in (0, 1))
     total = cm.total
     if total == 0:
         raise ValueError("no samples")
     acc = (int(cm.counts[0, 0]) + int(cm.counts[1, 1])) / total
-    macro = tuple(
-        (getattr(m0, f) + getattr(m1, f)) / 2 for f in ("precision", "recall", "f1")
-    )
-    weighted = tuple(
-        (m0.support * getattr(m0, f) + m1.support * getattr(m1, f)) / total
-        for f in ("precision", "recall", "f1")
-    )
+    # sum() adds its int start 0 exactly, so each is the plain two-term sum.
+    macro = tuple(sum(getattr(m, f) for m in classes) / 2 for f in _RATES)
+    weighted = tuple(sum(m.support * getattr(m, f) for m in classes) / total for f in _RATES)
     return ClassificationReport(
-        classes=(m0, m1),
+        classes=classes,
         accuracy=acc,
         macro_avg=macro,
         weighted_avg=weighted,
@@ -166,12 +164,11 @@ def render_report(report: ClassificationReport) -> str:
     def row(name, rates, support):
         return _line(name, *map(format_rate, rates), support)
 
-    c0, c1 = report.classes
     lines = [
         _line("", "precision", "recall", "f1-score", "support"),
         "",
-        row("Class 0", (c0.precision, c0.recall, c0.f1), c0.support),
-        row("Class 1", (c1.precision, c1.recall, c1.f1), c1.support),
+        *(row(f"Class {k}", [getattr(c, f) for f in _RATES], c.support)
+          for k, c in enumerate(report.classes)),
         "",
         _line("accuracy", "", "", format_rate(report.accuracy), report.total_support),
         row("macro avg", report.macro_avg, report.total_support),
@@ -182,22 +179,12 @@ def render_report(report: ClassificationReport) -> str:
 
 def report_to_dict(report: ClassificationReport) -> dict:
     """Machine-readable form with unrounded rates and undefined flags."""
-    def cls(m: ClassMetrics) -> dict:
-        return {
-            "precision": m.precision,
-            "recall": m.recall,
-            "f1": m.f1,
-            "support": m.support,
-            "undefined": list(m.undefined),
-        }
-
+    classes = {f"class_{k}": {**asdict(m), "undefined": list(m.undefined)}
+               for k, m in enumerate(report.classes)}
     return {
-        "class_0": cls(report.classes[0]),
-        "class_1": cls(report.classes[1]),
+        **classes,
         "accuracy": report.accuracy,
-        "macro_avg": dict(zip(("precision", "recall", "f1"), report.macro_avg)),
-        "weighted_avg": dict(
-            zip(("precision", "recall", "f1"), report.weighted_avg)
-        ),
+        "macro_avg": dict(zip(_RATES, report.macro_avg)),
+        "weighted_avg": dict(zip(_RATES, report.weighted_avg)),
         "total_support": report.total_support,
     }

@@ -37,6 +37,7 @@ PSD_TOL = -1e-8
 
 _MAGIC = b"QKGM"
 _VERSION = 1
+_HEADER = struct.Struct("<4sIQ")  # magic, version, row count n
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ def save_gram(
     and the hash of the container file itself.
     """
     path = Path(path)
-    blob = bytearray(16 + 8 * gram.size**2)
-    struct.pack_into("<4sIQ", blob, 0, _MAGIC, _VERSION, gram.size)
-    np.frombuffer(blob, dtype="<f8", offset=16).reshape(gram.entries.shape)[...] = gram.entries
+    blob = bytearray(_HEADER.size + 8 * gram.size**2)
+    _HEADER.pack_into(blob, 0, _MAGIC, _VERSION, gram.size)
+    np.frombuffer(blob, "<f8", offset=_HEADER.size).reshape(gram.entries.shape)[...] = gram.entries
     write_bytes_atomic(path, blob)
     meta = {
         "format": _MAGIC.decode(),
@@ -205,13 +206,12 @@ def _row_count(path: Path, raw: bytes) -> int:
     """Row count of the QKGM bytes ``raw`` after checking magic, version and length."""
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a QKGM file (bad magic {raw[:4]!r})")
-    if len(raw) < 16:
-        raise ValueError(f"{path}: truncated QKGM header ({len(raw)} bytes, expected 16)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path}: truncated QKGM header ({len(raw)} bytes, expected {_HEADER.size})")
+    _, version, n = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported QKGM version {version}")
-    (n,) = struct.unpack_from("<Q", raw, 8)
-    expected = 16 + 8 * n * n
+    expected = _HEADER.size + 8 * n * n
     if len(raw) != expected:
         raise ValueError(
             f"{path}: truncated or padded QKGM file "
@@ -225,7 +225,7 @@ def load_gram(path) -> GramMatrix:
     path = Path(path)
     raw = path.read_bytes()
     n = _row_count(path, raw)
-    return _owning(np.frombuffer(raw, dtype="<f8", offset=16).reshape(n, n))
+    return _owning(np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, n))
 
 
 def verify_gram(path) -> dict:

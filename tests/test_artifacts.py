@@ -46,3 +46,11 @@ def test_sidecar_and_feature_names_are_canonical_json(tmp_path):
     ds = dataset.Dataset(np.zeros((2, 2)), [0, 1], ("b", "a"))
     dataset.save_dataset(tmp_path / "cache", ds)
     assert (tmp_path / "cache" / "feature_names.json").read_text() == '[\n  "b",\n  "a"\n]\n'
+
+
+@pytest.mark.parametrize("kind, value, key", [(int, "4.5", "k"), (float, 10**400, "c")],
+                         ids=["fractional-numeral", "int-past-float-range"])
+def test_cast_value_names_the_key_when_the_conversion_itself_fails(kind, value, key):
+    # int("4.5") raises ValueError and float(10**400) OverflowError.
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        artifacts.cast_value(kind, value, key)

@@ -600,6 +600,13 @@ def test_an_unknown_log_level_warns_and_falls_back(monkeypatch, caplog):
     assert caplog.messages == ["unknown QKML_LOG level 'LOUD', using WARNING"]
 
 
+def test_a_logging_name_that_is_not_a_level_warns_too(monkeypatch, caplog):
+    # logging.BASIC_FORMAT exists, but it is a format string, not a level.
+    monkeypatch.setenv("QKML_LOG", "basic_format")
+    cli._setup_logging()
+    assert caplog.messages == ["unknown QKML_LOG level 'BASIC_FORMAT', using WARNING"]
+
+
 def test_no_config_file_is_the_empty_config():
     assert config.load_config(None) == {}
 
@@ -880,6 +887,14 @@ def test_version_flag(capsys):
     assert f"qkml {__version__}" in capsys.readouterr().out
 
 
+def test_the_module_entry_point_runs_main():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qkml.cli", "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, f"qkml {__version__}\n")
+
+
 # -- quantum-kernel embedding reuse and the memory pre-flight --------------------
 
 
@@ -1019,6 +1034,14 @@ def test_qsvm_beyond_physical_memory_fails_before_embedding(monkeypatch):
              "class_weight": None, "feature_map": {"kind": "zz"}}
     with pytest.raises(ConfigError, match="feature_k.*subsample"):
         cli._train_and_predict(model, train, test, 0)
+
+
+def test_an_unknown_model_name_is_a_config_error():
+    # resolve_config refuses it first; this guards direct callers.
+    names = ("f0", "f1")
+    train = Dataset(np.zeros((4, 2)), np.arange(4) % 2, names)
+    with pytest.raises(ConfigError, match="unknown model 'knn'"):
+        cli._train_and_predict({"name": "knn"}, train, train, 0)
 
 
 @pytest.mark.parametrize("command", ["kernel", "benchmark"])

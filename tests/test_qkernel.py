@@ -462,6 +462,23 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("repetitions, blocks", [(1, 3.0), (2, 3.75), (3, 3.75)])
+@pytest.mark.parametrize("entanglement", ["linear", "ring"])
+def test_zz_embedding_holds_at_most_three_blocks_besides_its_output(entanglement,
+                                                                   repetitions, blocks):
+    # At q=10 a row block is 16 rows, 256 KiB.  D, the ring's pair and Ds
+    # share one block-sized array, and the two Walsh-Hadamard buffers exist
+    # only from the second repetition on; numpy's iterator buffers add half a
+    # block.
+    spec = FeatureMapSpec(ZZ, 10, repetitions, entanglement)
+    x = np.random.default_rng(10).uniform(0, np.pi, size=(64, 10))
+    block = 16 * (16 << 10)
+    assert accel.row_blocks(64, 4 << 10)[0] == slice(0, 16)
+    qkernel.embedding_matrix(spec, x)  # first-call allocations out of the count
+    peak, states = _traced_peak(qkernel.embedding_matrix, spec, x)
+    assert peak - states.nbytes < blocks * block
+
+
 @pytest.mark.parametrize("q, n_train, n_test", [(10, 400, 278), (6, 300, 500), (2, 800, 200),
                                                 (13, 40, 30), (3, 3, 1000)])
 def test_streamed_kernel_path_peaks_within_kernel_bytes(q, n_train, n_test):
