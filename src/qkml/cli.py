@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, accel, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
+from . import __version__, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
 from .artifacts import read_json, write_json_atomic, write_text_atomic
 from .config import _FEATURE_MAP, ConfigError, load_config, resolve_config
 from .feature_maps import FeatureMapSpec
@@ -156,15 +156,6 @@ def cmd_ingest(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     return 0
 
 
-def _to_front(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Move ``rows[keep]`` (ascending indices) to the front of ``rows`` in
-    place and return that prefix.  Blocks go in ascending order, so each
-    gathers rows at or after its own before any is overwritten."""
-    for block in accel.row_blocks(len(keep), rows.shape[1]):
-        rows[block] = rows[keep[block]]
-    return rows[: len(keep)]
-
-
 def _train_and_predict(model_cfg: dict, train, test, seed: int):
     """Returns (test predictions, train predictions, model info dict)."""
     name = model_cfg["name"]
@@ -196,12 +187,10 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         gram = qkernel.gram_from_states(train_states)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
-        # The Gram is released before the test blocks stream, and test
-        # rows are compared only with the train rows whose alpha != 0.
+        # The Gram is released before the test rows stream.
         train_pred = svmmod.predict(model, gram.entries)
         del gram
-        support = _to_front(train_states, np.flatnonzero(model.alphas))
-        cross = qkernel.cross_from_rows(spec, test.features, support)
+        cross = qkernel.cross_from_rows(spec, test.features, train_states, np.flatnonzero(model.alphas))
         return (
             svmmod.predict(svmmod.support_model(model), cross),
             train_pred,

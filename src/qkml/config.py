@@ -156,6 +156,9 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
         raise ConfigError(
             f"dataset.test_fraction must be in (0, 1), got {dataset['test_fraction']}"
         )
+    for key in ("feature_k", "subsample"):
+        if dataset[key] is not None and dataset[key] < 1:
+            raise ConfigError(f"dataset.{key} must be >= 1, got {dataset[key]}")
     if dataset["scaling"] not in (MINMAX_PI, STANDARDIZE):
         raise ConfigError(
             f"dataset.scaling must be {MINMAX_PI!r} or {STANDARDIZE!r}, "

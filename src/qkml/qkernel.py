@@ -6,9 +6,9 @@ the states are then evaluated by BLAS products (``accel.fidelity_gram``,
 ``accel.fidelity_cross``).  ``gram_from_states`` and ``cross_from_states``
 work on states already embedded, so one embedding of a train set feeds
 both its Gram matrix and a test-by-train cross kernel.  ``cross_from_rows``
-embeds test rows one block at a time against embedded train states, so the
-test states are never all held, and conjugates each block in place for its
-product; ``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
+streams test rows a block at a time, each conjugated in place, against the
+train states, or the ``keep`` rows it first moves to their front in place;
+``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
 Entries are clamped to [0, 1]; drift beyond CLAMP_TOL outside that
 interval, or a NaN, indicates a broken embedding and raises.
 
@@ -115,9 +115,16 @@ def cross_from_states(test_states: np.ndarray, train_states: np.ndarray) -> np.n
 
 
 def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray,
-                    train_states: np.ndarray) -> np.ndarray:
+                    train_states: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
     """Fidelities of every test row against every train state, the test
-    rows embedded and compared one block at a time."""
+    rows embedded and compared one block at a time.  ``keep`` (ascending
+    indices) first moves those states to the front of ``train_states`` in
+    place, in ascending blocks that read only rows not yet overwritten, and
+    the test rows meet that prefix alone."""
+    if keep is not None:
+        for block in accel.row_blocks(len(keep), train_states.shape[1]):
+            train_states[block] = train_states[keep[block]]
+        train_states = train_states[: len(keep)]
     rows = check_rows(spec, rows_test)
     out = np.empty((len(rows), len(train_states)))
     for block in accel.row_blocks(len(rows), max(train_states.shape)):
@@ -138,10 +145,11 @@ def cross_kernel(
 
 
 def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
-    """Peak bytes of the kernel path: train states and the embedding's own
-    blocks, plus the larger phase (the Gram is released before the test
-    rows stream): the Gram and its imaginary part, or the cross kernel and
-    one block of test rows, conjugated in place, with their products."""
+    """Peak bytes of ``embedding_matrix``, ``gram_from_states``, the Gram's
+    release and ``cross_from_rows(..., keep)``: train states and the
+    embedding's own blocks, plus the larger phase: the Gram and its imaginary
+    part, or all n_train cross columns (the support count is known only after
+    SMO) and one block of test rows, conjugated in place, with their products."""
     dim = 1 << spec.num_qubits
     rows = _largest_block(n_test, max(dim, n_train))
     embed = max(_largest_block(n, 4 * dim) for n in (n_train, rows))

@@ -753,6 +753,23 @@ def test_config_errors_exit_two_with_their_message(tmp_path, capsys, doc, messag
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [("subsample", 0), ("subsample", -5), ("feature_k", 0)])
+@pytest.mark.parametrize("command, model", [
+    ("ingest", None), ("benchmark", "dt"), ("benchmark", "svm"), ("benchmark", "qsvm"),
+    ("kernel", "qsvm"), ("hybrid", None)])
+def test_a_row_or_column_count_below_one_is_refused_before_any_work(tmp_path, capsys, command,
+                                                                    model, key, value):
+    # Unrefused, these runs failed late with messages that named no key:
+    # "no rows to embed", "training diverged", "k must be >= 1".
+    doc = {"dataset": {"synthetic": {"name": "moons", "n": 60}, key: value}}
+    if model is not None:
+        doc["model"] = {"name": model}
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: dataset.{key} must be >= 1, got {value}"]
+    assert not out.exists()
+
+
 def _section_cases():
     """(section name, key, kind, doc builder) for every key of every section
     table that has a kind."""
@@ -988,28 +1005,6 @@ def test_qsvm_peaks_at_the_train_states_and_the_larger_kernel_phase():
     states, gram_phase = (16 << q) * n, 2 * 8 * n * n
     cross_phase = 8 * n_test * n + max(embed_block, rows * ((16 << q) + 24 * n))
     assert peak <= states + max(gram_phase, cross_phase) + (128 << 10)
-
-
-@pytest.mark.parametrize("n,width,keep", [
-    (700, 256, "random"), (700, 256, "all"), (700, 256, "none"), (700, 256, "last"),
-    (5, 4, "random"), (1, 2, "all")])
-def test_support_rows_move_to_the_front_in_place_a_block_at_a_time(n, width, keep):
-    rng = np.random.default_rng(n + width)
-    rows = rng.normal(size=(n, width)) + 1j * rng.normal(size=(n, width))
-    original = rows.copy()
-    index = {"random": np.flatnonzero(rng.random(n) < 0.7), "all": np.arange(n),
-             "none": np.arange(0), "last": np.arange(n - 3, n)}[keep]
-    tracemalloc.start()
-    try:
-        front = cli._to_front(rows, index)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert front.base is rows and front.shape == (len(index), width)
-    for i, j in enumerate(index):
-        assert front[i].tobytes() == original[j].tobytes()
-    # One block of gathered rows, never a copy of every support row.
-    assert peak <= 16 * accel._BLOCK + 4096
 
 
 def _no_embedding(monkeypatch):

@@ -41,3 +41,10 @@ def test_each_name_kept_on_purpose_is_imported_and_unused():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in {n for n, _ in _imported(tree)}
         assert name not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_cli_reaches_the_kernel_path_only_through_qkernel_and_svm():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    modules = {node.module.rsplit(".", 1)[-1] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module}
+    assert "accel" not in modules | {name for name, _ in _imported(tree)}

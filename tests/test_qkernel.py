@@ -487,14 +487,35 @@ def test_streamed_kernel_path_peaks_within_kernel_bytes(q, n_train, n_test):
     train = rng.uniform(0, np.pi, size=(n_train, q))
     test = rng.uniform(0, np.pi, size=(n_test, q))
 
-    def kernel_path():
+    def kernel_path(keep):
         # The CLI's order: the Gram is released before the test rows stream.
         states = qkernel.embedding_matrix(spec, train)
         qkernel.gram_from_states(states)
-        return qkernel.cross_from_rows(spec, test, states)
+        return qkernel.cross_from_rows(spec, test, states, keep)
 
-    peak, _ = _traced_peak(kernel_path)
-    assert peak <= qkernel.kernel_bytes(spec, n_train, n_test)
+    # Every train column, then the support rows the qsvm branch keeps.
+    for keep in (None, np.flatnonzero(rng.random(n_train) < 0.7)):
+        peak, _ = _traced_peak(kernel_path, keep)
+        assert peak <= qkernel.kernel_bytes(spec, n_train, n_test)
+
+
+@pytest.mark.parametrize("n, q, keep", [
+    (700, 8, "random"), (700, 8, "all"), (700, 8, "none"), (700, 8, "last"),
+    (5, 2, "random"), (1, 1, "all")])
+def test_cross_from_rows_moves_the_kept_states_to_the_front_a_block_at_a_time(n, q, keep):
+    rng = np.random.default_rng(n + q)
+    spec = FeatureMapSpec(ZZ, q)
+    states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, q)))
+    test = rng.uniform(0, np.pi, size=(5, q))
+    index = {"random": np.flatnonzero(rng.random(n) < 0.7), "all": np.arange(n),
+             "none": np.arange(0), "last": np.arange(n - 3, n)}[keep]
+    gathered = states[index]
+    base, expected = _traced_peak(qkernel.cross_from_rows, spec, test, gathered)
+    peak, cross = _traced_peak(qkernel.cross_from_rows, spec, test, states, index)
+    assert cross.tobytes() == expected.tobytes()
+    assert states[: len(index)].tobytes() == gathered.tobytes()
+    # One block of gathered rows, never a copy of every kept row.
+    assert peak <= base + 16 * accel._BLOCK + 4096
 
 
 @pytest.mark.parametrize("q, n", [(10, 300), (13, 40), (6, 200), (2, 500)])
