@@ -22,6 +22,7 @@ from qkml import __version__, accel, cli, config, metrics, qkernel, svm, trees
 from qkml.cli import main
 from qkml.config import ConfigError, resolve_config
 from qkml.dataset import Dataset
+from qkml.feature_maps import ZZ, FeatureMapSpec
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -1005,6 +1006,33 @@ def test_qsvm_peaks_at_the_train_states_and_the_larger_kernel_phase():
     states, gram_phase = (16 << q) * n, 2 * 8 * n * n
     cross_phase = 8 * n_test * n + max(embed_block, rows * ((16 << q) + 24 * n))
     assert peak <= states + max(gram_phase, cross_phase) + (128 << 10)
+
+
+@pytest.mark.parametrize("n,width,keep", [
+    (700, 256, "random"), (700, 256, "all"), (700, 256, "none"), (700, 256, "last"),
+    (5, 4, "random"), (1, 2, "all")])
+def test_support_rows_move_to_the_front_in_place_a_block_at_a_time(n, width, keep):
+    # The qsvm branch passes its alpha != 0 rows as cross_from_rows' keep.
+    rng = np.random.default_rng(n + width)
+    q = width.bit_length() - 1
+    spec = FeatureMapSpec(ZZ, q)
+    states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, q)))
+    test = rng.uniform(0, np.pi, size=(5, q))
+    index = {"random": np.flatnonzero(rng.random(n) < 0.7), "all": np.arange(n),
+             "none": np.arange(0), "last": np.arange(n - 3, n)}[keep]
+    gathered = states[index]
+    peaks, crosses = [], []
+    for args in ((gathered,), (states, index)):
+        tracemalloc.start()
+        try:
+            crosses.append(qkernel.cross_from_rows(spec, test, *args))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert crosses[1].tobytes() == crosses[0].tobytes()
+    assert states[: len(index)].tobytes() == gathered.tobytes()
+    # One block of gathered rows, never a copy of every support row.
+    assert peaks[1] <= peaks[0] + 16 * accel._BLOCK + 4096
 
 
 def _no_embedding(monkeypatch):

@@ -499,25 +499,6 @@ def test_streamed_kernel_path_peaks_within_kernel_bytes(q, n_train, n_test):
         assert peak <= qkernel.kernel_bytes(spec, n_train, n_test)
 
 
-@pytest.mark.parametrize("n, q, keep", [
-    (700, 8, "random"), (700, 8, "all"), (700, 8, "none"), (700, 8, "last"),
-    (5, 2, "random"), (1, 1, "all")])
-def test_cross_from_rows_moves_the_kept_states_to_the_front_a_block_at_a_time(n, q, keep):
-    rng = np.random.default_rng(n + q)
-    spec = FeatureMapSpec(ZZ, q)
-    states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, q)))
-    test = rng.uniform(0, np.pi, size=(5, q))
-    index = {"random": np.flatnonzero(rng.random(n) < 0.7), "all": np.arange(n),
-             "none": np.arange(0), "last": np.arange(n - 3, n)}[keep]
-    gathered = states[index]
-    base, expected = _traced_peak(qkernel.cross_from_rows, spec, test, gathered)
-    peak, cross = _traced_peak(qkernel.cross_from_rows, spec, test, states, index)
-    assert cross.tobytes() == expected.tobytes()
-    assert states[: len(index)].tobytes() == gathered.tobytes()
-    # One block of gathered rows, never a copy of every kept row.
-    assert peak <= base + 16 * accel._BLOCK + 4096
-
-
 @pytest.mark.parametrize("q, n", [(10, 300), (13, 40), (6, 200), (2, 500)])
 def test_gram_from_states_holds_a_block_and_two_n_by_n_arrays(q, n):
     # No copy of the real or imaginary parts: the rows are rewritten in
