@@ -46,11 +46,11 @@ def write_json_atomic(path, obj) -> Path:
     return write_text_atomic(path, canonical_json(obj))
 
 
-def to_document(kind: str, version: int = 1, **fields) -> str:
+def to_document(kind: str, version: int = 1, **body) -> str:
     """A qkml-``kind`` model document of any version: sorted keys on one
     compact line, which json writes in C.  Readers take any whitespace, so
     indented documents of earlier releases still load."""
-    doc = {"format": f"qkml-{kind}", "version": version, **fields}
+    doc = {"format": f"qkml-{kind}", "version": version, **body}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

@@ -182,9 +182,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         )
     if name == "qsvm":
         spec = _kernel_spec(model_cfg, train, test.n_rows)
-        # Train rows are embedded once, for the Gram and the cross kernel.
-        train_states = qkernel.embedding_matrix(spec, train.features)
-        gram = qkernel.gram_from_states(train_states)
+        train_states, gram = qkernel.train_kernel(spec, train.features)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
         # The Gram is released before the test rows stream.

@@ -2,8 +2,8 @@
 
 Two families:
 
-* ``angle_y`` -- one RY(x_i) per qubit per repetition.  The induced
-  fidelity kernel factorises as prod_i cos^2((x_i - x'_i) / 2).
+* ``angle_y`` -- one RY(x_i) per qubit per repetition.  The fidelity kernel
+  factorises as prod_i cos^2(r (x_i - x'_i) / 2), built from one-qubit states.
 * ``zz`` -- per repetition: H on every qubit, RZ(x_i) on qubit i, then
   for each entangled pair (i, j): CNOT(i, j), RZ((pi - x_i) * (pi - x_j))
   on j, CNOT(i, j).

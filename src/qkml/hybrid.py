@@ -297,6 +297,8 @@ def _train_arms(nets, inputs, labels, config: TrainConfig, val_inputs=None, val_
     sets = [(xs, y)]
     if val_inputs is not None:
         sets.append(([_rows(x) for x in val_inputs], check_labels(val_labels)))
+    if not all(len(set_labels) for _, set_labels in sets):
+        raise ValueError("training needs at least one train row and, if given, one validation row")
     weights, biases, params = _stack(nets)
     grads_w, grads_b, grads = _stack(nets)  # the same layout, overwritten each step
     onehot = np.eye(nets[0].sizes[-1])[y]

@@ -1,14 +1,14 @@
 """Fidelity kernel: k(x, x') = |<phi(x')|phi(x)>|^2 over feature-map states.
 
-``embedding_matrix`` simulates the feature map for a whole row matrix, a
-block of rows at a time (``accel.row_blocks``); all pairwise overlaps of
-the states are then evaluated by BLAS products (``accel.fidelity_gram``,
-``accel.fidelity_cross``).  ``gram_from_states`` and ``cross_from_states``
-work on states already embedded, so one embedding of a train set feeds
-both its Gram matrix and a test-by-train cross kernel.  ``cross_from_rows``
-streams test rows a block at a time, each conjugated in place, against the
-train states, or the ``keep`` rows it first moves to their front in place;
-``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
+``embedding_matrix`` simulates the feature map, a block of rows at a time
+(``accel.row_blocks``).  Every kernel here takes its states from one helper:
+zz's (n, 2**q) statevectors, whose overlaps are BLAS products
+(``accel.fidelity_gram``, ``accel.fidelity_cross``), or the q real one-qubit
+states of angle_y's product state, each fidelity the square of a product of
+q rank-2 products, with no 2**q array.  ``train_kernel`` embeds a train set
+once for its Gram and ``cross_from_rows``, which streams test rows a block at
+a time against the train states, or the ``keep`` rows it first moves to their
+front in place; ``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
 Entries are clamped to [0, 1]; drift beyond CLAMP_TOL outside that
 interval, or a NaN, indicates a broken embedding and raises.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import accel
 from .artifacts import canonical_json, read_json, write_bytes_atomic, write_text_atomic
-from .feature_maps import FeatureMapSpec, check_rows, embed, embed_rows
+from .feature_maps import ZZ, FeatureMapSpec, check_rows, embed, embed_rows  # tracing tools patch embed
 
 CLAMP_TOL = 1e-9
 PSD_TOL = -1e-8
@@ -69,9 +69,7 @@ def _owning(entries: np.ndarray) -> GramMatrix:
 
 def kernel_entry(spec: FeatureMapSpec, x: Sequence, x_prime: Sequence) -> float:
     """Single fidelity value between two feature vectors."""
-    a = embed(spec, x).amplitudes[None]
-    b = embed(spec, x_prime).amplitudes[None]
-    return float(cross_from_states(a, b)[0, 0])
+    return float(cross_kernel(spec, [x], [x_prime])[0, 0])
 
 
 def _clamp_unit(values: np.ndarray) -> np.ndarray:
@@ -99,9 +97,36 @@ def embedding_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _states(spec: FeatureMapSpec, rows: np.ndarray) -> np.ndarray:
+    """zz's (n, 2**q) statevectors, or angle_y's q real one-qubit states, (n, q, 2)."""
+    if spec.kind == ZZ:
+        return embedding_matrix(spec, rows)
+    one = embedding_matrix(replace(spec, num_qubits=1), check_rows(spec, rows).reshape(-1, 1))
+    return np.ascontiguousarray(one.real).reshape(-1, spec.num_qubits, 2)
+
+
+def _fidelities(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """|<a_i|b_j>|^2 of two ``_states`` arrays into ``out``; of one-qubit states,
+    the squared product over qubits of rank-2 products into one reused buffer."""
+    out = np.empty((len(a), len(b))) if out is None else out
+    if a.ndim == 2:
+        return accel.fidelity_cross(a, b, out)
+    np.matmul(a[:, 0], b[:, 0].T, out=out)
+    factor = np.empty_like(out)
+    for k in range(1, a.shape[1]):
+        out *= np.matmul(a[:, k], b[:, k].T, out=factor)
+    return np.square(out, out=out)
+
+
+def train_kernel(spec: FeatureMapSpec, rows: np.ndarray):
+    """(``_states``, Gram) of the train rows; the states feed ``cross_from_rows``."""
+    states = _states(spec, rows)
+    return states, gram_from_states(states)
+
+
 def gram_from_states(states: np.ndarray) -> GramMatrix:
-    """All pairwise fidelities of one (n, 2**q) state matrix."""
-    entries = _clamp_unit(accel.fidelity_gram(states))
+    """All pairwise fidelities of one ``_states`` array."""
+    entries = _clamp_unit(accel.fidelity_gram(states) if states.ndim == 2 else _fidelities(states, states))
     # Self-fidelity is exactly 1; drop the float noise of the matmul.
     np.fill_diagonal(entries, 1.0)
     return _owning(entries)
@@ -111,7 +136,7 @@ def cross_from_states(test_states: np.ndarray, train_states: np.ndarray) -> np.n
     """Fidelities of every test state against every train state."""
     if test_states.shape[1] != train_states.shape[1]:
         raise ValueError("test and train rows use different register widths")
-    return _clamp_unit(accel.fidelity_cross(test_states, train_states))
+    return _clamp_unit(_fidelities(test_states, train_states))
 
 
 def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray,
@@ -128,32 +153,31 @@ def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray,
     rows = check_rows(spec, rows_test)
     out = np.empty((len(rows), len(train_states)))
     for block in accel.row_blocks(len(rows), max(train_states.shape)):
-        accel.fidelity_cross(embedding_matrix(spec, rows[block]), train_states, out[block])
+        _fidelities(_states(spec, rows[block]), train_states, out[block])
     return _clamp_unit(out)
 
 
 def gram_matrix(spec: FeatureMapSpec, rows: np.ndarray) -> GramMatrix:
     """All pairwise fidelities for one row set."""
-    return gram_from_states(embedding_matrix(spec, rows))
+    return train_kernel(spec, rows)[1]
 
 
 def cross_kernel(
     spec: FeatureMapSpec, rows_test: np.ndarray, rows_train: np.ndarray
 ) -> np.ndarray:
     """Fidelities of every test row against every train row."""
-    return cross_from_rows(spec, rows_test, embedding_matrix(spec, rows_train))
+    return cross_from_rows(spec, rows_test, _states(spec, rows_train))
 
 
 def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
-    """Peak bytes of ``embedding_matrix``, ``gram_from_states``, the Gram's
-    release and ``cross_from_rows(..., keep)``: train states and the
-    embedding's own blocks, plus the larger phase: the Gram and its imaginary
-    part, or all n_train cross columns (the support count is known only after
-    SMO) and one block of test rows, conjugated in place, with their products."""
-    dim = 1 << spec.num_qubits
+    """Peak bytes of ``train_kernel``, the Gram's release and ``cross_from_rows(..., keep)``:
+    train states (q entries a row for angle_y) and the embedding's blocks, plus the larger
+    phase: the Gram and its imaginary part or factor, or all n_train cross columns (the
+    support count is known after SMO) and one test block, conjugated, with its products."""
+    dim = 1 << spec.num_qubits if spec.kind == ZZ else spec.num_qubits
     rows = _largest_block(n_test, max(dim, n_train))
-    embed = max(_largest_block(n, 4 * dim) for n in (n_train, rows))
-    return 16 * dim * (n_train + 8 * embed) + max(
+    block = max(_largest_block(n, 4 * dim) for n in (n_train, rows))
+    return 16 * dim * (n_train + 8 * block) + max(
         16 * n_train**2, 8 * n_train * n_test + rows * (16 * dim + 24 * n_train))
 
 

@@ -53,13 +53,19 @@ def _cases():
         for key, model in _MODELS.items():
             yield f"{name}/{key}", {"dataset": dataset, "model": model}, ["benchmark"]
         yield f"{name}/kernel", {"dataset": dataset, "model": _MODELS["qsvm_zz"]}, ["kernel"]
+        if name == "moons":
+            yield "moons/kernel_angle_y", {"dataset": dataset, "model": _MODELS["qsvm_angle_y"]}, [
+                "kernel"]
         yield f"{name}/hybrid", {"dataset": dataset, "hybrid": hybrid}, ["hybrid"]
     # Ring differs from linear only from 3 qubits on, so this case reads a
     # CSV; its path is relative, so no artifact names the run directory.
+    startup = {"csv": "startups.csv", "feature_k": 10, "subsample": 300, "seed": 1}
     yield "startup/zz_ring", {
-        "dataset": {"csv": "startups.csv", "feature_k": 10, "subsample": 300, "seed": 1},
+        "dataset": startup,
         "model": {"name": "qsvm", "feature_map": {"kind": "zz", "entanglement": "ring"}},
     }, ["ingest", "benchmark", "kernel"]
+    yield "startup/angle_y", {"dataset": startup, "model": _MODELS["qsvm_angle_y"]}, [
+        "ingest", "benchmark", "kernel"]
 
 
 def _openblas():

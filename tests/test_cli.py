@@ -24,6 +24,9 @@ from qkml.config import ConfigError, resolve_config
 from qkml.dataset import Dataset
 from qkml.feature_maps import ZZ, FeatureMapSpec
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from inputs import write_startup_csv  # noqa: E402
+
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURE_CSV = DATA / "startups_12.csv"
@@ -1033,6 +1036,40 @@ def test_support_rows_move_to_the_front_in_place_a_block_at_a_time(n, width, kee
     assert states[: len(index)].tobytes() == gathered.tobytes()
     # One block of gathered rows, never a copy of every support row.
     assert peaks[1] <= peaks[0] + 16 * accel._BLOCK + 4096
+
+
+def test_angle_y_qsvm_embeds_no_register_wider_than_one_qubit(tmp_path, monkeypatch):
+    real = qkernel.embedding_matrix
+
+    def one_qubit(spec, rows):
+        assert spec.num_qubits == 1, f"embedded a {spec.num_qubits}-qubit register"
+        return real(spec, rows)
+
+    monkeypatch.setattr(qkernel, "embedding_matrix", one_qubit)
+    cfg = _write_config(tmp_path, {"dataset": {"synthetic": {"name": "moons", "n": 60}, "seed": 4},
+                                   "model": {"name": "qsvm"}})
+    for command in ("benchmark", "kernel"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert qkernel.verify_gram(tmp_path / "out" / "gram.qkgm")["feature_map"]["kind"] == "angle_y"
+
+
+def test_default_qsvm_config_on_all_seventeen_columns_runs_in_bounded_memory(tmp_path):
+    # angle_y on 17 qubits, 1,112 train and 278 test rows: held as 17
+    # one-qubit states a row, the kernel needs about two 1,112 x 1,112
+    # matrices, where 2^17 amplitudes a row would need gigabytes.
+    write_startup_csv(tmp_path / "startups.csv", 1900, 1)
+    cfg = _write_config(tmp_path, {"dataset": {"csv": str(tmp_path / "startups.csv"), "seed": 1},
+                                   "model": {"name": "qsvm"}})
+    for command in ("ingest", "benchmark", "kernel"):
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 20, command
+    split = json.loads((tmp_path / "out" / "report.json").read_text())["split"]
+    assert (split["train_rows"], split["test_rows"], len(split["features"])) == (1112, 278, 17)
 
 
 def _no_embedding(monkeypatch):

@@ -291,6 +291,18 @@ def test_train_divergence_aborts_with_diagnostic():
         train_dense(broken, x, y, TrainConfig(epochs=3))
 
 
+def test_train_refuses_an_empty_train_or_validation_set_before_any_epoch():
+    # Refused up front: a mean over zero rows would warn and then read as
+    # a diverged loss.
+    x, y = _blobs(10)
+    net = init_dense([2, 4, 2])
+    empty_x, empty_y = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    for call in (lambda: train_dense(net, empty_x, empty_y),
+                 lambda: train_dense(net, x, y, TrainConfig(epochs=1), empty_x, empty_y)):
+        with pytest.raises(ValueError, match="at least one train row"):
+            call()
+
+
 def test_train_shape_mismatches():
     x, y = _blobs(10)
     net = init_dense((3, 4, 2), seed=0)

@@ -9,9 +9,10 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qkml"
 
 # (module, name) pairs imported on purpose and never read in the module.
 UNUSED_ON_PURPOSE = {
-    # Tracing tools patch ``run_circuit`` by module and name.
+    # Tracing tools patch ``run_circuit`` and ``embed`` by module and name.
     ("feature_maps", "run_circuit"): "patched by tracing tools",
     ("hybrid", "run_circuit"): "patched by tracing tools",
+    ("qkernel", "embed"): "patched by tracing tools",
     ("__init__", "active_backend"): "re-exported as qkml.active_backend",
 }
 
@@ -34,6 +35,16 @@ def test_every_imported_name_is_used(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree)
               if name not in used and (path.stem, name) not in UNUSED_ON_PURPOSE]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_binds_a_name_it_imports(path):
+    # A local or parameter of the same name would pass for a use of the import.
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    bound |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    assert sorted(bound & {name for name, _ in _imported(tree)}) == []
 
 
 def test_each_name_kept_on_purpose_is_imported_and_unused():

@@ -401,6 +401,27 @@ def test_embedding_matrix_rejects_bad_rows():
         qkernel.embedding_matrix(spec, np.array([[0.1, np.inf]]))
 
 
+@pytest.mark.parametrize("reps", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 6, 10])
+def test_angle_y_kernels_from_one_qubit_states_match_the_statevectors(q, reps):
+    rng = np.random.default_rng(q * 10 + reps)
+    spec = FeatureMapSpec(ANGLE_Y, q, reps)
+    train = rng.uniform(0, np.pi, size=(40, q))
+    test = rng.uniform(0, np.pi, size=(9, q))
+    states, gram = qkernel.train_kernel(spec, train)
+    assert states.shape == (40, q, 2)
+    vectors = qkernel.embedding_matrix(spec, train)
+    want = accel.fidelity_cross(vectors, vectors)
+    np.testing.assert_allclose(gram.entries, want, rtol=0, atol=1e-12)
+    assert np.array_equal(gram.entries, gram.entries.T)
+    assert (np.diag(gram.entries) == 1.0).all()
+    want = accel.fidelity_cross(qkernel.embedding_matrix(spec, test), vectors)
+    np.testing.assert_allclose(qkernel.cross_kernel(spec, test, train), want, rtol=0, atol=1e-12)
+    keep = np.flatnonzero(rng.random(40) < 0.6)
+    cross = qkernel.cross_from_rows(spec, test, states, keep)
+    np.testing.assert_allclose(cross, want[:, keep], rtol=0, atol=1e-12)
+
+
 def test_state_based_kernels_equal_row_based_wrappers():
     rng = np.random.default_rng(22)
     spec = FeatureMapSpec(ZZ, 3)
@@ -479,18 +500,20 @@ def test_zz_embedding_holds_at_most_three_blocks_besides_its_output(entanglement
     assert peak - states.nbytes < blocks * block
 
 
-@pytest.mark.parametrize("q, n_train, n_test", [(10, 400, 278), (6, 300, 500), (2, 800, 200),
-                                                (13, 40, 30), (3, 3, 1000)])
-def test_streamed_kernel_path_peaks_within_kernel_bytes(q, n_train, n_test):
+# zz cases are named by their sizes alone, angle_y cases by kind and sizes.
+@pytest.mark.parametrize("kind, q, n_train, n_test", [
+    pytest.param(ZZ, *sizes, id="-".join(map(str, sizes)))
+    for sizes in [(10, 400, 278), (6, 300, 500), (2, 800, 200), (13, 40, 30), (3, 3, 1000)]
+] + [(ANGLE_Y, 2, 800, 200), (ANGLE_Y, 10, 400, 278), (ANGLE_Y, 17, 1112, 278)])
+def test_streamed_kernel_path_peaks_within_kernel_bytes(kind, q, n_train, n_test):
     rng = np.random.default_rng(q)
-    spec = FeatureMapSpec(ZZ, q, repetitions=2)
+    spec = FeatureMapSpec(kind, q, repetitions=2)
     train = rng.uniform(0, np.pi, size=(n_train, q))
     test = rng.uniform(0, np.pi, size=(n_test, q))
 
     def kernel_path(keep):
         # The CLI's order: the Gram is released before the test rows stream.
-        states = qkernel.embedding_matrix(spec, train)
-        qkernel.gram_from_states(states)
+        states = qkernel.train_kernel(spec, train)[0]
         return qkernel.cross_from_rows(spec, test, states, keep)
 
     # Every train column, then the support rows the qsvm branch keeps.
