@@ -99,8 +99,8 @@ _BLOCK = 1 << 16  # entries of a block of rows: 1 MiB of complex128
 
 def row_blocks(n, width):
     """The blocks of every row-blocked loop: slices of ``n`` rows of ``width``
-    entries, about _BLOCK entries a slice, one row only when ``n`` is 1."""
-    starts = list(range(0, n - 1, max(2, _BLOCK // width))) or [0]
+    entries, about _BLOCK entries a slice, one row only when ``n`` is 1, none at 0."""
+    starts = list(range(0, n - 1, max(2, _BLOCK // width))) or ([0] if n else [])
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 

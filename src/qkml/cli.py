@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, dataset as dsmod, hybrid as hmod, metrics, qkernel, svm as svmmod, synth, trees
 from .artifacts import read_json, write_json_atomic, write_text_atomic
 from .config import _FEATURE_MAP, ConfigError, load_config, resolve_config
-from .feature_maps import FeatureMapSpec
+from .feature_maps import ZZ, FeatureMapSpec
 
 log = logging.getLogger("qkml")
 
@@ -131,11 +131,12 @@ def _kernel_spec(model_cfg: dict, train, n_test: int = 0) -> FeatureMapSpec:
     need = qkernel.kernel_bytes(spec, train.n_rows, n_test)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
+        qubits = "dataset.feature_k (fewer qubits) or " if spec.kind == ZZ else ""
         raise ConfigError(
             f"the quantum kernel needs about {need / 2**30:.1f} GiB for "
             f"{train.n_rows + n_test} rows on {spec.num_qubits} qubits, more than the "
-            f"{have / 2**30:.1f} GiB of physical memory; lower dataset.feature_k "
-            "(fewer qubits) or dataset.subsample (fewer train rows)"
+            f"{have / 2**30:.1f} GiB of physical memory; lower {qubits}"
+            "dataset.subsample (fewer train rows)"
         )
     return spec
 
@@ -237,12 +238,12 @@ def cmd_kernel(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     log.info("gram: %d rows on %d qubits, %d bytes", train.n_rows, spec.num_qubits,
              8 * train.n_rows**2)
     gram = qkernel.gram_matrix(spec, train.features)
-    export = Path(args.export) if args.export else out / "gram.qkgm"
+    path = out / "gram.qkgm"
     sidecar = qkernel.save_gram(
-        export, gram, spec, input_sha256=qkernel.matrix_sha256(train.features)
+        path, gram, spec, input_sha256=qkernel.matrix_sha256(train.features)
     )
-    qkernel.verify_gram(export)  # self-check the fresh container
-    print(f"kernel: wrote {export} (n={gram.size}) + {sidecar.name}")
+    qkernel.verify_gram(path)  # self-check the fresh container
+    print(f"kernel: wrote {path} (n={gram.size}) + {sidecar.name}")
     return 0
 
 
@@ -352,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("kernel", help="export or verify a QKGM gram container")
     _add_common(p)
-    p.add_argument("--export", default=None, help="container output path")
     p.add_argument("--verify", default=None, help="verify an existing container")
     p.set_defaults(func=cmd_kernel)
 
@@ -374,7 +374,7 @@ def main(argv=None) -> int:
     func = cmd_verify if getattr(args, "verify", None) is not None else args.func
     configured = func not in (cmd_report, cmd_verify)
     if configured and args.config is None and args.synthetic is None:
-        usage = " (export) or --verify PATH" if args.command == "kernel" else ""
+        usage = " or --verify PATH" if args.command == "kernel" else ""
         parser.error(f"{args.command} needs --config or --synthetic{usage}")
     try:
         if not configured:

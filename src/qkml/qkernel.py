@@ -6,9 +6,9 @@ zz's (n, 2**q) statevectors, whose overlaps are BLAS products
 (``accel.fidelity_gram``, ``accel.fidelity_cross``), or the q real one-qubit
 states of angle_y's product state, each fidelity the square of a product of
 q rank-2 products, with no 2**q array.  ``train_kernel`` embeds a train set
-once for its Gram and ``cross_from_rows``, which streams test rows a block at
-a time against the train states, or the ``keep`` rows it first moves to their
-front in place; ``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
+once for its Gram and its states, which ``cross_from_rows`` alone reads: it
+refuses states of another map or qubit count and streams test rows against
+them; ``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
 Entries are clamped to [0, 1]; drift beyond CLAMP_TOL outside that
 interval, or a NaN, indicates a broken embedding and raises.
 
@@ -119,33 +119,25 @@ def _fidelities(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) 
 
 
 def train_kernel(spec: FeatureMapSpec, rows: np.ndarray):
-    """(``_states``, Gram) of the train rows; the states feed ``cross_from_rows``."""
+    """(``_states``, Gram) of the train rows; the states are for ``cross_from_rows`` alone."""
     states = _states(spec, rows)
-    return states, gram_from_states(states)
-
-
-def gram_from_states(states: np.ndarray) -> GramMatrix:
-    """All pairwise fidelities of one ``_states`` array."""
     entries = _clamp_unit(accel.fidelity_gram(states) if states.ndim == 2 else _fidelities(states, states))
     # Self-fidelity is exactly 1; drop the float noise of the matmul.
     np.fill_diagonal(entries, 1.0)
-    return _owning(entries)
-
-
-def cross_from_states(test_states: np.ndarray, train_states: np.ndarray) -> np.ndarray:
-    """Fidelities of every test state against every train state."""
-    if test_states.shape[1] != train_states.shape[1]:
-        raise ValueError("test and train rows use different register widths")
-    return _clamp_unit(_fidelities(test_states, train_states))
+    return states, _owning(entries)
 
 
 def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray,
                     train_states: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
-    """Fidelities of every test row against every train state, the test
-    rows embedded and compared one block at a time.  ``keep`` (ascending
-    indices) first moves those states to the front of ``train_states`` in
-    place, in ascending blocks that read only rows not yet overwritten, and
-    the test rows meet that prefix alone."""
+    """Fidelities of every test row against ``train_kernel``'s states for the
+    same spec (others are refused), the test rows embedded and compared one
+    block at a time.  ``keep`` (ascending indices) first moves those states
+    to the front of ``train_states`` in place, in ascending blocks that read
+    only rows not yet overwritten, and the test rows meet that prefix alone."""
+    shape = (1 << spec.num_qubits,) if spec.kind == ZZ else (spec.num_qubits, 2)
+    if train_states.shape[1:] != shape:
+        raise ValueError(f"train states of shape {train_states.shape} are not {spec.kind} states of "
+                         f"a {spec.num_qubits}-qubit register, whose rows have shape {shape}")
     if keep is not None:
         for block in accel.row_blocks(len(keep), train_states.shape[1]):
             train_states[block] = train_states[keep[block]]
@@ -171,9 +163,9 @@ def cross_kernel(
 
 def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
     """Peak bytes of ``train_kernel``, the Gram's release and ``cross_from_rows(..., keep)``:
-    train states (q entries a row for angle_y) and the embedding's blocks, plus the larger
-    phase: the Gram and its imaginary part or factor, or all n_train cross columns (the
-    support count is known after SMO) and one test block, conjugated, with its products."""
+    its states (q pairs of reals a row for angle_y) and the embedding's blocks, plus the larger
+    phase: the Gram and its imaginary part or factor, or all n_train cross columns of n_test rows
+    (the support count is known after SMO) and one test block, conjugated, with its products."""
     dim = 1 << spec.num_qubits if spec.kind == ZZ else spec.num_qubits
     rows = _largest_block(n_test, max(dim, n_train))
     block = max(_largest_block(n, 4 * dim) for n in (n_train, rows))
@@ -182,7 +174,7 @@ def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:
 
 
 def _largest_block(n, width):
-    return max(b.stop - b.start for b in accel.row_blocks(n, width))
+    return max((b.stop - b.start for b in accel.row_blocks(n, width)), default=0)
 
 
 def check_psd(gram: GramMatrix) -> float:

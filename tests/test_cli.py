@@ -1,5 +1,6 @@
 """End-to-end command-line runs (in-process)."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -115,6 +116,28 @@ def test_ingest_refuses_a_malformed_feature_config_before_writing(tmp_path, caps
     assert main(["ingest", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_feature_config_sets_the_features_and_their_order(tmp_path):
+    csv = tmp_path / "startups.csv"
+    write_startup_csv(csv, 300, 3)
+    features = [
+        {"type": "frequency", "column": "market"},
+        {"type": "numeric", "column": "funding_total_usd", "blank": "drop"},
+        {"type": "duration_days", "name": "days_founded_to_first_funding",
+         "start": "founded_at", "end": "first_funding_at", "blank": "drop"},
+    ]
+    fc = tmp_path / "features.json"
+    fc.write_text(json.dumps({"status_column": "status", "features": features}))
+    dataset = {"csv": str(csv), "feature_config": str(fc)}
+    cfg = _write_config(tmp_path, {"dataset": dataset, "model": {"name": "dt"}})
+    out = tmp_path / "out"
+    assert main(["ingest", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["benchmark", "--config", cfg, "--out", str(out)]) == 0
+    names = ["market_freq", "funding_total_usd", "days_founded_to_first_funding"]
+    summary = json.loads((out / "ingest_summary.json").read_text())
+    assert summary["engineering"]["feature_names"] == names
+    assert json.loads((out / "report.json").read_text())["split"]["features"] == names
 
 
 # -- benchmark -----------------------------------------------------------------
@@ -379,6 +402,17 @@ def test_kernel_export_then_verify(tmp_path, capsys):
     assert "kernel: wrote" in capsys.readouterr().out
     assert main(["kernel", "--verify", str(gram_path)]) == 0
     assert "verify: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model", [None, {"name": "rf"}], ids=["no-config", "rf-config"])
+def test_kernel_without_a_qsvm_model_maps_every_column_by_angle_y(tmp_path, model):
+    out = tmp_path / "out"
+    doc = {"dataset": {"synthetic": {"name": "moons", "n": 40}}, "model": model}
+    source = ["--synthetic", "moons"] if model is None else ["--config", _write_config(tmp_path, doc)]
+    assert main(["kernel", *source, "--out", str(out)]) == 0
+    meta = json.loads((out / "gram.qkgm.meta").read_text())
+    assert meta["feature_map"]["kind"] == "angle_y"
+    assert meta["feature_map"]["num_qubits"] == 2
 
 
 def test_kernel_single_row_gram_is_unit(tmp_path):
@@ -742,12 +776,16 @@ _MOONS = {"synthetic": {"name": "moons"}}
         ({"dataset": _MOONS, "model": {"name": "svm", "class_weight": [True, 2]}},
          "model(svm).class_weight must be a number"),
         ({"dataset": _MOONS, "hybrid": {"hidden": [True]}}, "hybrid.hidden must be an integer"),
+        ({"dataset": {**_MOONS, "test_fraction": 0}}, "dataset.test_fraction must be in (0, 1)"),
+        ({"dataset": {**_MOONS, "test_fraction": -0.1}},
+         "dataset.test_fraction must be in (0, 1)"),
     ],
     ids=["no-file", "top-level", "section", "synthetic-name", "no-source", "two-sources",
          "test-fraction", "scaling", "model-name", "unknown-model", "hidden",
          "bootstrap-string", "max-depth-null", "c-null", "class-weight-bool", "csv-int",
          "max-depth-fraction", "repetitions-fraction", "feature-k-fraction", "stratify-string",
-         "class-weight-bool-factor", "hidden-bool"],
+         "class-weight-bool-factor", "hidden-bool", "test-fraction-zero",
+         "test-fraction-negative"],
 )
 def test_config_errors_exit_two_with_their_message(tmp_path, capsys, doc, message):
     cfg = str(tmp_path / "missing.json") if doc is None else _write_config(tmp_path, doc)
@@ -894,6 +932,17 @@ def test_commands_need_a_source():
         with pytest.raises(SystemExit) as exc:
             main([command])
         assert exc.value.code == 2
+
+
+def test_each_subcommand_takes_its_pinned_options():
+    # A new option is a deliberate edit of this table.
+    common = {"--config", "--out", "--seed", "--threads", "--synthetic"}
+    pinned = {"ingest": common, "benchmark": common, "hybrid": common,
+              "kernel": common | {"--verify"}, "report": {"--input"}}
+    subs, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, sub in subs.choices.items()}
+    assert options == pinned
 
 
 def test_unknown_synthetic_name_rejected(tmp_path):
@@ -1112,4 +1161,19 @@ def test_cli_exits_two_when_kernel_cannot_fit(tmp_path, monkeypatch, capsys, com
     assert main([command, "--config", _qsvm_zz_config(tmp_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dataset.feature_k" in err
+    assert not (out / "gram.qkgm").exists() and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["kernel", "benchmark"])
+def test_an_angle_y_kernel_that_cannot_fit_names_subsample_alone(tmp_path, monkeypatch, capsys,
+                                                                  command):
+    # angle_y's estimate is the n x n matrices; fewer qubits hardly lower it.
+    _no_embedding(monkeypatch)
+    _physical_memory(monkeypatch, 4096)
+    out = tmp_path / "out"
+    doc = {"dataset": {"synthetic": {"name": "moons", "n": 100}},
+           "model": {"name": "qsvm", "feature_map": {"kind": "angle_y"}}}
+    assert main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dataset.subsample" in err and "feature_k" not in err
     assert not (out / "gram.qkgm").exists() and not (out / "report.json").exists()

@@ -1,6 +1,7 @@
 """Fidelity kernel entries, Gram assembly, and the QKGM container."""
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -58,14 +59,13 @@ def test_gram_matrix_copies_a_caller_array_and_is_read_only():
 
 
 def test_gram_from_states_and_load_gram_keep_their_fresh_array(monkeypatch, tmp_path):
-    # No n x n copy: the Gram holds the array the product returned, and a
-    # loaded Gram the entries of the one read of the file.
+    # No n x n copy: train_kernel's Gram holds the array the product
+    # returned, and a loaded Gram the entries of the one read of the file.
     built = []
     fidelity_gram = accel.fidelity_gram
     monkeypatch.setattr(accel, "fidelity_gram", lambda s: built.append(fidelity_gram(s)) or built[0])
-    states = qkernel.embedding_matrix(FeatureMapSpec(ZZ, 4), np.random.default_rng(7).uniform(
-        0, np.pi, size=(600, 4)))
-    gram = qkernel.gram_from_states(states)
+    rows = np.random.default_rng(7).uniform(0, np.pi, size=(600, 4))
+    gram = qkernel.train_kernel(FeatureMapSpec(ZZ, 4), rows)[1]
     assert gram.entries is built[0] and not gram.entries.flags.writeable
     path = tmp_path / "kernel.qkgm"
     qkernel.save_gram(path, gram, FeatureMapSpec(ZZ, 4))
@@ -76,10 +76,22 @@ def test_gram_from_states_and_load_gram_keep_their_fresh_array(monkeypatch, tmp_
 
 
 def test_cross_from_states_refuses_different_register_widths():
-    a = qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 1), np.array([[0.3]]))
-    b = qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 2), np.array([[0.3, 0.4]]))
-    with pytest.raises(ValueError, match="register widths"):
-        qkernel.cross_from_states(a, b)
+    # cross_from_rows takes only train_kernel's states for the rows' own
+    # spec, and refuses others before any state moves.
+    x = np.random.default_rng(14).uniform(0, np.pi, size=(5, 3))
+    cases = [
+        (ANGLE_Y, qkernel.train_kernel(FeatureMapSpec(ANGLE_Y, 4), np.hstack([x, x[:, :1]]))[0]),
+        (ZZ, qkernel.train_kernel(FeatureMapSpec(ZZ, 4), np.hstack([x, x[:, :1]]))[0]),
+        (ANGLE_Y, qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 3), x)),
+        (ZZ, qkernel.train_kernel(FeatureMapSpec(ANGLE_Y, 3), x)[0]),
+    ]
+    for kind, states in cases:
+        before = states.copy()
+        message = f"train states of shape {states.shape} are not {kind} states of a 3-qubit register"
+        for keep in (None, np.array([1, 3])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                qkernel.cross_from_rows(FeatureMapSpec(kind, 3), x, states, keep)
+        assert states.tobytes() == before.tobytes()
 
 
 def test_gram_single_row():
@@ -178,19 +190,33 @@ def test_clamp_rejects_drift_beyond_tolerance():
     np.testing.assert_array_equal(out, [1.0, 0.0])
 
 
-def test_nan_fidelities_are_rejected():
+def test_nan_fidelities_are_rejected(monkeypatch):
     # Rows whose pair angles overflow are refused before they are embedded
     # (tests/test_feature_maps.py), so a NaN amplitude is planted instead.
     spec = FeatureMapSpec(ZZ, 2)
-    states = qkernel.embedding_matrix(spec, np.array([[0.5, 0.3], [0.1, 0.2], [2.0, 1.0]]))
+    rows = np.array([[0.5, 0.3], [0.1, 0.2], [2.0, 1.0]])
+    states = qkernel.embedding_matrix(spec, rows)
     states[0, 1] = np.nan
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="fidelity outside"):
-            qkernel.gram_from_states(states)
+            qkernel.cross_from_rows(spec, rows[1:], states)
+        monkeypatch.setattr(qkernel, "embedding_matrix", lambda spec, rows: states)
         with pytest.raises(ValueError, match="fidelity outside"):
-            qkernel.cross_from_states(states[1:], states)
+            qkernel.train_kernel(spec, rows)
     with pytest.raises(ValueError, match="fidelity outside"):
         qkernel._clamp_unit(np.array([0.5, np.nan]))
+
+
+@pytest.mark.parametrize("kind", [ANGLE_Y, ZZ])
+def test_no_test_rows_give_an_empty_cross_kernel(kind):
+    spec = FeatureMapSpec(kind, 3)
+    train = np.random.default_rng(13).uniform(0, np.pi, size=(6, 3))
+    none = np.zeros((0, 3))
+    assert accel.row_blocks(0, 8) == []
+    assert qkernel.cross_kernel(spec, none, train).shape == (0, 6)
+    for keep, width in ((None, 6), (np.array([1, 4]), 2)):
+        states = qkernel.train_kernel(spec, train)[0]
+        assert qkernel.cross_from_rows(spec, none, states, keep).shape == (0, width)
 
 
 def test_cross_from_rows_against_no_train_states_is_empty():
@@ -362,9 +388,7 @@ def test_embedding_matrix_on_boundary_angles_equals_gate_path():
     got = qkernel.embedding_matrix(spec, x)
     want = _gate_path(spec, x)
     _assert_zz_close(got, want)
-    _assert_zz_close(
-        qkernel.gram_from_states(got).entries, qkernel.gram_from_states(want).entries
-    )
+    _assert_zz_close(qkernel.gram_matrix(spec, x).entries, accel.fidelity_gram(want))
 
 
 @pytest.mark.parametrize("reps", [1, 2, 3])
@@ -380,16 +404,13 @@ def test_zz_embedding_matrix_bytes_equal_layer_oracle(q, entanglement, reps):
         edges[pick == 1] = np.pi
         spread = rng.uniform(0, np.pi, size=(n, q)), rng.uniform(-7.0, 7.0, size=(n, q))
         for x in spread + (edges,):
-            got = qkernel.embedding_matrix(spec, x)
             want = helpers.embed_zz_layers(spec, x)
-            _assert_zz_close(got, want)
+            _assert_zz_close(qkernel.embedding_matrix(spec, x), want)
+            states, gram = qkernel.train_kernel(spec, x)
+            _assert_zz_close(gram.entries, accel.fidelity_gram(want))
             _assert_zz_close(
-                qkernel.gram_from_states(got).entries,
-                qkernel.gram_from_states(want).entries,
-            )
-            _assert_zz_close(
-                qkernel.cross_from_states(got[: n // 2 + 1], got),
-                qkernel.cross_from_states(want[: n // 2 + 1], want),
+                qkernel.cross_from_rows(spec, x[: n // 2 + 1], states),
+                accel.fidelity_cross(want[: n // 2 + 1], want),
             )
 
 
@@ -424,14 +445,14 @@ def test_angle_y_kernels_from_one_qubit_states_match_the_statevectors(q, reps):
 
 def test_state_based_kernels_equal_row_based_wrappers():
     rng = np.random.default_rng(22)
-    spec = FeatureMapSpec(ZZ, 3)
     train = rng.uniform(0, np.pi, size=(7, 3))
     test = rng.uniform(0, np.pi, size=(4, 3))
-    states = qkernel.embedding_matrix(spec, train)
-    gram = qkernel.gram_from_states(states)
-    assert gram.entries.tobytes() == qkernel.gram_matrix(spec, train).entries.tobytes()
-    cross = qkernel.cross_from_states(qkernel.embedding_matrix(spec, test), states)
-    assert cross.tobytes() == qkernel.cross_kernel(spec, test, train).tobytes()
+    for kind in (ANGLE_Y, ZZ):
+        spec = FeatureMapSpec(kind, 3)
+        states, gram = qkernel.train_kernel(spec, train)
+        assert gram.entries.tobytes() == qkernel.gram_matrix(spec, train).entries.tobytes()
+        cross = qkernel.cross_from_rows(spec, test, states)
+        assert cross.tobytes() == qkernel.cross_kernel(spec, test, train).tobytes()
 
 
 def _largest_block(n, width):
@@ -526,10 +547,11 @@ def test_streamed_kernel_path_peaks_within_kernel_bytes(kind, q, n_train, n_test
 def test_gram_from_states_holds_a_block_and_two_n_by_n_arrays(q, n):
     # No copy of the real or imaginary parts: the rows are rewritten in
     # place a quarter block at a time, then m and the real part are n x n.
+    # train_kernel clamps this array and sets its diagonal in place.
     states = qkernel.embedding_matrix(FeatureMapSpec(ZZ, q), np.random.default_rng(q).uniform(
         0, np.pi, size=(n, q)))
-    peak, gram = _traced_peak(qkernel.gram_from_states, states)
-    assert peak <= 16 * accel._BLOCK + 2 * gram.entries.nbytes
+    peak, gram = _traced_peak(accel.fidelity_gram, states)
+    assert peak <= 16 * accel._BLOCK + 2 * gram.nbytes
 
 
 @pytest.mark.parametrize("q, n_train, n_test", [(10, 400, 278), (6, 300, 500), (2, 800, 200)])
@@ -544,5 +566,5 @@ def test_streamed_cross_holds_one_block_and_its_output(q, n_train, n_test):
     # squares, and the embedding's own blocks.
     block = rows * (16 << q) + rows * 24 * n_train + 8 * 16 * (_largest_block(rows, 4 << q) << q)
     assert peak <= cross.nbytes + block
-    assert cross.tobytes() == qkernel.cross_from_states(
-        qkernel.embedding_matrix(spec, test), states).tobytes()
+    assert cross.tobytes() == qkernel._clamp_unit(accel.fidelity_cross(
+        qkernel.embedding_matrix(spec, test), states)).tobytes()
