@@ -157,8 +157,9 @@ def cmd_ingest(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     return 0
 
 
-def _train_and_predict(model_cfg: dict, train, test, seed: int):
-    """Returns (test predictions, train predictions, model info dict)."""
+def _train_and_predict(model_cfg: dict, train, test, seed: int, export=None):
+    """Returns (test predictions, train predictions, model info dict); qsvm
+    reuses the Gram at ``export`` when it was exported for these rows."""
     name = model_cfg["name"]
     if name in ("dt", "rf"):
         # dt is the one-tree forest: no bootstrap, every feature at each split.
@@ -183,7 +184,7 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int):
         )
     if name == "qsvm":
         spec = _kernel_spec(model_cfg, train, test.n_rows)
-        train_states, gram = qkernel.train_kernel(spec, train.features)
+        train_states, gram = qkernel.train_kernel(spec, train.features, export)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
         # The Gram is released before the test rows stream.
@@ -209,7 +210,8 @@ def cmd_benchmark(args, resolved: dict, cfg_hash: str, out: Path) -> int:
     log.info("split: %d train and %d test rows x %d features", train.n_rows, test.n_rows, n_feats)
     log.info("training %s: %d rows x %d features", name, train.n_rows, n_feats)
     seed = resolved["dataset"]["seed"]
-    preds, train_preds, model_info = _train_and_predict(resolved["model"], train, test, seed)
+    preds, train_preds, model_info = _train_and_predict(resolved["model"], train, test, seed,
+                                                         out / "gram.qkgm")
     log.info("predicted %d test and %d train rows", test.n_rows, train.n_rows)
     cm = metrics.confusion_matrix(test.labels, preds)
     report = metrics.report_from_confusion(cm)

@@ -147,6 +147,8 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
             raise ConfigError("dataset.synthetic needs a 'name'")
         if synth["seed"] is None:
             synth["seed"] = dataset["seed"]
+        elif synth["seed"] < 0:
+            raise ConfigError(f"dataset.synthetic.seed must be >= 0, got {synth['seed']}")
         dataset["synthetic"] = synth
     if dataset["csv"] is None and dataset["synthetic"] is None:
         raise ConfigError("dataset needs either 'csv' or 'synthetic'")
@@ -156,9 +158,9 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
         raise ConfigError(
             f"dataset.test_fraction must be in (0, 1), got {dataset['test_fraction']}"
         )
-    for key in ("feature_k", "subsample"):
-        if dataset[key] is not None and dataset[key] < 1:
-            raise ConfigError(f"dataset.{key} must be >= 1, got {dataset[key]}")
+    for key, low in (("feature_k", 1), ("subsample", 1), ("seed", 0)):
+        if dataset[key] is not None and dataset[key] < low:
+            raise ConfigError(f"dataset.{key} must be >= {low}, got {dataset[key]}")
     if dataset["scaling"] not in (MINMAX_PI, STANDARDIZE):
         raise ConfigError(
             f"dataset.scaling must be {MINMAX_PI!r} or {STANDARDIZE!r}, "
@@ -185,7 +187,9 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
 
     # The hybrid section always resolves so `qkml hybrid` runs on defaults.
     merged = _merge("hybrid", _HYBRID, doc.get("hybrid"))
-    merged["quanv"] = _merge("hybrid.quanv", _QUANV, merged["quanv"])
+    quanv = merged["quanv"] = _merge("hybrid.quanv", _QUANV, merged["quanv"])
+    if quanv["circuit_seed"] < 0:
+        raise ConfigError(f"hybrid.quanv.circuit_seed must be >= 0, got {quanv['circuit_seed']}")
     merged["train"] = _merge("hybrid.train", _TRAIN, merged["train"])
     if not all(h >= 1 for h in merged["hidden"]):
         raise ConfigError("hybrid.hidden must be a list of positive ints")

@@ -56,7 +56,7 @@ class QuanvSpec:
     circuit_seed: int = 0
 
     def __post_init__(self):
-        cast_fields(self, window=1, stride=1, layers=0)
+        cast_fields(self, window=1, stride=1, layers=0, circuit_seed=0)
 
 
 def build_quanv_circuit(spec: QuanvSpec) -> Circuit:
@@ -258,7 +258,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        cast_fields(self, epochs=1, batch_size=1)
+        cast_fields(self, epochs=1, batch_size=1, seed=0)
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 

@@ -14,13 +14,14 @@ interval, or a NaN, indicates a broken embedding and raises.
 
 Gram matrices can be exported to a small binary container (magic
 ``QKGM``) with a JSON sidecar carrying the feature-map description and
-content hashes, so a cached kernel can be verified before reuse: one
-read, hashed, then the header check ``load_gram`` runs too.
+content hashes, so a cached kernel is verified before ``train_kernel``
+reuses it for the same rows and map: one read, hashed, header-checked.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -38,6 +39,7 @@ PSD_TOL = -1e-8
 _MAGIC = b"QKGM"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQ")  # magic, version, row count n
+log = logging.getLogger("qkml.qkernel")
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,20 @@ def _fidelities(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) 
     return np.square(out, out=out)
 
 
-def train_kernel(spec: FeatureMapSpec, rows: np.ndarray):
-    """(``_states``, Gram) of the train rows; the states are for ``cross_from_rows`` alone."""
+def train_kernel(spec: FeatureMapSpec, rows: np.ndarray, export=None):
+    """(``_states``, Gram) of the train rows; the states are for ``cross_from_rows`` alone.
+    A Gram exported to ``export`` with this ``_record`` is checked and reused, rows as states."""
+    found = export is not None and _sidecar_path(Path(export)).exists()
+    m = _verified(Path(export), _record(spec, matrix_sha256(rows)))[1] if found else None
+    if export is not None:
+        log.info("%s: %s", export, "reusing its Gram" if m is not None else "recorded for other rows "
+                 "or another map, building the Gram" if found else "no export, building the Gram")
+    if m is not None:
+        if not (len(m) == len(rows) and m.min() >= 0 and m.max() <= 1 and (m == m.T).all()
+                and (m.diagonal() == 1).all()):
+            raise ValueError(f"{export}: not a Gram of {len(rows)} rows: finite entries in [0, 1], "
+                             "exactly symmetric, unit diagonal")
+        return check_rows(spec, rows), _owning(m)
     states = _states(spec, rows)
     entries = _clamp_unit(accel.fidelity_gram(states) if states.ndim == 2 else _fidelities(states, states))
     # Self-fidelity is exactly 1; drop the float noise of the matmul.
@@ -129,12 +143,15 @@ def train_kernel(spec: FeatureMapSpec, rows: np.ndarray):
 
 def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray,
                     train_states: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
-    """Fidelities of every test row against ``train_kernel``'s states for the
-    same spec (others are refused), the test rows embedded and compared one
-    block at a time.  ``keep`` (ascending indices) first moves those states
-    to the front of ``train_states`` in place, in ascending blocks that read
-    only rows not yet overwritten, and the test rows meet that prefix alone."""
+    """Fidelities of every test row against ``train_kernel``'s states for the same spec (others
+    are refused), the test rows embedded and compared one block at a time.  ``keep`` (ascending
+    indices) first moves those states to the front in place, in ascending blocks that read only
+    rows not yet overwritten, or embeds just those of the real (n, q) rows ``train_kernel`` gives
+    with a reused Gram, and the test rows meet the kept states alone."""
     shape = (1 << spec.num_qubits,) if spec.kind == ZZ else (spec.num_qubits, 2)
+    if train_states.shape[1:] == (spec.num_qubits,) and np.isrealobj(train_states):
+        kept = train_states if keep is None else train_states[keep]
+        train_states, keep = _states(spec, kept) if len(kept) else np.empty((0, *shape)), None
     if train_states.shape[1:] != shape:
         raise ValueError(f"train states of shape {train_states.shape} are not {spec.kind} states of "
                          f"a {spec.num_qubits}-qubit register, whose rows have shape {shape}")
@@ -195,6 +212,12 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta")
 
 
+def _record(spec: FeatureMapSpec, input_sha256: Optional[str]) -> dict:
+    """The sidecar fields ``train_kernel`` matches an export on: format, map and source rows."""
+    return {"format": _MAGIC.decode(), "version": _VERSION, "feature_map": asdict(spec),
+            "input_sha256": input_sha256}
+
+
 def save_gram(
     path,
     gram: GramMatrix,
@@ -213,14 +236,8 @@ def save_gram(
     _HEADER.pack_into(blob, 0, _MAGIC, _VERSION, gram.size)
     np.frombuffer(blob, "<f8", offset=_HEADER.size).reshape(gram.entries.shape)[...] = gram.entries
     write_bytes_atomic(path, blob)
-    meta = {
-        "format": _MAGIC.decode(),
-        "version": _VERSION,
-        "n": gram.size,
-        "feature_map": asdict(spec),
-        "input_sha256": input_sha256,
-        "file_sha256": hashlib.sha256(blob).hexdigest(),
-    }
+    meta = {**_record(spec, input_sha256), "n": gram.size,
+            "file_sha256": hashlib.sha256(blob).hexdigest()}
     sidecar = _sidecar_path(path)
     write_text_atomic(sidecar, canonical_json(meta))
     return sidecar
@@ -253,12 +270,13 @@ def load_gram(path) -> GramMatrix:
 
 
 def verify_gram(path) -> dict:
-    """Check the container against its sidecar hashes; returns metadata.
+    """Check the container against its sidecar hashes and return the sidecar: a missing or
+    malformed sidecar, hash mismatch or malformed container, any tampered byte, raises ValueError."""
+    return _verified(Path(path))[0]
 
-    Raises ValueError on a missing or malformed sidecar, hash mismatch or
-    malformed container, so any tampered byte is caught before use.
-    """
-    path = Path(path)
+
+def _verified(path: Path, want=None) -> tuple:
+    """(sidecar, container entries), each read once; no entries if the sidecar is not ``want``."""
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise ValueError(f"{path}: missing sidecar {sidecar.name}")
@@ -267,6 +285,8 @@ def verify_gram(path) -> dict:
     if not (isinstance(fm, dict) and isinstance(fm.get("kind"), str)
             and {"file_sha256", "n"} <= meta.keys()):
         raise ValueError(f"{sidecar}: not a QKGM sidecar with file_sha256, n and a feature_map kind")
+    if want is not None and {key: meta.get(key) for key in want} != want:
+        return meta, None
     raw = path.read_bytes()
     actual = hashlib.sha256(raw).hexdigest()
     if actual != meta["file_sha256"]:
@@ -276,4 +296,4 @@ def verify_gram(path) -> dict:
     n = _row_count(path, raw)
     if n != meta["n"]:
         raise ValueError(f"{path}: sidecar row count {meta['n']} != container {n}")
-    return meta
+    return meta, np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, n)

@@ -101,7 +101,7 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        cast_fields(self, n_trees=1, mtry=1)
+        cast_fields(self, n_trees=1, mtry=1, seed=0)
 
 
 class _Trees:

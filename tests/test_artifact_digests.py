@@ -34,6 +34,9 @@ from inputs import write_startup_csv  # noqa: E402
 
 DIGESTS = ROOT / "tests" / "data" / "artifact_digests.json"
 REPORTS = ("report.json", "report.txt", "confusion.csv")
+# A benchmark that trains on the exported Gram writes the reports of the
+# benchmark that builds it.
+EXPORT_CASES = {"moons/qsvm_zz_export": "moons/qsvm_zz", "startup/zz_ring_export": "startup/zz_ring"}
 
 _MODELS = {
     "dt": {"name": "dt"},
@@ -56,14 +59,16 @@ def _cases():
         if name == "moons":
             yield "moons/kernel_angle_y", {"dataset": dataset, "model": _MODELS["qsvm_angle_y"]}, [
                 "kernel"]
+            yield "moons/qsvm_zz_export", {"dataset": dataset, "model": _MODELS["qsvm_zz"]}, [
+                "kernel", "benchmark"]
         yield f"{name}/hybrid", {"dataset": dataset, "hybrid": hybrid}, ["hybrid"]
     # Ring differs from linear only from 3 qubits on, so this case reads a
     # CSV; its path is relative, so no artifact names the run directory.
     startup = {"csv": "startups.csv", "feature_k": 10, "subsample": 300, "seed": 1}
-    yield "startup/zz_ring", {
-        "dataset": startup,
-        "model": {"name": "qsvm", "feature_map": {"kind": "zz", "entanglement": "ring"}},
-    }, ["ingest", "benchmark", "kernel"]
+    ring = {"name": "qsvm", "feature_map": {"kind": "zz", "entanglement": "ring"}}
+    yield "startup/zz_ring", {"dataset": startup, "model": ring}, ["ingest", "benchmark", "kernel"]
+    yield "startup/zz_ring_export", {"dataset": startup, "model": ring}, [
+        "ingest", "kernel", "benchmark"]
     yield "startup/angle_y", {"dataset": startup, "model": _MODELS["qsvm_angle_y"]}, [
         "ingest", "benchmark", "kernel"]
 
@@ -127,6 +132,9 @@ def test_every_artifact_keeps_its_golden_digest(tmp_path):
     moved = sorted(k for k in expected.keys() | actual.keys() if expected.get(k) != actual.get(k))
     note = "" if known else " (no digests for this core in the file: reports compared only)"
     assert moved == [], f"artifact bytes moved under OpenBLAS core {core!r}{note}: {moved}"
+    for case, base in EXPORT_CASES.items():
+        assert [actual[f"{case}/{name}"] for name in REPORTS] == [
+            actual[f"{base}/{name}"] for name in REPORTS], case
 
 
 if __name__ == "__main__":

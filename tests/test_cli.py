@@ -812,6 +812,34 @@ def test_a_row_or_column_count_below_one_is_refused_before_any_work(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, doc, flags, message", [
+    ("ingest", {}, ["--seed", "-1"], "dataset.seed must be >= 0, got -1"),
+    ("kernel", {}, ["--seed", "-1"], "dataset.seed must be >= 0, got -1"),
+    ("hybrid", {}, ["--seed", "-1"], "dataset.seed must be >= 0, got -1"),
+    ("benchmark", {}, ["--seed", "-1"], "dataset.seed must be >= 0, got -1"),
+    ("ingest", {"seed": -1}, [], "dataset.seed must be >= 0, got -1"),
+    ("ingest", {"synthetic": {"name": "moons", "n": 60, "seed": -2}}, [],
+     "dataset.synthetic.seed must be >= 0, got -2"),
+    ("hybrid", {"hybrid": {"quanv": {"circuit_seed": -1}}}, [],
+     "hybrid.quanv.circuit_seed must be >= 0, got -1"),
+], ids=["ingest-flag", "kernel-flag", "hybrid-flag", "benchmark-flag", "dataset-seed",
+        "synthetic-seed", "circuit-seed"])
+def test_a_negative_seed_is_refused_by_its_key_before_any_work(tmp_path, capsys, caplog, command,
+                                                               doc, flags, message):
+    # Unrefused, these runs failed in numpy with "expected non-negative
+    # integer" and named no key; hybrid first split the rows and logged its
+    # window clamp (moons has 2 features, the default window is 4).
+    hybrid = doc.pop("hybrid", None)
+    cfg = {"dataset": {"synthetic": {"name": "moons", "n": 60}, **doc}, "model": {"name": "qsvm"}}
+    if hybrid:
+        cfg["hybrid"] = hybrid
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_config(tmp_path, cfg), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert caplog.records == []
+    assert not out.exists()
+
+
 def _section_cases():
     """(section name, key, kind, doc builder) for every key of every section
     table that has a kind."""

@@ -30,6 +30,16 @@ from qkml.hybrid import (
 # -- quanv circuit ------------------------------------------------------------
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: QuanvSpec(circuit_seed=-1), "circuit_seed must be >= 0, got -1"),
+    (lambda: TrainConfig(seed=-1), "seed must be >= 0, got -1"),
+], ids=["quanv-circuit-seed", "train-seed"])
+def test_a_negative_seed_is_refused_with_its_name(make, message):
+    # Before, both were taken and the first draw failed inside numpy.
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_quanv_spec_validation():
     QuanvSpec(layers=0)  # degenerate depth is allowed
     with pytest.raises(ValueError):

@@ -3,11 +3,12 @@
 A fixed list of cases, drawn once from numpy's generator, truncates a
 file, flips one of its bytes, drops a key or swaps a value for one of
 another type.  The files are the QKGM container and its sidecar
-(``kernel --verify``), ``report.json`` (``report --input``), the three
-dataset cache files (``benchmark``, ``kernel`` and ``hybrid`` on a CSV
-source) and the qsvm, rf, dt and svm configs (``benchmark``).  Each case
-must end in exit 0, or in exit 2 with one ``error:`` line and no
-traceback.  This is grammar-free fuzzing in the manner of Miller,
+(``kernel --verify``, and a qsvm ``benchmark``, which trains on that
+export), ``report.json`` (``report --input``), the three dataset cache
+files (``benchmark``, ``kernel`` and ``hybrid`` on a CSV source) and the
+qsvm, rf, dt and svm configs (``benchmark``).  Each case must end in exit
+0, or in exit 2 with one ``error:`` line and no traceback, and a
+``benchmark`` that exits 0 must not have trained on a changed export.  This is grammar-free fuzzing in the manner of Miller,
 Fredriksen & So, "An empirical study of the reliability of UNIX
 utilities", CACM 33(12), 1990.  Swapped-in values come from a small set,
 so no case allocates more than a few MB.
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qkml import accel
 from qkml.cli import main
 
 FIXTURE_CSV = Path(__file__).parent / "data" / "startups_12.csv"
@@ -39,6 +41,10 @@ _READERS = {
     **{name: ["benchmark", "kernel", "hybrid"] for name in _DATASET_FILES},
 }
 
+# Cases on the export for ``benchmark`` are drawn apart, after the others,
+# so that adding them changed no earlier case.
+_EXPORT_READERS = {"gram.qkgm": ["benchmark"], "gram.qkgm.meta": ["benchmark"]}
+
 _MODELS = {
     "qsvm": {"name": "qsvm", "c": 2.0, "tolerance": 0.001,
              "feature_map": {"kind": "zz", "repetitions": 2, "entanglement": "ring"}},
@@ -52,17 +58,23 @@ _SYNTHETIC = {"synthetic": {"name": "moons", "n": 40, "noise": 0.1, "seed": 1},
               "feature_k": 2, "subsample": 20}
 
 
+def _file_cases(rng, readers, count):
+    """``count`` cases on the files ``readers`` names, each read by one of its readers."""
+    cases = []
+    for _ in range(count):
+        target = list(readers)[rng.integers(len(readers))]
+        kinds = ("truncate", "flip") if target == "gram.qkgm" else ("truncate", "flip", "drop", "swap")
+        command = readers[target][rng.integers(len(readers[target]))]
+        cases.append((command, target, kinds[rng.integers(len(kinds))],
+                      int(rng.integers(1 << 20)), int(rng.integers(1 << 20))))
+    return cases
+
+
 def _cases():
     """(command, target, kind, where, what): ``where`` picks the byte,
     key or value, ``what`` the flipped bits or the swapped-in value."""
     rng = np.random.default_rng(27)
-    cases = []
-    for _ in range(200):
-        target = list(_READERS)[rng.integers(len(_READERS))]
-        kinds = ("truncate", "flip") if target == "gram.qkgm" else ("truncate", "flip", "drop", "swap")
-        command = _READERS[target][rng.integers(len(_READERS[target]))]
-        cases.append((command, target, kinds[rng.integers(len(kinds))],
-                      int(rng.integers(1 << 20)), int(rng.integers(1 << 20))))
+    cases = _file_cases(rng, _READERS, 200)
     for _ in range(100):
         target = f"config:{list(_MODELS)[rng.integers(len(_MODELS))]}"
         cases.append(("benchmark", target, ("drop", "swap")[rng.integers(2)],
@@ -71,6 +83,7 @@ def _cases():
 
 
 CASES = _cases()
+EXPORT_CASES = _file_cases(np.random.default_rng(34), _EXPORT_READERS, 60)
 
 
 def _paths(doc, prefix=()):
@@ -142,16 +155,28 @@ def _argv(case, cfg, work):
     }.get(command, [command, "--config", str(cfg), "--out", str(work)])
 
 
+def _same_export(work, out):
+    """Whether the export under ``work`` holds what the one under ``out`` does."""
+    changed, kept = work / "gram.qkgm", out / "gram.qkgm"
+    meta = [json.loads(p.with_name("gram.qkgm.meta").read_text()) for p in (changed, kept)]
+    return changed.read_bytes() == kept.read_bytes() and meta[0] == meta[1]
+
+
 # Mutated inputs may warn (a constant column, say); only the exit is checked.
 @pytest.mark.filterwarnings("ignore")
-def test_every_mutated_input_exits_zero_or_two_with_one_error_line(base, tmp_path, capsys):
+def test_every_mutated_input_exits_zero_or_two_with_one_error_line(base, tmp_path, capsys,
+                                                                    monkeypatch):
     cfg, out = base
+    grams = []
+    fidelity_gram = accel.fidelity_gram
+    monkeypatch.setattr(accel, "fidelity_gram", lambda s: grams.append(len(s)) or fidelity_gram(s))
     failures = []
-    for case in CASES:
+    for case in CASES + EXPORT_CASES:
         work = tmp_path / "work"
         shutil.rmtree(work, ignore_errors=True)
         shutil.copytree(out, work)
         capsys.readouterr()
+        grams.clear()
         try:
             rc = main(_argv(case, cfg, work))
         except Exception as exc:  # an exception escaping main is a failure
@@ -160,4 +185,6 @@ def test_every_mutated_input_exits_zero_or_two_with_one_error_line(base, tmp_pat
         err = capsys.readouterr().err
         if not (rc == 0 or (rc == 2 and err.startswith("error: ") and err.count("\n") == 1)):
             failures.append((case, rc, err))
+        elif case in EXPORT_CASES and rc == 0 and not grams and not _same_export(work, out):
+            failures.append((case, "trained on a changed export"))
     assert failures == []

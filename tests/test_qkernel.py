@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,6 +454,48 @@ def test_state_based_kernels_equal_row_based_wrappers():
         assert gram.entries.tobytes() == qkernel.gram_matrix(spec, train).entries.tobytes()
         cross = qkernel.cross_from_rows(spec, test, states)
         assert cross.tobytes() == qkernel.cross_kernel(spec, test, train).tobytes()
+
+
+@pytest.mark.parametrize("kind, q, n", [(ANGLE_Y, 3, 7), (ZZ, 3, 7), (ZZ, 1, 5), (ZZ, 8, 300)])
+def test_rows_of_a_reused_gram_give_the_cross_kernel_of_its_states(kind, q, n):
+    # train_kernel hands back its checked rows when it reuses an export;
+    # cross_from_rows embeds only the kept ones, and a row's state does not
+    # depend on its block, so the cross kernel keeps its bytes.
+    rng = np.random.default_rng(34 + q)
+    spec = FeatureMapSpec(kind, q)
+    train, test = rng.uniform(0, np.pi, size=(n, q)), rng.uniform(0, np.pi, size=(40, q))
+    before = train.copy()
+    for keep in (None, np.array([], dtype=np.intp), np.array([1, 3]), np.arange(0, n, 2)):
+        states = qkernel.train_kernel(spec, train)[0]
+        expected = qkernel.cross_from_rows(spec, test, states, keep)
+        assert qkernel.cross_from_rows(spec, test, train, keep).tobytes() == expected.tobytes()
+        assert train.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", [ANGLE_Y, ZZ])
+def test_complex_rows_count_as_states_and_are_refused(kind):
+    x = np.random.default_rng(35).uniform(0, np.pi, size=(5, 3))
+    message = f"train states of shape (5, 3) are not {kind} states of a 3-qubit register"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qkernel.cross_from_rows(FeatureMapSpec(kind, 3), x, x.astype(complex))
+
+
+def test_a_reused_gram_reads_its_container_once_and_peaks_near_it(tmp_path, monkeypatch):
+    # The container is hashed, header-checked and viewed as the matrix from
+    # one read; the Gram check adds an n x n bool array, an eighth of it.
+    rows = np.random.default_rng(36).uniform(0, np.pi, size=(600, 2))
+    spec = FeatureMapSpec(ANGLE_Y, 2)
+    path = tmp_path / "gram.qkgm"
+    gram = qkernel.gram_matrix(spec, rows)
+    qkernel.save_gram(path, gram, spec, input_sha256=qkernel.matrix_sha256(rows))
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    peak, (states, reused) = _traced_peak(qkernel.train_kernel, spec, rows, path)
+    assert reads == [path]
+    assert peak < 1.25 * path.stat().st_size
+    assert reused.entries.tobytes() == gram.entries.tobytes()
+    assert states.tobytes() == rows.tobytes()
 
 
 def _largest_block(n, width):

@@ -238,6 +238,13 @@ def test_train_tree_refuses_a_bad_mtry(mtry):
         train_tree(x, y, feature_subset_seed=1, mtry=mtry)
 
 
+def test_a_negative_forest_seed_is_refused_with_its_name():
+    # Before, ForestConfig took it and train_forest failed inside numpy.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ForestConfig(seed=-1)
+    assert ForestConfig(seed=0).seed == 0
+
+
 def test_tree_config_validation():
     with pytest.raises(ValueError, match="max_depth must be an integer"):
         TreeConfig(max_depth=None)
