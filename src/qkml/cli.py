@@ -184,13 +184,13 @@ def _train_and_predict(model_cfg: dict, train, test, seed: int, export=None):
         )
     if name == "qsvm":
         spec = _kernel_spec(model_cfg, train, test.n_rows)
-        train_states, gram = qkernel.train_kernel(spec, train.features, export)
+        train_side, gram = qkernel.train_kernel(spec, train.features, export)
         cfg = _typed(svmmod.SvmConfig, model_cfg, kernel=svmmod.PRECOMPUTED)
         model = svmmod.train_svm(gram, train.labels, cfg, seed)
         # The Gram is released before the test rows stream.
         train_pred = svmmod.predict(model, gram.entries)
         del gram
-        cross = qkernel.cross_from_rows(spec, test.features, train_states, np.flatnonzero(model.alphas))
+        cross = qkernel.cross_from_rows(spec, test.features, train_side, np.flatnonzero(model.alphas))
         return (
             svmmod.predict(svmmod.support_model(model), cross),
             train_pred,

@@ -145,10 +145,11 @@ def resolve_config(doc: dict, seed_override=None, synthetic_override=None) -> tu
         synth = _merge("dataset.synthetic", _SYNTHETIC, dataset["synthetic"])
         if not synth["name"]:
             raise ConfigError("dataset.synthetic needs a 'name'")
+        for key in ("seed", "noise"):
+            if synth[key] is not None and synth[key] < 0:
+                raise ConfigError(f"dataset.synthetic.{key} must be >= 0, got {synth[key]}")
         if synth["seed"] is None:
             synth["seed"] = dataset["seed"]
-        elif synth["seed"] < 0:
-            raise ConfigError(f"dataset.synthetic.seed must be >= 0, got {synth['seed']}")
         dataset["synthetic"] = synth
     if dataset["csv"] is None and dataset["synthetic"] is None:
         raise ConfigError("dataset needs either 'csv' or 'synthetic'")

@@ -107,8 +107,10 @@ def entangled_pairs(num_qubits: int, pattern: str) -> list:
 
 
 def check_rows(spec: FeatureMapSpec, rows) -> np.ndarray:
-    """The rows as a float64 (n, num_qubits) matrix of finite values whose
-    zz pair angles are finite too."""
+    """The rows as a float64 (n, num_qubits) matrix of finite real values
+    whose zz pair angles are finite too."""
+    if np.iscomplexobj(rows):
+        raise ValueError(f"feature rows must be real, got dtype {np.asarray(rows).dtype}")
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.num_qubits:
         raise ValueError(

@@ -6,9 +6,9 @@ zz's (n, 2**q) statevectors, whose overlaps are BLAS products
 (``accel.fidelity_gram``, ``accel.fidelity_cross``), or the q real one-qubit
 states of angle_y's product state, each fidelity the square of a product of
 q rank-2 products, with no 2**q array.  ``train_kernel`` embeds a train set
-once for its Gram and its states, which ``cross_from_rows`` alone reads: it
-refuses states of another map or qubit count and streams test rows against
-them; ``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
+once for its Gram and a private train side, its spec and states, that
+``cross_from_rows`` alone reads, refusing any other value and a used-up side;
+``gram_matrix`` and ``cross_kernel`` embed their rows themselves.
 Entries are clamped to [0, 1]; drift beyond CLAMP_TOL outside that
 interval, or a NaN, indicates a broken embedding and raises.
 
@@ -121,8 +121,8 @@ def _fidelities(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) 
 
 
 def train_kernel(spec: FeatureMapSpec, rows: np.ndarray, export=None):
-    """(``_states``, Gram) of the train rows; the states are for ``cross_from_rows`` alone.
-    A Gram exported to ``export`` with this ``_record`` is checked and reused, rows as states."""
+    """(train side, Gram): the side, spec and states, is for ``cross_from_rows`` alone.  A Gram
+    exported to ``export`` with this ``_record`` is checked and reused, the rows standing as states."""
     found = export is not None and _sidecar_path(Path(export)).exists()
     m = _verified(Path(export), _record(spec, matrix_sha256(rows)))[1] if found else None
     if export is not None:
@@ -133,36 +133,36 @@ def train_kernel(spec: FeatureMapSpec, rows: np.ndarray, export=None):
                 and (m.diagonal() == 1).all()):
             raise ValueError(f"{export}: not a Gram of {len(rows)} rows: finite entries in [0, 1], "
                              "exactly symmetric, unit diagonal")
-        return check_rows(spec, rows), _owning(m)
+        return {spec: check_rows(spec, rows)}, _owning(m)
     states = _states(spec, rows)
     entries = _clamp_unit(accel.fidelity_gram(states) if states.ndim == 2 else _fidelities(states, states))
     # Self-fidelity is exactly 1; drop the float noise of the matmul.
     np.fill_diagonal(entries, 1.0)
-    return states, _owning(entries)
+    return {spec: states}, _owning(entries)
 
 
-def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray,
-                    train_states: np.ndarray, keep: Optional[np.ndarray] = None) -> np.ndarray:
-    """Fidelities of every test row against ``train_kernel``'s states for the same spec (others
-    are refused), the test rows embedded and compared one block at a time.  ``keep`` (ascending
-    indices) first moves those states to the front in place, in ascending blocks that read only
-    rows not yet overwritten, or embeds just those of the real (n, q) rows ``train_kernel`` gives
-    with a reused Gram, and the test rows meet the kept states alone."""
-    shape = (1 << spec.num_qubits,) if spec.kind == ZZ else (spec.num_qubits, 2)
-    if train_states.shape[1:] == (spec.num_qubits,) and np.isrealobj(train_states):
-        kept = train_states if keep is None else train_states[keep]
-        train_states, keep = _states(spec, kept) if len(kept) else np.empty((0, *shape)), None
-    if train_states.shape[1:] != shape:
-        raise ValueError(f"train states of shape {train_states.shape} are not {spec.kind} states of "
-                         f"a {spec.num_qubits}-qubit register, whose rows have shape {shape}")
+def cross_from_rows(spec: FeatureMapSpec, rows_test: np.ndarray, train: dict,
+                    keep: Optional[np.ndarray] = None) -> np.ndarray:
+    """Fidelities of every test row against a ``train_kernel`` side for an equal spec (anything
+    else is refused), the test rows embedded and compared one block at a time.  ``keep``
+    (ascending indices) uses the side up: it moves those states to the front in place, in ascending
+    blocks that read only rows not yet overwritten, or embeds just those of a reused Gram's rows."""
+    if not (isinstance(train, dict) and spec in train):
+        raise ValueError(f"not a train side of train_kernel for {spec} that no keep call used up")
+    rows, states = check_rows(spec, rows_test), train[spec]
     if keep is not None:
-        for block in accel.row_blocks(len(keep), train_states.shape[1]):
-            train_states[block] = train_states[keep[block]]
-        train_states = train_states[: len(keep)]
-    rows = check_rows(spec, rows_test)
-    out = np.empty((len(rows), len(train_states)))
-    for block in accel.row_blocks(len(rows), max(train_states.shape)):
-        _fidelities(_states(spec, rows[block]), train_states, out[block])
+        train.clear()
+    if states.ndim == 2 and np.isrealobj(states):  # a reused Gram's rows
+        kept = states if keep is None else states[keep]
+        shape = (1 << spec.num_qubits,) if spec.kind == ZZ else (spec.num_qubits, 2)
+        states, keep = _states(spec, kept) if len(kept) else np.empty((0, *shape)), None
+    if keep is not None:
+        for block in accel.row_blocks(len(keep), states.shape[1]):
+            states[block] = states[keep[block]]
+        states = states[: len(keep)]
+    out = np.empty((len(rows), len(states)))
+    for block in accel.row_blocks(len(rows), max(states.shape)):
+        _fidelities(_states(spec, rows[block]), states, out[block])
     return _clamp_unit(out)
 
 
@@ -175,7 +175,7 @@ def cross_kernel(
     spec: FeatureMapSpec, rows_test: np.ndarray, rows_train: np.ndarray
 ) -> np.ndarray:
     """Fidelities of every test row against every train row."""
-    return cross_from_rows(spec, rows_test, _states(spec, rows_train))
+    return cross_from_rows(spec, rows_test, {spec: check_rows(spec, rows_train)})
 
 
 def kernel_bytes(spec: FeatureMapSpec, n_train: int, n_test: int = 0) -> int:

@@ -840,6 +840,19 @@ def test_a_negative_seed_is_refused_by_its_key_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["xor", "moons"])
+def test_a_negative_noise_is_refused_by_its_key_before_any_work(tmp_path, capsys, caplog, name):
+    # Unrefused, xor wrote a noise-free dataset and exited 0, and moons
+    # failed in numpy with "scale < 0", naming no key.
+    cfg = {"dataset": {"synthetic": {"name": name, "n": 60, "noise": -1}}}
+    out = tmp_path / "o"
+    assert main(["ingest", "--config", _write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: dataset.synthetic.noise must be >= 0, got -1.0"]
+    assert caplog.records == []
+    assert not out.exists()
+
+
 def _section_cases():
     """(section name, key, kind, doc builder) for every key of every section
     table that has a kind."""
@@ -1093,16 +1106,19 @@ def test_qsvm_peaks_at_the_train_states_and_the_larger_kernel_phase():
     (5, 4, "random"), (1, 2, "all")])
 def test_support_rows_move_to_the_front_in_place_a_block_at_a_time(n, width, keep):
     # The qsvm branch passes its alpha != 0 rows as cross_from_rows' keep.
+    # The reference is the kept rows' own side; train_kernel needs a row,
+    # so for no kept row it is a one-row side that keeps none.
     rng = np.random.default_rng(n + width)
     q = width.bit_length() - 1
     spec = FeatureMapSpec(ZZ, q)
-    states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n, q)))
+    rows = rng.uniform(0, np.pi, size=(n, q))
     test = rng.uniform(0, np.pi, size=(5, q))
     index = {"random": np.flatnonzero(rng.random(n) < 0.7), "all": np.arange(n),
              "none": np.arange(0), "last": np.arange(n - 3, n)}[keep]
-    gathered = states[index]
+    gathered = ((qkernel.train_kernel(spec, rows[index])[0],) if len(index)
+                else (qkernel.train_kernel(spec, rows[:1])[0], index))
     peaks, crosses = [], []
-    for args in ((gathered,), (states, index)):
+    for args in (gathered, (qkernel.train_kernel(spec, rows)[0], index)):
         tracemalloc.start()
         try:
             crosses.append(qkernel.cross_from_rows(spec, test, *args))
@@ -1110,7 +1126,6 @@ def test_support_rows_move_to_the_front_in_place_a_block_at_a_time(n, width, kee
         finally:
             tracemalloc.stop()
     assert crosses[1].tobytes() == crosses[0].tobytes()
-    assert states[: len(index)].tobytes() == gathered.tobytes()
     # One block of gathered rows, never a copy of every support row.
     assert peaks[1] <= peaks[0] + 16 * accel._BLOCK + 4096
 

@@ -130,6 +130,27 @@ def test_zz_rows_whose_pair_angles_overflow_are_rejected_up_front():
         assert fm.embed_rows(fm.FeatureMapSpec(fm.ANGLE_Y, 2), rows).shape == (2, 4)
 
 
+@pytest.mark.parametrize("kind", [fm.ANGLE_Y, fm.ZZ])
+def test_complex_rows_are_refused_by_their_dtype(kind):
+    # numpy only warned (ComplexWarning) and dropped the imaginary parts, so
+    # the Gram of x + 1j*y was the Gram of x.
+    spec = fm.FeatureMapSpec(kind, 3)
+    x = np.random.default_rng(15).uniform(0, np.pi, size=(4, 3))
+    z = x + 1j * np.random.default_rng(16).uniform(0, np.pi, size=(4, 3))
+    calls = (
+        (lambda: qkernel.embedding_matrix(spec, z), "complex128"),
+        (lambda: qkernel.gram_matrix(spec, z), "complex128"),
+        (lambda: qkernel.cross_kernel(spec, z, x), "complex128"),
+        (lambda: qkernel.cross_kernel(spec, x, z.astype(np.complex64)), "complex64"),
+        (lambda: qkernel.cross_kernel(spec, x, z.tolist()), "complex128"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, dtype in calls:
+            with pytest.raises(ValueError, match=f"^feature rows must be real, got dtype {dtype}$"):
+                call()
+
+
 def test_embeddings_normalized():
     rng = np.random.default_rng(9)
     for kind in (fm.ANGLE_Y, fm.ZZ):

@@ -59,3 +59,24 @@ def test_cli_reaches_the_kernel_path_only_through_qkernel_and_svm():
     modules = {node.module.rsplit(".", 1)[-1] for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module}
     assert "accel" not in modules | {name for name, _ in _imported(tree)}
+
+
+def test_only_qkernel_reads_its_private_names():
+    # The train side's shape stays behind qkernel: no other module reads a
+    # qkernel._name, through the module or by importing it.
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "qkernel":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names if alias.name.rsplit(".", 1)[-1] == "qkernel"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases and node.attr.startswith("_")):
+                reads.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("qkernel"):
+                reads += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert reads == []

@@ -1,6 +1,8 @@
 """Fidelity kernel entries, Gram assembly, and the QKGM container."""
 
 import json
+import logging
+import pickle
 import re
 import struct
 import tracemalloc
@@ -76,9 +78,13 @@ def test_gram_from_states_and_load_gram_keep_their_fresh_array(monkeypatch, tmp_
     assert peak < 1.1 * path.stat().st_size
 
 
+def _refusal(spec):
+    return re.escape(f"not a train side of train_kernel for {spec} that no keep call used up")
+
+
 def test_cross_from_states_refuses_different_register_widths():
-    # cross_from_rows takes only train_kernel's states for the rows' own
-    # spec, and refuses others before any state moves.
+    # cross_from_rows takes only a train_kernel side made for the rows' own
+    # spec, and refuses others, raw states among them, before any state moves.
     x = np.random.default_rng(14).uniform(0, np.pi, size=(5, 3))
     cases = [
         (ANGLE_Y, qkernel.train_kernel(FeatureMapSpec(ANGLE_Y, 4), np.hstack([x, x[:, :1]]))[0]),
@@ -86,13 +92,67 @@ def test_cross_from_states_refuses_different_register_widths():
         (ANGLE_Y, qkernel.embedding_matrix(FeatureMapSpec(ANGLE_Y, 3), x)),
         (ZZ, qkernel.train_kernel(FeatureMapSpec(ANGLE_Y, 3), x)[0]),
     ]
-    for kind, states in cases:
-        before = states.copy()
-        message = f"train states of shape {states.shape} are not {kind} states of a 3-qubit register"
+    for kind, side in cases:
+        before = pickle.dumps(side)
         for keep in (None, np.array([1, 3])):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                qkernel.cross_from_rows(FeatureMapSpec(kind, 3), x, states, keep)
-        assert states.tobytes() == before.tobytes()
+            with pytest.raises(ValueError, match=_refusal(FeatureMapSpec(kind, 3))):
+                qkernel.cross_from_rows(FeatureMapSpec(kind, 3), x, side, keep)
+        assert pickle.dumps(side) == before
+
+
+@pytest.mark.parametrize("made, given", [
+    (FeatureMapSpec(ZZ, 3), FeatureMapSpec(ZZ, 3, entanglement="ring")),
+    (FeatureMapSpec(ZZ, 3, 1), FeatureMapSpec(ZZ, 3, 2)),
+    (FeatureMapSpec(ANGLE_Y, 3, 1), FeatureMapSpec(ANGLE_Y, 3, 3)),
+], ids=["zz-linear-for-ring", "zz-reps-1-for-2", "angle_y-reps-1-for-3"])
+@pytest.mark.parametrize("reused", [False, True], ids=["states", "rows"])
+def test_a_train_side_of_another_spec_is_refused_before_any_state_moves(tmp_path, made, given,
+                                                                         reused):
+    # Each side has the layout the given spec expects, so only its spec
+    # tells them apart.
+    rng = np.random.default_rng(37)
+    train, test = rng.uniform(0, np.pi, size=(6, 3)), rng.uniform(0, np.pi, size=(4, 3))
+    path = tmp_path / "gram.qkgm"
+    if reused:
+        qkernel.save_gram(path, qkernel.gram_matrix(made, train), made, qkernel.matrix_sha256(train))
+    side = qkernel.train_kernel(made, train, path)[0]
+    for keep in (None, np.array([1, 3])):
+        with pytest.raises(ValueError, match=_refusal(given)):
+            qkernel.cross_from_rows(given, test, side, keep)
+    cross = qkernel.cross_from_rows(made, test, side, np.array([1, 3]))
+    assert cross.tobytes() == qkernel.cross_kernel(made, test, train[[1, 3]]).tobytes()
+
+
+@pytest.mark.parametrize("kind", [ANGLE_Y, ZZ])
+def test_a_keep_call_uses_the_train_side_up(kind):
+    # A keep call moves the states in place, so a later call would read
+    # moved rows; calls without keep leave the side as it is.
+    spec = FeatureMapSpec(kind, 3)
+    rng = np.random.default_rng(38)
+    train, test = rng.uniform(0, np.pi, size=(6, 3)), rng.uniform(0, np.pi, size=(4, 3))
+    side = qkernel.train_kernel(spec, train)[0]
+    every = qkernel.cross_kernel(spec, test, train)
+    for _ in range(2):
+        assert qkernel.cross_from_rows(spec, test, side).tobytes() == every.tobytes()
+    # A call that fails its test rows leaves the side unused.
+    with pytest.raises(ValueError, match="columns"):
+        qkernel.cross_from_rows(spec, test[:, :2], side, np.array([0, 2]))
+    cross = qkernel.cross_from_rows(spec, test, side, np.array([0, 2]))
+    assert cross.tobytes() == qkernel.cross_kernel(spec, test, train[[0, 2]]).tobytes()
+    for keep in (np.array([0, 2]), np.array([1]), None):
+        with pytest.raises(ValueError, match=_refusal(spec)):
+            qkernel.cross_from_rows(spec, test, side, keep)
+
+
+@pytest.mark.parametrize("kind", [ANGLE_Y, ZZ])
+def test_a_raw_array_is_not_a_train_side(kind):
+    # Neither the states train_kernel builds nor the rows of a reused Gram
+    # stand for a side when handed over bare.
+    spec = FeatureMapSpec(kind, 3)
+    train = np.random.default_rng(39).uniform(0, np.pi, size=(6, 3))
+    for raw in (qkernel.embedding_matrix(spec, train), train, [spec, train], [train], {}):
+        with pytest.raises(ValueError, match=_refusal(spec)):
+            qkernel.cross_from_rows(spec, train, raw)
 
 
 def test_gram_single_row():
@@ -196,12 +256,13 @@ def test_nan_fidelities_are_rejected(monkeypatch):
     # (tests/test_feature_maps.py), so a NaN amplitude is planted instead.
     spec = FeatureMapSpec(ZZ, 2)
     rows = np.array([[0.5, 0.3], [0.1, 0.2], [2.0, 1.0]])
+    side = qkernel.train_kernel(spec, rows)[0]
     states = qkernel.embedding_matrix(spec, rows)
     states[0, 1] = np.nan
+    monkeypatch.setattr(qkernel, "embedding_matrix", lambda spec, rows: states[: len(rows)])
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match="fidelity outside"):
-            qkernel.cross_from_rows(spec, rows[1:], states)
-        monkeypatch.setattr(qkernel, "embedding_matrix", lambda spec, rows: states)
+            qkernel.cross_from_rows(spec, rows[1:], side)
         with pytest.raises(ValueError, match="fidelity outside"):
             qkernel.train_kernel(spec, rows)
     with pytest.raises(ValueError, match="fidelity outside"):
@@ -223,8 +284,10 @@ def test_no_test_rows_give_an_empty_cross_kernel(kind):
 def test_cross_from_rows_against_no_train_states_is_empty():
     spec = FeatureMapSpec(ZZ, 3)
     rows = np.random.default_rng(12).uniform(0, np.pi, size=(4, 3))
-    cross = qkernel.cross_from_rows(spec, rows, np.empty((0, 8), dtype=np.complex128))
+    side = qkernel.train_kernel(spec, rows)[0]
+    cross = qkernel.cross_from_rows(spec, rows, side, np.empty(0, dtype=np.intp))
     assert cross.shape == (4, 0)
+    assert qkernel.cross_kernel(spec, rows, rows[:0]).shape == (4, 0)
     assert qkernel._clamp_unit(np.empty((0, 0))).shape == (0, 0)
 
 
@@ -430,8 +493,8 @@ def test_angle_y_kernels_from_one_qubit_states_match_the_statevectors(q, reps):
     spec = FeatureMapSpec(ANGLE_Y, q, reps)
     train = rng.uniform(0, np.pi, size=(40, q))
     test = rng.uniform(0, np.pi, size=(9, q))
-    states, gram = qkernel.train_kernel(spec, train)
-    assert states.shape == (40, q, 2)
+    side, gram = qkernel.train_kernel(spec, train)
+    assert qkernel._states(spec, train).shape == (40, q, 2)
     vectors = qkernel.embedding_matrix(spec, train)
     want = accel.fidelity_cross(vectors, vectors)
     np.testing.assert_allclose(gram.entries, want, rtol=0, atol=1e-12)
@@ -440,7 +503,7 @@ def test_angle_y_kernels_from_one_qubit_states_match_the_statevectors(q, reps):
     want = accel.fidelity_cross(qkernel.embedding_matrix(spec, test), vectors)
     np.testing.assert_allclose(qkernel.cross_kernel(spec, test, train), want, rtol=0, atol=1e-12)
     keep = np.flatnonzero(rng.random(40) < 0.6)
-    cross = qkernel.cross_from_rows(spec, test, states, keep)
+    cross = qkernel.cross_from_rows(spec, test, side, keep)
     np.testing.assert_allclose(cross, want[:, keep], rtol=0, atol=1e-12)
 
 
@@ -457,27 +520,35 @@ def test_state_based_kernels_equal_row_based_wrappers():
 
 
 @pytest.mark.parametrize("kind, q, n", [(ANGLE_Y, 3, 7), (ZZ, 3, 7), (ZZ, 1, 5), (ZZ, 8, 300)])
-def test_rows_of_a_reused_gram_give_the_cross_kernel_of_its_states(kind, q, n):
-    # train_kernel hands back its checked rows when it reuses an export;
+def test_rows_of_a_reused_gram_give_the_cross_kernel_of_its_states(tmp_path, caplog, kind, q, n):
+    # train_kernel's side holds its checked rows when it reuses an export;
     # cross_from_rows embeds only the kept ones, and a row's state does not
     # depend on its block, so the cross kernel keeps its bytes.
     rng = np.random.default_rng(34 + q)
     spec = FeatureMapSpec(kind, q)
     train, test = rng.uniform(0, np.pi, size=(n, q)), rng.uniform(0, np.pi, size=(40, q))
+    path = tmp_path / "gram.qkgm"
+    qkernel.save_gram(path, qkernel.gram_matrix(spec, train), spec, qkernel.matrix_sha256(train))
     before = train.copy()
+    caplog.set_level(logging.INFO, "qkml.qkernel")
     for keep in (None, np.array([], dtype=np.intp), np.array([1, 3]), np.arange(0, n, 2)):
         states = qkernel.train_kernel(spec, train)[0]
         expected = qkernel.cross_from_rows(spec, test, states, keep)
-        assert qkernel.cross_from_rows(spec, test, train, keep).tobytes() == expected.tobytes()
+        rows = qkernel.train_kernel(spec, train, path)[0]
+        assert caplog.messages[-1] == f"{path}: reusing its Gram"
+        assert qkernel.cross_from_rows(spec, test, rows, keep).tobytes() == expected.tobytes()
         assert train.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("kind", [ANGLE_Y, ZZ])
 def test_complex_rows_count_as_states_and_are_refused(kind):
+    # Complex rows are neither feature rows nor, bare, a train side.
     x = np.random.default_rng(35).uniform(0, np.pi, size=(5, 3))
-    message = f"train states of shape (5, 3) are not {kind} states of a 3-qubit register"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        qkernel.cross_from_rows(FeatureMapSpec(kind, 3), x, x.astype(complex))
+    spec = FeatureMapSpec(kind, 3)
+    with pytest.raises(ValueError, match="feature rows must be real, got dtype complex128"):
+        qkernel.train_kernel(spec, x.astype(complex))
+    with pytest.raises(ValueError, match=_refusal(spec)):
+        qkernel.cross_from_rows(spec, x, x.astype(complex))
 
 
 def test_a_reused_gram_reads_its_container_once_and_peaks_near_it(tmp_path, monkeypatch):
@@ -491,11 +562,12 @@ def test_a_reused_gram_reads_its_container_once_and_peaks_near_it(tmp_path, monk
     reads = []
     read_bytes = Path.read_bytes
     monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
-    peak, (states, reused) = _traced_peak(qkernel.train_kernel, spec, rows, path)
+    peak, (side, reused) = _traced_peak(qkernel.train_kernel, spec, rows, path)
     assert reads == [path]
     assert peak < 1.25 * path.stat().st_size
     assert reused.entries.tobytes() == gram.entries.tobytes()
-    assert states.tobytes() == rows.tobytes()
+    cross = qkernel.cross_from_rows(spec, rows[:5], side)
+    assert cross.tobytes() == qkernel.cross_kernel(spec, rows[:5], rows).tobytes()
 
 
 def _largest_block(n, width):
@@ -601,9 +673,10 @@ def test_gram_from_states_holds_a_block_and_two_n_by_n_arrays(q, n):
 def test_streamed_cross_holds_one_block_and_its_output(q, n_train, n_test):
     rng = np.random.default_rng(q)
     spec = FeatureMapSpec(ZZ, q)
-    states = qkernel.embedding_matrix(spec, rng.uniform(0, np.pi, size=(n_train, q)))
+    train = rng.uniform(0, np.pi, size=(n_train, q))
+    states, side = qkernel.embedding_matrix(spec, train), qkernel.train_kernel(spec, train)[0]
     test = rng.uniform(0, np.pi, size=(n_test, q))
-    peak, cross = _traced_peak(qkernel.cross_from_rows, spec, test, states)
+    peak, cross = _traced_peak(qkernel.cross_from_rows, spec, test, side)
     rows = _largest_block(n_test, max(states.shape))
     # A block's states, conjugated in place, its products and their
     # squares, and the embedding's own blocks.
